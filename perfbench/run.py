@@ -1,6 +1,6 @@
 """Benchmark of curvekit: run one seeded workload and print its metrics.
 
-    python3 perfbench/run.py --workload plane --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload plane --seed 1 --seconds 30 --trace 0
 
 Workloads (see workloads.py): plane, fit, space, cli_cold. The run builds
 the workload's operation list from the seed, times a repeated closed loop
@@ -9,10 +9,15 @@ reference, and prints as its last stdout line
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
-With --trace 0 the metrics are the end-to-end ones. With --trace 1 the run
-first times one untraced pass, then wraps curvekit's functions (calltrace.py)
-and times whole traced passes; the metrics are the per-layer ones, per pass
-of the operation list, and the spans go to .perfbench_out/trace-<workload>.json.
+attempted and failed count the operations of the list. With --trace 0 the
+metrics are the end-to-end ones, at reference speed: a fixed pure-Python
+kernel runs between operations, and each time is scaled by how much faster
+or slower than REFERENCE_KERNEL_S the kernel ran around it (see
+reference_kernel()). The raw wall-clock figures are in the detail line.
+With --trace 1 the run times the first third of --seconds untraced, then
+wraps curvekit's functions (calltrace.py) and times whole traced passes;
+the metrics are the per-layer ones, per pass of the operation list, and the
+spans go to .perfbench_out/trace-<workload>.json.
 The line before the result holds the details: environment, tail percentile
 and sample count, passes, and every failure.
 """
@@ -36,11 +41,15 @@ import time
 from collections import Counter
 
 import calltrace
+import reference as ref
 from workloads import KNOWN_DEFECTS, WORKLOADS, Context
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
+# reference_kernel() time on the 2-vCPU Intel Xeon VM (Python 3.11) the
+# bounds were set on, in its fast phase; every reported time is scaled to it
+REFERENCE_KERNEL_S = 0.002
 INTERPRETER_REPEATS = 5
 IMPORT_CODE = "import time; t = time.perf_counter(); import curvekit.cli; print(time.perf_counter() - t)"
 
@@ -63,35 +72,72 @@ def _child(ctx, code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, check=True)
 
 
+def reference_kernel() -> float:
+    """Seconds taken by one fixed piece of pure-Python numeric work.
+
+    The work is the benchmark's own quadrature (reference.py): float math,
+    calls and small lists, as in curvekit, but it does not change when
+    curvekit does. Its time tells how fast the machine runs right now. The
+    2-vCPU VMs on a shared host this was built on switch between speeds up
+    to ~1.9x apart, in phases of seconds to minutes; over ten runs the
+    quartile spread of wall-clock latencies reached 0.2-0.47 of the median,
+    and 0.01-0.1 once each time is scaled by the kernel run around it.
+    """
+    t0 = time.perf_counter()
+    ref.point(0.5, 1.0, 2.0)
+    return time.perf_counter() - t0
+
+
+def at_reference_speed(seconds: float, kernel_before: float, kernel_after: float) -> float:
+    """A time measured between two kernel runs, scaled to a machine on which
+    the kernel takes REFERENCE_KERNEL_S."""
+    return seconds * 2.0 * REFERENCE_KERNEL_S / (kernel_before + kernel_after)
+
+
 def setup(ctx, workload: str, seed: int):
     """Build the operations SETUP_REPEATS times; return them and the median
-    set-up time: import of curvekit.cli (timed inside a fresh interpreter),
-    bytecode compilation, input generation and warm-up."""
+    set-up time at reference speed: import of curvekit.cli (timed inside a
+    fresh interpreter), bytecode compilation, input generation and warm-up."""
     build, warm = WORKLOADS[workload]
     times = []
     for _ in range(SETUP_REPEATS):
+        before = reference_kernel()
         import_s = float(_child(ctx, IMPORT_CODE).stdout)
         t0 = time.perf_counter()
         compileall.compile_dir(os.path.join(ctx.src, "curvekit"), quiet=1)
         ops = build(ctx, random.Random(seed))
         warm(ctx)
-        times.append(import_s + time.perf_counter() - t0)
+        elapsed = import_s + time.perf_counter() - t0
+        times.append(at_reference_speed(elapsed, before, reference_kernel()))
     return ops, statistics.median(times)
 
 
 class Verdicts:
-    """Checks each operation's first output, then byte-identity of repeats."""
+    """Checks each operation's first output, then byte-identity of repeats.
+
+    attempted and failed count operations of the list, not executions: an
+    operation fails when its first output fails its check or any repeat
+    differs from it. Both then depend only on the seed, not on how many
+    passes fit in the run.
+    """
 
     def __init__(self, count: int):
         self.first = [None] * count  # (digest, problem, defect)
-        self.attempted = 0
-        self.failed = 0
+        self.bad = [False] * count
+        self.differs = set()
         self.err_max = 0.0
         self.defects = Counter()
         self.unexplained = []
 
+    @property
+    def attempted(self) -> int:
+        return sum(1 for f in self.first if f is not None)
+
+    @property
+    def failed(self) -> int:
+        return sum(self.bad)
+
     def record(self, i: int, op, out):
-        self.attempted += 1
         digest = op.digest(out)
         if self.first[i] is None:
             try:
@@ -101,29 +147,33 @@ class Verdicts:
             if err is not None:
                 self.err_max = max(self.err_max, err)
             self.first[i] = (digest, problem, defect)
-            if problem and not defect:
-                self.unexplained.append((op.name, problem))
-        first, problem, defect = self.first[i]
-        if digest != first:
-            problem, defect = "output differs from its first run", None
-            self.unexplained.append((op.name, problem))
-        if problem:
-            self.failed += 1
-            if defect:
-                self.defects[defect] += 1
+            if problem:
+                self.bad[i] = True
+                if defect:
+                    self.defects[defect] += 1
+                else:
+                    self.unexplained.append((op.name, problem))
+        elif digest != self.first[i][0] and i not in self.differs:
+            self.differs.add(i)
+            self.bad[i] = True
+            self.unexplained.append((op.name, "output differs from its first run"))
 
 
 def measure(ops, verdicts, deadline, tracer=None, whole_passes=False):
     """Closed loop over ops until deadline, at least one whole pass.
 
-    Returns the latencies of each op and the number of whole passes.
+    A run of the reference kernel precedes every operation, so each
+    execution lies between two. Returns each op's latencies, raw and at
+    reference speed, and the number of whole passes.
     """
-    times = [[] for _ in ops]
+    raw = [[] for _ in ops]
+    scaled = [[] for _ in ops]
     passes = 0
+    before = reference_kernel()
     while True:
         for i, op in enumerate(ops):
             if passes and not whole_passes and time.perf_counter() >= deadline:
-                return times, passes
+                return raw, scaled, passes
             if tracer is not None:
                 tracer.begin_op(i, op.name)
             t0 = time.perf_counter()
@@ -131,33 +181,37 @@ def measure(ops, verdicts, deadline, tracer=None, whole_passes=False):
                 out = op.call()
             except Exception as exc:  # a raising operation is a failed result
                 out = exc
-            times[i].append(time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
             if tracer is not None:
                 tracer.end_op()
-                if op.collect is not None:
-                    op.collect(tracer, i)
+            after = reference_kernel()
+            raw[i].append(elapsed)
+            scaled[i].append(at_reference_speed(elapsed, before, after))
+            before = after
+            if tracer is not None and op.collect is not None:
+                op.collect(tracer, i)
             verdicts.record(i, op, out)
         passes += 1
         if time.perf_counter() >= deadline:
-            return times, passes
+            return raw, scaled, passes
 
 
 def latency(times):
-    """Throughput over every timed execution; median and tail over operations.
+    """Throughput, median and tail over the operations of the list.
 
-    Each operation's latency is the mean of its executions: this machine
-    class alternates between fast and slow phases lasting seconds, and a
-    mean over the run's passes is far steadier than a median of one phase's
-    samples. The tail is the highest whole percentile with at least ten
-    operations beyond it (nearest rank), returned with the operation count.
+    Each operation's latency is the median of its executions. ops_per_s is
+    the number of operations over the sum of their latencies, i.e. the rate
+    of one pass of the list. The tail is the highest whole percentile with
+    at least ten operations beyond it (nearest rank), returned with the
+    operation count.
     """
-    per_op = sorted(statistics.fmean(t) for t in times)
+    per_op = sorted(statistics.median(t) for t in times)
     k = len(per_op)
     pct = max(0, math.floor(100 * (k - 10) / k))
-    executions = sum(len(t) for t in times)
-    return {"ops_per_s": executions / sum(map(sum, times)), "op_p50_s": statistics.median(per_op),
+    return {"ops_per_s": k / sum(per_op), "op_p50_s": statistics.median(per_op),
             "op_tail_s": per_op[max(1, math.ceil(pct * k / 100)) - 1],
-            "tail_percentile": pct, "samples": k, "executions": executions}
+            "tail_percentile": pct, "samples": k,
+            "executions": sum(len(t) for t in times), "min_repeats": min(len(t) for t in times)}
 
 
 def _m(value, unit):
@@ -259,8 +313,9 @@ def run(args, ctx) -> tuple[dict, dict]:
     start = time.perf_counter()
     detail = {"operations": len(ops)}
     if not args.trace:
-        times, passes = measure(ops, verdicts, start + args.seconds)
+        raw, times, passes = measure(ops, verdicts, start + args.seconds)
         lat = latency(times)
+        wall = latency(raw)
         if args.workload == "cli_cold":
             rss_kb = ctx.child_rss_kb
         else:
@@ -273,15 +328,18 @@ def run(args, ctx) -> tuple[dict, dict]:
             "peak_rss_mb": _m(rss_kb / 1024.0, "MB"),
         }
         detail.update(passes=passes, op_tail={"percentile": lat["tail_percentile"],
-                                              "operations": lat["samples"],
-                                              "executions": lat["executions"]})
+                                              "operations": lat["samples"]},
+                      executions=lat["executions"], min_repeats=lat["min_repeats"],
+                      wall_clock={"ops_per_s": wall["ops_per_s"], "op_p50_ms": wall["op_p50_s"] * 1e3,
+                                  "op_tail_ms": wall["op_tail_s"] * 1e3})
     else:
-        base, _ = measure(ops, verdicts, start)
+        # a third of the run untraced, the rest traced, for the overhead
+        _, base, _ = measure(ops, verdicts, start + args.seconds / 3)
         tracer = calltrace.Tracer()
         restore = calltrace.install(tracer)
         ctx.traced = True
         try:
-            times, passes = measure(ops, verdicts, start + args.seconds, tracer, whole_passes=True)
+            _, times, passes = measure(ops, verdicts, start + args.seconds, tracer, whole_passes=True)
         finally:
             ctx.traced = False
             restore()
@@ -310,7 +368,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=tuple(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seconds < 1:

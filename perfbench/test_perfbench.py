@@ -1,6 +1,7 @@
 """Tests of the benchmark itself: tracing changes no output, every wrapped
-attribute is restored, traced counts repeat exactly, the references agree
-with closed forms, and the runner refuses a tree without curvekit."""
+attribute is restored, traced counts repeat exactly, failures count
+operations, the references agree with closed forms, and the runner refuses
+a tree without curvekit."""
 
 import math
 import os
@@ -17,6 +18,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import calltrace  # noqa: E402
 import reference as ref  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -113,6 +115,20 @@ def test_traced_child_matches_cold_child(ctx):
     assert op.digest(cold) == op.digest(traced)
     assert tracer.totals["calls:analysis.check_monotone"] == 1
     assert tracer.totals["render.bytes_in"] == os.path.getsize(csv)
+
+
+def test_failures_count_operations_not_executions():
+    ok = workloads.Op("ok", None, lambda out: (None, None, None))
+    bad = workloads.Op("bad", None, lambda out: (None, "wrong", "gap"))
+    verdicts = run.Verdicts(2)
+    for _ in range(3):
+        verdicts.record(0, ok, "same")
+        verdicts.record(1, bad, "same")
+    assert (verdicts.attempted, verdicts.failed, verdicts.unexplained) == (2, 1, [])
+    verdicts.record(0, ok, "different")
+    verdicts.record(0, ok, "different again")
+    assert verdicts.failed == 2
+    assert verdicts.unexplained == [("ok", "output differs from its first run")]
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])

@@ -421,15 +421,22 @@ def _unit(rng):
 
 
 def _space_specs(rng, circles, generic, lo, hi):
-    """(spec, n) pairs: n stratified on a log scale, degree cycling with n
-    so every degree sees the whole range of station counts."""
+    """(spec, n) pairs: n stratified on a log scale over [lo, hi / degree**2],
+    degree cycling with n so every degree sees its whole range. A station
+    costs about degree**2 / 5 ms (0.2 ms at degree 1, 1.8 ms at degree 4),
+    so every operation then costs alike and a pass of the list stays short."""
+    def top(degree):
+        return hi / degree ** 2
+
     out = []
-    for j, n in enumerate(_strata(rng, lo, hi, circles, log=True)):
-        out.append((SpaceSpec(rng, 3 + j % 2, math.tau, True), int(n)))
+    for j, u in enumerate(_strata(rng, 0.0, 1.0, circles)):
+        degree = 3 + j % 2
+        out.append((SpaceSpec(rng, degree, math.tau, True), int(lo * (top(degree) / lo) ** u)))
     s_totals = _strata(rng, 0.5, 8.0, generic)
     rng.shuffle(s_totals)
-    for j, (n, s_total) in enumerate(zip(_strata(rng, lo, hi, generic, log=True), s_totals)):
-        out.append((SpaceSpec(rng, 1 + j % 4, s_total, False), int(n)))
+    for j, (u, s_total) in enumerate(zip(_strata(rng, 0.0, 1.0, generic), s_totals)):
+        degree = 1 + j % 4
+        out.append((SpaceSpec(rng, degree, s_total, False), int(lo * (top(degree) / lo) ** u)))
     return out
 
 
@@ -445,7 +452,7 @@ def build_space(ctx, rng):
     import curvekit.cli as cli
 
     ops = []
-    for j, (spec, n) in enumerate(_space_specs(rng, 8, 24, 100, 1000)):
+    for j, (spec, n) in enumerate(_space_specs(rng, 8, 24, 50, 1000)):
         spec_path, out_path = ctx.path(f"space{j}.json"), ctx.path(f"space{j}.csv")
         with open(spec_path, "w", encoding="utf-8") as fh:
             fh.write(spec.as_json())
@@ -568,13 +575,13 @@ def _ok(res):
 
 
 def build_cli_cold(ctx, rng):
-    per = 5
+    per = 4
     ops = []
     profiles = []
     alphas = list(ALPHAS)
     rng.shuffle(alphas)
     # fixed sizes spanning 2k-20k rows, so the largest child's memory is alike across seeds
-    for j, rows in enumerate((2000, 3557, 6325, 11247, 20000)):
+    for j, rows in enumerate((2000, 4309, 9283, 20000)):
         alpha = alphas[j]
         lam = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
         s_end = _arc_end(rng.uniform(1.0, math.tau), alpha, lam, rng.uniform(0.5, 0.95))
@@ -681,7 +688,7 @@ def build_cli_cold(ctx, rng):
                            ["region", f"--alpha={prob.alpha!r}", f"--delta-theta={prob.dtheta!r}"],
                            f"region{len(ops)}.csv", region))
 
-    for j, (spec, n) in enumerate(_space_specs(rng, 1, per - 1, 50, 300)):
+    for j, (spec, n) in enumerate(_space_specs(rng, 1, per - 1, 50, 1000)):
         spec_path = ctx.path(f"qi{j}.json")
         with open(spec_path, "w", encoding="utf-8") as fh:
             fh.write(spec.as_json())
