@@ -56,6 +56,7 @@ from .qi3d import (
     q_log,
     qi_frame,
     qi_point,
+    sample_qi,
 )
 from .quadrature import (
     IntegrationResult,

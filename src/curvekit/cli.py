@@ -45,7 +45,7 @@ from .pseudospiral import (
     sample_curve,
     NAMED_CURVES,
 )
-from .qi3d import QiCurveSpec, QuaternionCurve, UnitQuaternion, qi_frame
+from .qi3d import QiCurveSpec, QuaternionCurve, UnitQuaternion, sample_qi
 from .quadrature import MaxDepthExceeded, NonFiniteIntegrand
 from .render import (
     EmptyInput,
@@ -305,13 +305,7 @@ def _cmd_qi(args, cfg: Config) -> int:
             s_total=args.s_total,
         )
     count = args.n if args.n is not None else cfg.samples
-    if count < 2:
-        raise ValueError("--n must be at least 2")
-    rows = []
-    for i in range(count):
-        s = spec.s_total * i / (count - 1)
-        point, tangent = qi_frame(spec, s)
-        rows.append((s, *point, *tangent))
+    rows = sample_qi(spec, count)
     out = _write_text(args.out, export_csv(rows), cfg.out_dir)
     end = rows[-1]
     print(f"wrote {out}")

@@ -396,6 +396,12 @@ def fit_g1(
     # scale maps the normalized endpoint onto the chord; computed in log
     # space because the normalized endpoint can be enormous at large lambda
     scale = chord * math.exp(-log_ref) / math.hypot(ex, ey)
+    if not scale > 0.0:
+        raise NoSolution(
+            f"the fitted member's scale underflows double precision: at alpha = "
+            f"{problem.alpha!r}, lambda = {lam!r} its normalized chord is e^{log_ref!r} long",
+            psi_target=psi_target,
+        )
     transform = Similarity(
         rotation=phi0,
         scale=scale,

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-from .quadrature import _integrate_components
+from .quadrature import _accumulate, _integrate_components
 
 __all__ = [
     "CurveSample",
@@ -136,17 +137,18 @@ def turning_angle(eq: NaturalEquation, s: float) -> float:
     return ((lam * a * s + 1.0) ** ((a - 1.0) / a) - 1.0) / (lam * (a - 1.0))
 
 
+def _tangent(eq: NaturalEquation, t: float):
+    """Unit tangent (cos theta, sin theta) at t: the integrand of the point."""
+    th = turning_angle(eq, t)
+    return (math.cos(th), math.sin(th))
+
+
 def evaluate_point(eq: NaturalEquation, s: float, tol: float = 1e-12):
     """Point (x, y) at arc length s, starting at the origin with tangent +x."""
     _check_domain(eq, s)
     if s == 0.0:
         return (0.0, 0.0)
-
-    def f(t: float):
-        th = turning_angle(eq, t)
-        return (math.cos(th), math.sin(th))
-
-    rx, ry = _integrate_components(f, 2, 0.0, s, tol)
+    rx, ry = _integrate_components(partial(_tangent, eq), 2, 0.0, s, tol)
     return (rx.value, ry.value)
 
 
@@ -278,26 +280,14 @@ def sample_curve(
     if not s_end > 0.0:
         raise ValueError("s_end must be positive")
     _check_domain(eq, s_end)
-
-    def f(t: float):
-        th = turning_angle(eq, t)
-        return (math.cos(th), math.sin(th))
-
     cos_r = math.cos(pose.angle)
     sin_r = math.sin(pose.angle)
+    stations = [s_end * i / (count - 1) for i in range(count)]
     samples = []
-    x = y = 0.0
-    prev_s = 0.0
-    for i in range(count):
-        s = s_end * i / (count - 1)
-        if i:
-            rx, ry = _integrate_components(f, 2, prev_s, s, tol)
-            x += rx.value
-            y += ry.value
+    for s, (x, y) in _accumulate(partial(_tangent, eq), 2, stations, tol):
         wx = pose.x + cos_r * x - sin_r * y
         wy = pose.y + sin_r * x + cos_r * y
         samples.append(
             CurveSample(s, wx, wy, pose.angle + turning_angle(eq, s), curvature(eq, s))
         )
-        prev_s = s
     return SampledCurve(eq, tuple(samples), pose)

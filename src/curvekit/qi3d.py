@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .quadrature import _integrate_components
+from .quadrature import _accumulate, _integrate_components
 
 __all__ = [
     "AntipodalSingularity",
@@ -30,11 +31,47 @@ __all__ = [
     "eval_quaternion_curve",
     "qi_point",
     "qi_frame",
+    "sample_qi",
 ]
 
 
 class AntipodalSingularity(ValueError):
     """log is undefined at -identity: the rotation axis is ambiguous."""
+
+
+# Arithmetic on plain (w, x, y, z) tuples, shared by UnitQuaternion and by
+# the curve evaluation, which builds no dataclass per product.
+def _qmul(a, b):
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _qexp(vx: float, vy: float, vz: float):
+    angle = math.sqrt(vx * vx + vy * vy + vz * vz)
+    # sin(a)/a to second order keeps the map smooth through zero
+    k = 1.0 - angle * angle / 6.0 if angle < 1e-12 else math.sin(angle) / angle
+    return (math.cos(angle), k * vx, k * vy, k * vz)
+
+
+def _rotate(q, v):
+    """q v q^-1 for a unit q, expanded without a full product."""
+    w, x, y, z = q
+    vx, vy, vz = v
+    # t = 2 q_vec x v, result = v + w t + q_vec x t
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (
+        vx + w * tx + y * tz - z * ty,
+        vy + w * ty + z * tx - x * tz,
+        vz + w * tz + x * ty - y * tx,
+    )
 
 
 @dataclass(frozen=True)
@@ -60,14 +97,7 @@ class UnitQuaternion:
             object.__setattr__(self, name, float(v) / scale)
 
     def __mul__(self, other: "UnitQuaternion") -> "UnitQuaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return UnitQuaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        return UnitQuaternion(*_qmul(self.components(), other.components()))
 
     def __neg__(self) -> "UnitQuaternion":
         return UnitQuaternion(-self.w, -self.x, -self.y, -self.z)
@@ -81,18 +111,8 @@ class UnitQuaternion:
         return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
 
     def rotate(self, v):
-        """Rotate a 3-vector: q v q^-1 expanded without a full product."""
-        vx, vy, vz = v
-        w, x, y, z = self.w, self.x, self.y, self.z
-        # t = 2 q_vec x v, result = v + w t + q_vec x t
-        tx = 2.0 * (y * vz - z * vy)
-        ty = 2.0 * (z * vx - x * vz)
-        tz = 2.0 * (x * vy - y * vx)
-        return (
-            vx + w * tx + y * tz - z * ty,
-            vy + w * ty + z * tx - x * tz,
-            vz + w * tz + x * ty - y * tx,
-        )
+        """Rotate a 3-vector: q v q^-1."""
+        return _rotate(self.components(), v)
 
     def components(self):
         return (self.w, self.x, self.y, self.z)
@@ -101,13 +121,7 @@ class UnitQuaternion:
 def q_exp(v) -> UnitQuaternion:
     """Exponential of a rotation vector (half-angle axis representation)."""
     vx, vy, vz = (float(c) for c in v)
-    angle = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if angle < 1e-12:
-        # sin(a)/a to second order keeps the map smooth through zero
-        k = 1.0 - angle * angle / 6.0
-        return UnitQuaternion(math.cos(angle), k * vx, k * vy, k * vz)
-    k = math.sin(angle) / angle
-    return UnitQuaternion(math.cos(angle), k * vx, k * vy, k * vz)
+    return UnitQuaternion(*_qexp(vx, vy, vz))
 
 
 def q_log(q: UnitQuaternion):
@@ -171,14 +185,14 @@ def eval_quaternion_curve(curve: QuaternionCurve, t: float) -> UnitQuaternion:
     if n == 0:
         return curve.controls[0]
     bern = _bernstein_row(n, t)
-    q = curve.controls[0]
+    q = curve.controls[0].components()
     acc = 1.0
     for i in range(1, n + 1):
         acc -= bern[i - 1]  # cumulative basis: sum of B_j for j >= i
         b = acc
         wx, wy, wz = curve._omegas[i - 1]
-        q = q * q_exp((wx * b, wy * b, wz * b))
-    return q
+        q = _qmul(q, _qexp(wx * b, wy * b, wz * b))
+    return UnitQuaternion(*q)
 
 
 @dataclass(frozen=True)
@@ -222,22 +236,39 @@ def _check_arc(spec: QiCurveSpec, s: float) -> None:
         raise ValueError(f"s must lie in [0, {spec.s_total!r}]")
 
 
+def _tangent(spec: QiCurveSpec, s: float):
+    """Unit tangent C'(s) = q(s / s_total) v0: the integrand of the point."""
+    return eval_quaternion_curve(spec.qcurve, s / spec.s_total).rotate(spec.v0)
+
+
 def qi_point(spec: QiCurveSpec, s: float, tol: float = 1e-12):
     """Point C(s): componentwise quadrature of the rotated direction field."""
     _check_arc(spec, s)
     if s == 0.0:
         return spec.p0
-
-    def f(u: float):
-        q = eval_quaternion_curve(spec.qcurve, u / spec.s_total)
-        return q.rotate(spec.v0)
-
-    rx, ry, rz = _integrate_components(f, 3, 0.0, s, tol)
+    rx, ry, rz = _integrate_components(partial(_tangent, spec), 3, 0.0, s, tol)
     return (spec.p0[0] + rx.value, spec.p0[1] + ry.value, spec.p0[2] + rz.value)
 
 
 def qi_frame(spec: QiCurveSpec, s: float, tol: float = 1e-12):
     """(point, unit tangent) at arc length s."""
     _check_arc(spec, s)
-    q = eval_quaternion_curve(spec.qcurve, s / spec.s_total)
-    return qi_point(spec, s, tol), q.rotate(spec.v0)
+    return qi_point(spec, s, tol), _tangent(spec, s)
+
+
+def sample_qi(spec: QiCurveSpec, count: int, tol: float = 1e-12):
+    """Rows (s, x, y, z, tx, ty, tz) at the stations s_total * i / (count - 1).
+
+    One quadrature per station gap, so the cost is linear in count. Points
+    agree with qi_frame's within tol * max(1, s); tangents are identical.
+    """
+    if count < 2:
+        raise ValueError("count must be at least 2")
+    stations = [spec.s_total * i / (count - 1) for i in range(count)]
+    for s in stations:
+        _check_arc(spec, s)
+    px, py, pz = spec.p0
+    return [
+        (s, px + x, py + y, pz + z, *_tangent(spec, s))
+        for s, (x, y, z) in _accumulate(partial(_tangent, spec), 3, stations, tol)
+    ]

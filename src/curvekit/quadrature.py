@@ -104,19 +104,6 @@ def _eval_panel(f, a: float, b: float, m: int):
     return values, errors
 
 
-def _checked(f, m: int):
-    """Wrap f so every node value is validated as a finite m-tuple."""
-
-    def g(x: float):
-        vals = tuple(float(v) for v in f(x))
-        for v in vals:
-            if not math.isfinite(v):
-                raise NonFiniteIntegrand(f"integrand not finite at x = {x!r}")
-        return vals
-
-    return g
-
-
 def _targets(totals, tol: float):
     return [max(tol, tol * abs(t), _ERR_FLOOR) for t in totals]
 
@@ -136,8 +123,7 @@ def _integrate_components(f, m: int, a: float, b: float, tol: float):
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    g = _checked(f, m)
-    values, errors = _eval_panel(g, a, b, m)
+    values, errors = _eval_panel(f, a, b, m)
     totals = list(values)
     errs = list(errors)
     # Heap entries: (-worst component error, sequence, a, b, depth, values, errors)
@@ -153,8 +139,8 @@ def _integrate_components(f, m: int, a: float, b: float, tol: float):
                 f"no convergence after depth {_MAX_DEPTH} near [{pa!r}, {pb!r}]"
             )
         mid = 0.5 * (pa + pb)
-        lv, le = _eval_panel(g, pa, mid, m)
-        rv, re = _eval_panel(g, mid, pb, m)
+        lv, le = _eval_panel(f, pa, mid, m)
+        rv, re = _eval_panel(f, mid, pb, m)
         for c in range(m):
             totals[c] += lv[c] + rv[c] - pv[c]
             errs[c] += le[c] + re[c] - pe[c]
@@ -169,6 +155,19 @@ def _integrate_components(f, m: int, a: float, b: float, tol: float):
         err = math.fsum(leaf[6][c] for leaf in leaves)
         results.append(IntegrationResult(value, err, len(leaves)))
     return results
+
+
+def _accumulate(f, m: int, stations, tol: float):
+    """Yield (s, sums) per station: the m integrals of f from the first
+    station to s, one quadrature per gap, summed in station order."""
+    sums = [0.0] * m
+    prev = None
+    for s in stations:
+        if prev is not None:
+            for c, r in enumerate(_integrate_components(f, m, prev, s, tol)):
+                sums[c] += r.value
+        yield s, tuple(sums)
+        prev = s
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-12) -> IntegrationResult:

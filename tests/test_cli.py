@@ -215,6 +215,15 @@ def test_fit_no_solution_exits_four_with_bounds(tmp_path):
     assert not (tmp_path / "seg.json").exists()
 
 
+def test_fit_scale_underflow_exits_four(tmp_path):
+    # alpha = 1, lambda = 800, turning 1 at the member's own chord angle
+    r = run_cli(fit_args(1.0, 1.0, 0.998750000651041, ("--out", "seg.json")), tmp_path)
+    assert r.returncode == 4, r.stderr
+    assert "no solution: the fitted member's scale underflows double precision" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "seg.json").exists()
+
+
 def test_fit_zero_turning_exits_one(tmp_path):
     r = run_cli(
         ["fit", "--start", "0,0", "--end", "1,0", "--start-angle", "0.5",

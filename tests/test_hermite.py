@@ -304,6 +304,15 @@ def test_fit_no_solution_near_upper_edge_for_limited_members():
     assert seg.residual < 1e-10
 
 
+def test_fit_scale_underflow_is_no_solution():
+    # alpha = 1 at lambda * dtheta = 800: the normalized member spans e^800
+    # unit lengths, so the scale onto a unit chord underflows to zero
+    psi = chord_angle(1.0, 800.0, 1.0)
+    with pytest.raises(NoSolution, match="scale underflows double precision") as info:
+        fit_g1(problem_from_psi(1.0, 1.0, psi))
+    assert info.value.psi_target == pytest.approx(psi)
+
+
 def test_fit_determinism():
     problem = problem_from_psi(0.75, 1.1, 0.7)
     a = fit_g1(problem)

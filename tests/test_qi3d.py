@@ -1,10 +1,18 @@
 """Quaternion algebra, cumulative-basis curves, and 3D integral curves."""
 
+import contextlib
+import io
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvekit import cli
 from curvekit.qi3d import (
     AntipodalSingularity,
     QiCurveSpec,
@@ -15,8 +23,10 @@ from curvekit.qi3d import (
     q_log,
     qi_frame,
     qi_point,
+    sample_qi,
 )
 from curvekit.quadrature import integrate
+from curvekit.render import export_csv
 
 
 IDENTITY = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
@@ -347,3 +357,103 @@ def test_arc_bounds_checked():
         qi_point(spec, -0.1)
     with pytest.raises(ValueError):
         qi_point(spec, spec.s_total + 0.1)
+
+
+# ------------------------------------------------------------ properties
+
+
+def rotation_vectors(max_angle):
+    """Rotation vectors (half-angle axis form) of length at most max_angle."""
+    return st.tuples(
+        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+        st.floats(0.0, max_angle),
+    ).map(lambda v: tuple(v[3] * c / (math.hypot(*v[:3]) or 1.0) for c in v[:3]))
+
+
+@st.composite
+def quaternion_curves(draw, max_degree):
+    """A random walk of controls; steps below a half turn keep neighbours
+    off the antipode."""
+    q = q_exp(draw(rotation_vectors(math.pi)))
+    controls = [q]
+    for _ in range(draw(st.integers(0, max_degree))):
+        q = q * q_exp(draw(rotation_vectors(1.2)))
+        controls.append(q)
+    return QuaternionCurve(tuple(controls))
+
+
+@st.composite
+def qi_specs(draw):
+    v = draw(rotation_vectors(1.0).filter(lambda v: math.hypot(*v) > 0.1))
+    n = math.hypot(*v)
+    return QiCurveSpec(
+        p0=draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3)),
+        v0=tuple(c / n for c in v),
+        qcurve=draw(quaternion_curves(4)),
+        s_total=draw(st.floats(0.5, 8.0)),
+    )
+
+
+def overshoots(s_total, count):
+    return s_total * (count - 1) / (count - 1) > s_total
+
+
+def reference_chain(curve, t):
+    """The cumulative-basis product built from UnitQuaternion products and
+    q_exp, as the dataclass API computes it."""
+    n = curve.degree
+    q = curve.controls[0]
+    acc = 1.0
+    for i in range(1, n + 1):
+        acc -= math.comb(n, i - 1) * t ** (i - 1) * (1.0 - t) ** (n - i + 1)
+        wx, wy, wz = q_log(curve.controls[i - 1].inverse() * curve.controls[i])
+        q = q * q_exp((wx * acc, wy * acc, wz * acc))
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(quaternion_curves(6), st.floats(0.0, 1.0))
+def test_eval_matches_dataclass_chain_bit_for_bit(curve, t):
+    got = eval_quaternion_curve(curve, t)
+    assert isinstance(got, UnitQuaternion)
+    assert got.components() == reference_chain(curve, t).components()
+
+
+@settings(max_examples=40, deadline=None)
+@given(qi_specs(), st.integers(2, 40))
+def test_sample_qi_matches_qi_frame(spec, count):
+    if overshoots(spec.s_total, count):
+        with pytest.raises(ValueError, match="s must lie in"):
+            sample_qi(spec, count)
+        return
+    rows = sample_qi(spec, count)
+    assert len(rows) == count
+    tol = 1e-12
+    for i, row in enumerate(rows):
+        s = row[0]
+        assert s == spec.s_total * i / (count - 1)
+        point, tangent = qi_frame(spec, s, tol)
+        assert row[4:] == tangent
+        assert math.dist(row[1:4], point) <= tol * max(1.0, s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(qi_specs(), st.integers(2, 40))
+def test_cli_qi_writes_sample_qi_rows(spec, count):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        out_path = Path(tmp) / "qi.csv"
+        text = json.dumps(spec.as_dict())
+        spec_path.write_text(text, encoding="utf-8")
+        argv = ["qi", "--spec", str(spec_path), "--n", str(count), "--out", str(out_path)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = cli.main(argv)
+        if overshoots(spec.s_total, count):
+            assert rc == 1 and "s must lie in" in err.getvalue()
+            assert not out_path.exists()
+            return
+        assert rc == 0, err.getvalue()
+        # the spec as the CLI reads it back: from_dict normalizes v0 again
+        loaded = QiCurveSpec.from_dict(json.loads(text))
+        assert out_path.read_text(encoding="utf-8") == export_csv(sample_qi(loaded, count))
