@@ -158,6 +158,15 @@ def _extract_s_kappa(data):
     return [(float(s), float(k)) for s, k in data]
 
 
+def _slopes(s, f):
+    """df/ds at every station: centered differences inside, one-sided at the ends."""
+    n = len(s)
+    out = [(f[1] - f[0]) / (s[1] - s[0])]
+    out.extend((f[i + 1] - f[i - 1]) / (s[i + 1] - s[i - 1]) for i in range(1, n - 1))
+    out.append((f[n - 1] - f[n - 2]) / (s[n - 1] - s[n - 2]))
+    return out
+
+
 def lcg_from_samples(data, drop_tolerance: float | None = None) -> LcgReport:
     """Build the graph from (s, kappa) samples by finite differences.
 
@@ -176,23 +185,16 @@ def lcg_from_samples(data, drop_tolerance: float | None = None) -> LcgReport:
             raise ValueError("kappa must be positive at every sample")
     s = [p[0] for p in pairs]
     rho = [1.0 / p[1] for p in pairs]
-    n = len(pairs)
     if drop_tolerance is None:
         drop_tolerance = 1e-12 * max(rho) / (s[-1] - s[0])
 
     pts = []
     dropped = 0
-    for i in range(n):
-        if i == 0:
-            drds = (rho[1] - rho[0]) / (s[1] - s[0])
-        elif i == n - 1:
-            drds = (rho[n - 1] - rho[n - 2]) / (s[n - 1] - s[n - 2])
-        else:
-            drds = (rho[i + 1] - rho[i - 1]) / (s[i + 1] - s[i - 1])
+    for r, drds in zip(rho, _slopes(s, rho)):
         if abs(drds) < drop_tolerance or drds == 0.0:
             dropped += 1
             continue
-        u = math.log(rho[i])
+        u = math.log(r)
         v = u - math.log(abs(drds))  # log(rho / |drho/ds|)
         pts.append((u, v))
     if len(pts) < 3:
@@ -257,19 +259,11 @@ def stress_marker(data) -> StressMarker:
         raise ValueError("need at least three samples")
     s = [p[0] for p in pairs]
     kappa = [p[1] for p in pairs]
-    n = len(pairs)
 
     k_max = max(kappa)
     i_max = next(i for i, k in enumerate(kappa) if k >= k_max - 1e-12 * abs(k_max))
 
-    slopes = []
-    for i in range(n):
-        if i == 0:
-            slopes.append((kappa[1] - kappa[0]) / (s[1] - s[0]))
-        elif i == n - 1:
-            slopes.append((kappa[n - 1] - kappa[n - 2]) / (s[n - 1] - s[n - 2]))
-        else:
-            slopes.append((kappa[i + 1] - kappa[i - 1]) / (s[i + 1] - s[i - 1]))
+    slopes = _slopes(s, kappa)
     worst = max(abs(v) for v in slopes)
     i_slope = next(i for i, v in enumerate(slopes) if abs(v) >= worst * (1.0 - 1e-12))
 

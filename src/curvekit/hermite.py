@@ -4,13 +4,15 @@ Every problem normalizes to: start at the origin, start tangent along +x,
 total turning delta_theta in (0, pi) (mirrored first if the signed turning
 is negative). With the shape parameter alpha fixed, the one remaining
 degree of freedom is lambda, and the chord angle psi(lambda) measured from
-the start tangent is matched to the target by a grid scan plus bisection.
+the start tangent is matched to the target by one bracketed root-find in
+log lambda. psi is monotone in lambda, so the bracket over the reachable
+lambda range holds exactly one solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pseudospiral import (
     NaturalEquation,
@@ -36,9 +38,14 @@ __all__ = [
     "turning_limit",
 ]
 
-_DEFAULT_GRID = (1e-6, 1e6)
-_DEFAULT_GRID_POINTS = 97
-_MAX_BISECT = 200
+_DEFAULT_BOUNDS = (1e-6, 1e6)
+_REGION_POINTS = 97
+_MAX_ITER = 200
+# For alpha < 1 the bracket ends at (1 - _REACH_MARGIN) lambda*, where
+# lambda* = 1/(delta_theta (1 - alpha)). psi steepens toward lambda*: at alpha = 0
+# one ulp of lambda moves it by up to 6.7e-11 at this margin but by 4e-9 at
+# 1.7e-10, so much closer in no double lambda meets fit_g1's tol = 1e-10.
+_REACH_MARGIN = 1e-8
 
 
 class TurningUnreachable(ValueError):
@@ -46,9 +53,10 @@ class TurningUnreachable(ValueError):
 
 
 class NoSolution(ValueError):
-    """No lambda bracket matches the target chord angle.
+    """The target chord angle lies outside the reachable lambda bracket.
 
-    Carries the scanned drawable bounds: psi_target, psi_min, psi_max.
+    Carries psi_target and the chord angles at the two ends of the bracket,
+    psi_min and psi_max (None when no lambda reaches the turning).
     """
 
     def __init__(self, message, psi_target=None, psi_min=None, psi_max=None):
@@ -63,7 +71,7 @@ class DegenerateInput(ValueError):
 
 
 class EmptyRegion(ValueError):
-    """No grid lambda can reach the requested turning."""
+    """No lambda within the requested bounds can reach the turning."""
 
 
 def turning_limit(alpha: float, lam: float) -> float:
@@ -80,6 +88,18 @@ def turning_limit(alpha: float, lam: float) -> float:
     return 1.0 / (lam * (1.0 - alpha))
 
 
+def _check_reachable(alpha: float, lam: float, theta: float) -> None:
+    """Raise TurningUnreachable unless the member turns by theta: for
+    alpha < 1, unless 1 + theta*lam*(alpha-1) > 0, rounded exactly as the
+    closed forms below evaluate it (no log or power of a nonpositive number)."""
+    limit = turning_limit(alpha, lam)  # also rejects lam <= 0
+    if alpha < 1.0 and not 1.0 + theta * lam * (alpha - 1.0) > 0.0:
+        raise TurningUnreachable(
+            f"turning {theta!r} unreachable for alpha = {alpha!r}, lam = {lam!r}: "
+            f"limit {limit!r}"
+        )
+
+
 def arc_length_for_turning(alpha: float, lam: float, theta: float) -> float:
     """Invert the closed-form turning angle: the s with theta(s) = theta.
 
@@ -90,18 +110,14 @@ def arc_length_for_turning(alpha: float, lam: float, theta: float) -> float:
         raise ValueError("theta must be nonnegative")
     if theta == 0.0:
         return 0.0
-    if theta >= turning_limit(alpha, lam):
-        raise TurningUnreachable(
-            f"turning {theta!r} is not reachable: limit for alpha = {alpha!r}, "
-            f"lam = {lam!r} is {turning_limit(alpha, lam)!r}"
-        )
+    _check_reachable(alpha, lam, theta)
     try:
-        if alpha == 0.0:
-            return -math.log1p(-lam * theta) / lam
         if alpha == 1.0:
             return math.expm1(lam * theta) / lam
-        base = 1.0 + lam * (alpha - 1.0) * theta
-        return (base ** (alpha / (alpha - 1.0)) - 1.0) / (lam * alpha)
+        # s = (rho^alpha - 1)/(lam alpha), kept exact as alpha -> 0 (lam alpha underflows)
+        log_rho = math.log1p(theta * lam * (alpha - 1.0)) / (alpha - 1.0)
+        x = alpha * log_rho
+        return log_rho / lam * (math.expm1(x) / x if x != 0.0 else 1.0)
     except OverflowError:
         return math.inf
 
@@ -150,11 +166,7 @@ def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12
     """
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
-    if delta_theta >= turning_limit(alpha, lam):
-        raise TurningUnreachable(
-            f"turning {delta_theta!r} unreachable for alpha = {alpha!r}, lam = {lam!r}: "
-            f"limit {turning_limit(alpha, lam)!r}"
-        )
+    _check_reachable(alpha, lam, delta_theta)
     x, y, _ = _chord_components(alpha, lam, delta_theta, tol)
     return math.atan2(y, x)
 
@@ -215,7 +227,10 @@ class HermiteProblem:
 
 @dataclass(frozen=True)
 class FittedSegment:
-    """A family segment plus the similarity placing it onto the problem."""
+    """A family segment plus the similarity placing it onto the problem.
+
+    alternate_lambdas is always (): psi is monotone in lambda, so the
+    solution is unique. The field and its JSON key stay for compatibility."""
 
     equation: NaturalEquation
     s_total: float
@@ -240,7 +255,8 @@ class FittedSegment:
 
 @dataclass(frozen=True)
 class DrawableRegion:
-    """Reachable chord angles for one (alpha, delta_theta) over a lambda grid."""
+    """Reachable chord angles for one (alpha, delta_theta), tabulated over
+    the lambda range that fit_g1 searches."""
 
     alpha: float
     delta_theta: float
@@ -258,84 +274,87 @@ class DrawableRegion:
         }
 
 
-def _log_grid(lo: float, hi: float, count: int):
-    if not (0.0 < lo < hi) or count < 2:
-        raise ValueError("grid requires 0 < lo < hi and count >= 2")
-    llo = math.log(lo)
-    lhi = math.log(hi)
-    return [math.exp(llo + (lhi - llo) * i / (count - 1)) for i in range(count)]
-
-
-def _scan_psi(alpha, delta_theta, lams, tol):
-    """chord_angle over the grid; None where the turning is unreachable."""
-    out = []
-    for lam in lams:
-        try:
-            out.append(chord_angle(alpha, lam, delta_theta, tol))
-        except TurningUnreachable:
-            out.append(None)
-    return out
+def _reach(alpha: float, delta_theta: float, lam_bounds):
+    """Largest usable lambda in lam_bounds, or None when none above
+    lam_bounds[0] turns by delta_theta: lam_bounds[1] for alpha >= 1, else
+    at most (1 - _REACH_MARGIN) lambda*, lambda* = 1/(delta_theta (1 - alpha))."""
+    lo, hi = lam_bounds
+    if not 0.0 < lo < hi:
+        raise ValueError("lam_bounds requires 0 < lo < hi")
+    if alpha < 1.0:
+        hi = min(hi, (1.0 - _REACH_MARGIN) / delta_theta / (1.0 - alpha))
+    return hi if lo < hi else None
 
 
 def drawable_region(
     alpha: float,
     delta_theta: float,
-    lam_bounds=_DEFAULT_GRID,
-    count: int = _DEFAULT_GRID_POINTS,
+    lam_bounds=_DEFAULT_BOUNDS,
+    count: int = _REGION_POINTS,
     tol: float = 1e-12,
 ) -> DrawableRegion:
-    """Scan the lambda grid and report the reachable chord-angle range."""
+    """Tabulate psi over a log grid of lam_bounds and report its range.
+
+    Grid points at or beyond the largest usable lambda (see _reach) give way
+    to that lambda, so the region covers the range fit_g1 searches."""
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
-    lams = _log_grid(lam_bounds[0], lam_bounds[1], count)
-    psis = _scan_psi(alpha, delta_theta, lams, tol)
-    samples = tuple((lam, psi) for lam, psi in zip(lams, psis) if psi is not None)
-    if not samples:
+    if count < 2:
+        raise ValueError("count must be at least 2")
+    hi = _reach(alpha, delta_theta, lam_bounds)
+    if hi is None:
         raise EmptyRegion(
             f"no lambda in [{lam_bounds[0]!r}, {lam_bounds[1]!r}] reaches "
             f"turning {delta_theta!r} for alpha = {alpha!r}"
         )
+    llo, lhi = math.log(lam_bounds[0]), math.log(lam_bounds[1])
+    lams = [math.exp(llo + (lhi - llo) * i / (count - 1)) for i in range(count)]
+    if hi < lam_bounds[1]:
+        lams = [lam for lam in lams if lam < hi] + [hi]
+    samples = tuple((lam, chord_angle(alpha, lam, delta_theta, tol)) for lam in lams)
     values = [p for _, p in samples]
     return DrawableRegion(alpha, delta_theta, min(values), max(values), samples)
 
 
-def _bisect_bracket(alpha, delta_theta, psi_target, lo, g_lo, hi, g_hi, tol, quad_tol):
-    """Bisect in log-lambda until |psi - psi_target| <= tol; best effort
-    within the iteration cap."""
-    if g_lo == 0.0:
-        return lo, 0.0
-    if g_hi == 0.0:
-        return hi, 0.0
-    best_lam, best_g = (lo, g_lo) if abs(g_lo) < abs(g_hi) else (hi, g_hi)
-    for _ in range(_MAX_BISECT):
-        mid = math.sqrt(lo * hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket exhausted at double precision
-        g_mid = chord_angle(alpha, mid, delta_theta, quad_tol) - psi_target
-        if abs(g_mid) < abs(best_g):
-            best_lam, best_g = mid, g_mid
-        if abs(g_mid) <= tol:
-            return mid, g_mid
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo, g_lo = mid, g_mid
+def _solve_log(g, a, g_a, b, g_b, tol):
+    """Root of g between a and b, where g(a) = g_a and g(b) = g_b differ in sign.
+
+    Illinois false position in log lambda: halving the g of an end kept for
+    another step keeps convergence superlinear. Returns the best
+    (lam, |g(lam)|) seen when |g| <= tol, the bracket stops shrinking or the
+    iteration cap is hit."""
+    best_lam, best_g = (a, g_a) if abs(g_a) <= abs(g_b) else (b, g_b)
+    for _ in range(_MAX_ITER):
+        if abs(best_g) <= tol:
+            break
+        la, lb = math.log(a), math.log(b)
+        # exp of the interpolated log can round outside the bracket
+        c = min(max(math.exp(lb - g_b * (lb - la) / (g_b - g_a)), min(a, b)), max(a, b))
+        if c == a or c == b:
+            break
+        g_c = g(c)
+        if abs(g_c) < abs(best_g):
+            best_lam, best_g = c, g_c
+        if (g_c < 0.0) != (g_b < 0.0):
+            a, g_a = b, g_b
         else:
-            hi, g_hi = mid, g_mid
-    return best_lam, best_g
+            g_a *= 0.5
+        b, g_b = c, g_c
+    return best_lam, abs(best_g)
 
 
 def fit_g1(
     problem: HermiteProblem,
     tol: float = 1e-10,
-    lam_bounds=_DEFAULT_GRID,
-    grid_points: int = _DEFAULT_GRID_POINTS,
+    lam_bounds=_DEFAULT_BOUNDS,
 ) -> FittedSegment:
     """Fit one family segment to a planar G1 Hermite problem.
 
-    Scans psi(lambda) over a log grid for sign changes against the target
-    chord angle, bisects every bracket, and returns the smallest-lambda
-    solution (any other solved lambdas are listed on the result). The
-    residual is the remaining chord-angle mismatch in radians.
-    """
+    psi(lambda) is monotone, so one bracketed root-find solves for the target
+    chord angle, between lam_bounds[0] and the largest usable lambda:
+    lam_bounds[1], or for alpha < 1 at most (1 - 1e-8) / (delta_theta (1 - alpha)).
+    The residual is the remaining chord-angle mismatch in radians; it
+    exceeds tol only when the root-find stalls."""
     quad_tol = min(1e-12, tol * 1e-2)
     cx = problem.p_end[0] - problem.p_start[0]
     cy = problem.p_end[1] - problem.p_start[1]
@@ -354,43 +373,30 @@ def fit_g1(
     delta_theta = abs(d_signed)
     psi_target = -psi_world if mirror else psi_world
 
-    lams = _log_grid(lam_bounds[0], lam_bounds[1], grid_points)
-    psis = _scan_psi(problem.alpha, delta_theta, lams, quad_tol)
-    valid = [p for p in psis if p is not None]
-    if not valid:
+    lo = lam_bounds[0]
+    hi = _reach(problem.alpha, delta_theta, lam_bounds)
+    if hi is None:
         raise NoSolution(
-            f"turning {delta_theta!r} unreachable across the whole lambda grid "
-            f"for alpha = {problem.alpha!r}",
+            f"turning {delta_theta!r} is unreachable for every lambda in "
+            f"[{lo!r}, {lam_bounds[1]!r}] at alpha = {problem.alpha!r}",
             psi_target=psi_target,
         )
 
-    solutions = []
-    for i in range(len(lams) - 1):
-        g_lo = None if psis[i] is None else psis[i] - psi_target
-        g_hi = None if psis[i + 1] is None else psis[i + 1] - psi_target
-        if g_lo is None or g_hi is None:
-            continue
-        if g_lo == 0.0 or (g_lo < 0.0) != (g_hi < 0.0):
-            lam, g = _bisect_bracket(
-                problem.alpha, delta_theta, psi_target,
-                lams[i], g_lo, lams[i + 1], g_hi, tol, quad_tol,
-            )
-            solutions.append((lam, abs(g)))
-    if psis[-1] is not None and psis[-1] == psi_target:
-        solutions.append((lams[-1], 0.0))
+    def g(lam):
+        return chord_angle(problem.alpha, lam, delta_theta, quad_tol) - psi_target
 
-    if not solutions:
+    psi_lo = chord_angle(problem.alpha, lo, delta_theta, quad_tol)
+    psi_hi = chord_angle(problem.alpha, hi, delta_theta, quad_tol)
+    psi_min, psi_max = sorted((psi_lo, psi_hi))
+    if not psi_min <= psi_target <= psi_max:
         raise NoSolution(
-            f"target chord angle {psi_target!r} lies outside the drawable "
-            f"region [{min(valid)!r}, {max(valid)!r}] scanned for "
-            f"alpha = {problem.alpha!r}, turning {delta_theta!r}",
+            f"target chord angle {psi_target!r} lies outside the drawable region "
+            f"[{psi_min!r}, {psi_max!r}] for alpha = {problem.alpha!r}, turning {delta_theta!r}",
             psi_target=psi_target,
-            psi_min=min(valid),
-            psi_max=max(valid),
+            psi_min=psi_min,
+            psi_max=psi_max,
         )
-
-    solutions.sort()
-    lam, residual = solutions[0]
+    lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, psi_hi - psi_target, tol)
     s_total = arc_length_for_turning(problem.alpha, lam, delta_theta)
     ex, ey, log_ref = _chord_components(problem.alpha, lam, delta_theta, quad_tol)
     # scale maps the normalized endpoint onto the chord; computed in log
@@ -408,10 +414,4 @@ def fit_g1(
         translation=problem.p_start,
         mirror=mirror,
     )
-    return FittedSegment(
-        NaturalEquation(problem.alpha, lam),
-        s_total,
-        transform,
-        residual,
-        tuple(l for l, _ in solutions[1:]),
-    )
+    return FittedSegment(NaturalEquation(problem.alpha, lam), s_total, transform, residual)

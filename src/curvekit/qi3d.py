@@ -215,7 +215,9 @@ class QiCurveSpec:
         if not (math.isfinite(self.s_total) and self.s_total > 0.0):
             raise ValueError("s_total must be positive and finite")
         object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "v0", tuple(c / n for c in v0))
+        # as UnitQuaternion: leave an already-unit v0 exact, so specs round-trip
+        scale = 1.0 if abs(n - 1.0) <= 1e-12 else n
+        object.__setattr__(self, "v0", tuple(c / scale for c in v0))
 
     def as_dict(self) -> dict:
         return {

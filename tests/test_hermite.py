@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvekit.hermite import (
     DegenerateInput,
@@ -13,6 +15,7 @@ from curvekit.hermite import (
     HermiteProblem,
     NoSolution,
     TurningUnreachable,
+    _chord_components,
     arc_length_for_turning,
     chord_angle,
     drawable_region,
@@ -136,6 +139,16 @@ def test_chord_angle_matches_arclength_route():
         want = math.atan2(ry.value, rx.value)
         got = chord_angle(alpha, lam, dth)
         assert got == pytest.approx(want, abs=1e-10), (alpha, lam, dth)
+
+
+def test_reach_edge_is_unreachable_not_a_domain_error():
+    # delta_theta sits within rounding of this member's turning limit: the
+    # guard and the closed forms must agree that it is out of reach
+    alpha, lam, dth = -0.5, 0.2780281230997687, 2.3978389640368767
+    with pytest.raises(TurningUnreachable):
+        chord_angle(alpha, lam, dth)
+    with pytest.raises(TurningUnreachable):
+        arc_length_for_turning(alpha, lam, dth)
 
 
 def test_chord_angle_extreme_lambda_is_finite():
@@ -330,6 +343,49 @@ def test_fit_alternate_lambdas_sorted():
     for l in seg.alternate_lambdas:
         assert l > prev
         prev = l
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(-3.0, 10.0),
+    st.floats(0.05, 3.0),
+    st.floats(0.0, 1.0),
+    st.floats(-math.pi, math.pi),
+    st.booleans(),
+)
+def test_fit_recovers_member_geometry(alpha, dth, u, rotation, mirror):
+    # lambda log-uniform up to 100 and, for alpha < 1, just short of lambda*.
+    # The fitted lambda is not compared, since it is ill-conditioned where psi
+    # flattens: the fitted member, placed by its similarity, must end on the
+    # problem's end point with its end tangent. Its end comes from the
+    # log-radius chord integral (checked against the arc-length route above):
+    # sample_curve's closed-form turning angle cancels badly for alpha near 0
+    # or 1 at small lambda.
+    lam_star = math.inf if alpha >= 1.0 else 1.0 / (dth * (1.0 - alpha))
+    lo, hi = 1e-4, min(100.0, (1.0 - 1e-6) * lam_star)
+    lam = math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
+    problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth),
+                               rotation=rotation, chord=2.0, mirror=mirror)
+    seg = fit_g1(problem)
+    x, y, log_scale = _chord_components(alpha, seg.equation.lam, dth, 1e-13)
+    ex, ey = seg.transform.apply_point(x * math.exp(log_scale), y * math.exp(log_scale))
+    assert math.hypot(ex - problem.p_end[0], ey - problem.p_end[1]) <= 1e-8 * 2.0
+    end_angle = math.atan2(problem.t_end[1], problem.t_end[0])
+    assert abs(math.remainder(seg.transform.apply_angle(dth) - end_angle, math.tau)) <= 1e-8
+
+
+def test_fit_and_region_reach_past_the_last_grid_point():
+    # alpha = 0: lambda* = 1/dth, and 0.99 lambda* lies beyond the last of
+    # the 97 grid points that reach this turning
+    alpha, dth = 0.0, 1.1425
+    psi = chord_angle(alpha, 0.99 / dth, dth)
+    assert psi == pytest.approx(0.912, abs=1e-3)
+    problem = problem_from_psi(alpha, dth, psi)
+    seg = fit_g1(problem)
+    assert seg.residual <= 1e-10
+    assert seg.alternate_lambdas == ()
+    check_round_trip(problem, seg)
+    assert drawable_region(alpha, dth).psi_max >= psi
 
 
 def test_fit_custom_bounds_and_failure():

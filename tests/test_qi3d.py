@@ -457,3 +457,12 @@ def test_cli_qi_writes_sample_qi_rows(spec, count):
         # the spec as the CLI reads it back: from_dict normalizes v0 again
         loaded = QiCurveSpec.from_dict(json.loads(text))
         assert out_path.read_text(encoding="utf-8") == export_csv(sample_qi(loaded, count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(qi_specs(), st.integers(2, 40))
+def test_spec_json_round_trip_samples_identically(spec, count):
+    loaded = QiCurveSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
+    assert loaded == spec
+    if not overshoots(spec.s_total, count):
+        assert sample_qi(loaded, count) == sample_qi(spec, count)
