@@ -261,8 +261,9 @@ def qi_frame(spec: QiCurveSpec, s: float, tol: float = 1e-12):
 def sample_qi(spec: QiCurveSpec, count: int, tol: float = 1e-12):
     """Rows (s, x, y, z, tx, ty, tz) at the stations s_total * i / (count - 1).
 
-    One quadrature per station gap, so the cost is linear in count. Points
-    agree with qi_frame's within tol * max(1, s); tangents are identical.
+    Points come from one piecewise-Chebyshev antiderivative of the tangent
+    field, evaluated at every station, and agree with qi_frame's within
+    tol * max(1, s); tangents are identical.
     """
     if count < 2:
         raise ValueError("count must be at least 2")

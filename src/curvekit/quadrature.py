@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 
 __all__ = [
     "IntegrationResult",
@@ -52,7 +54,27 @@ _WG = (
 _WG_CENTER = 0.41795918367346938776
 
 _MAX_DEPTH = 50
+_MAX_PANELS = 10_000  # panels per integral, pieces per station sweep
 _ERR_FLOOR = 1e-14  # absolute error floor near machine precision
+_EPS = 2.0**-52
+
+# Station sampler: Chebyshev interpolation of degree _CHEB_N per piece, at
+# the Lobatto points x_j = cos(pi j / N), from x_0 = 1 down to x_N = -1.
+# c_k = sum_j _DCT[k][j] f(x_j) are the interpolant's coefficients
+# (a DCT-I, with the end samples and the end coefficients halved).
+_CHEB_N = 32
+_COS = tuple(math.cos(math.pi * r / _CHEB_N) for r in range(2 * _CHEB_N))
+_LOBATTO = _COS[: _CHEB_N + 1]
+_DCT = tuple(
+    tuple(
+        (2.0 / _CHEB_N)
+        * (0.5 if j in (0, _CHEB_N) else 1.0)
+        * (0.5 if k in (0, _CHEB_N) else 1.0)
+        * _COS[j * k % (2 * _CHEB_N)]
+        for j in range(_CHEB_N + 1)
+    )
+    for k in range(_CHEB_N + 1)
+)
 
 
 class MaxDepthExceeded(ArithmeticError):
@@ -138,6 +160,10 @@ def _integrate_components(f, m: int, a: float, b: float, tol: float):
             raise MaxDepthExceeded(
                 f"no convergence after depth {_MAX_DEPTH} near [{pa!r}, {pb!r}]"
             )
+        if seq + 2 > _MAX_PANELS:  # seq counts the panels evaluated so far
+            raise MaxDepthExceeded(
+                f"no convergence within {_MAX_PANELS} panels on [{a!r}, {b!r}]"
+            )
         mid = 0.5 * (pa + pb)
         lv, le = _eval_panel(f, pa, mid, m)
         rv, re = _eval_panel(f, mid, pb, m)
@@ -157,17 +183,99 @@ def _integrate_components(f, m: int, a: float, b: float, tol: float):
     return results
 
 
+def _chebyshev_piece(f, m: int, a: float, b: float, tol: float):
+    """Chebyshev coefficients of f's m components on [a, b], interpolated at
+    the Lobatto points, or None when some component's last three
+    coefficients exceed tol * max(1, max |c_k|)."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = [mid + half * x for x in _LOBATTO]
+    nodes[0] = b  # exact ends: the integrand may not accept an ulp beyond
+    nodes[-1] = a
+    columns = list(zip(*map(f, nodes)))
+    coeffs = []
+    for c in range(m):
+        col = columns[c]
+        if not all(map(math.isfinite, col)):
+            raise NonFiniteIntegrand(
+                f"integrand component {c} is not finite on [{a!r}, {b!r}]"
+            )
+        ck = [sum(map(mul, row, col)) for row in _DCT]
+        if max(map(abs, ck[-3:])) > tol * max(1.0, max(map(abs, ck))):
+            return None
+        coeffs.append(ck)
+    return coeffs
+
+
+def _antiderivative(ck, half: float):
+    """Coefficients of x -> half * integral_{-1}^{x} sum_k ck[k] T_k, which
+    is 0 at x = -1, with the trailing terms below rounding dropped."""
+    n = len(ck)
+    c = [2.0 * ck[0], *ck[1:], 0.0, 0.0]
+    out = [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(1, n + 1)]
+    drop = _EPS * half * max(1.0, max(map(abs, ck)))
+    while out and abs(out[-1]) <= drop:
+        drop -= abs(out.pop())
+    return [sum(v if k & 1 else -v for k, v in enumerate(out, 1)), *out]
+
+
 def _accumulate(f, m: int, stations, tol: float):
     """Yield (s, sums) per station: the m integrals of f from the first
-    station to s, one quadrature per gap, summed in station order."""
-    sums = [0.0] * m
-    prev = None
-    for s in stations:
-        if prev is not None:
-            for c, r in enumerate(_integrate_components(f, m, prev, s, tol)):
-                sums[c] += r.value
-        yield s, tuple(sums)
-        prev = s
+    station to s, for increasing stations and m <= 3.
+
+    Dense output: [stations[0], stations[-1]] is bisected depth-first into
+    pieces on which the Chebyshev interpolant of f at 33 Lobatto points has
+    a tail within tol (see _chebyshev_piece). Each piece's interpolant is
+    integrated exactly, and every station inside the piece is one Clenshaw
+    sum of that antiderivative plus the end values of the earlier pieces,
+    added in piece order. The integrand is sampled per piece, not per
+    station; the error at s is about tol * (s - stations[0]) times the size
+    of f. The first station yields exact zeros. Raises MaxDepthExceeded when
+    a piece can no longer be halved in floating point or _MAX_PANELS pieces
+    have been sampled, and NonFiniteIntegrand on a nan or inf sample.
+    """
+    stations = list(stations)
+    yield stations[0], (0.0,) * m
+    offsets = [0.0] * 3
+    pending = [(stations[0], stations[-1])]  # pieces to the right, nearest last
+    pieces = 0
+    i = 1
+    while pending:
+        pa, pb = pending.pop()
+        pieces += 1
+        if pieces > _MAX_PANELS:
+            raise MaxDepthExceeded(
+                f"no convergence within {_MAX_PANELS} pieces near [{pa!r}, {pb!r}]"
+            )
+        mid = 0.5 * (pa + pb)
+        ck = _chebyshev_piece(f, m, pa, pb, tol)
+        if ck is None:
+            if not pa < mid < pb:
+                raise MaxDepthExceeded(f"cannot split [{pa!r}, {pb!r}] further")
+            pending.append((mid, pb))
+            pending.append((pa, mid))
+            continue
+        half = 0.5 * (pb - pa)
+        lanes = [_antiderivative(c, half) for c in ck]
+        deg = max(map(len, lanes))
+        lanes = [lane + [0.0] * (deg - len(lane)) for lane in lanes]
+        lanes += [[0.0] * deg] * (3 - m)
+        # Clenshaw rows (x_k, y_k, z_k) from the highest degree down to 1
+        rows = list(zip(*(lane[:0:-1] for lane in lanes)))
+        fx, fy, fz = (lane[0] + off for lane, off in zip(lanes, offsets))
+        j = bisect_right(stations, pb, i) if pending else len(stations)
+        for s in stations[i:j]:
+            t = (s - mid) / half
+            t2 = t + t
+            x1 = x2 = y1 = y2 = z1 = z2 = 0.0
+            for rx, ry, rz in rows:
+                x1, x2 = t2 * x1 - x2 + rx, x1
+                y1, y2 = t2 * y1 - y2 + ry, y1
+                z1, z2 = t2 * z1 - z2 + rz, z1
+            yield s, (fx + t * x1 - x2, fy + t * y1 - y2, fz + t * z1 - z2)[:m]
+        i = j
+        for c in range(m):
+            offsets[c] += sum(lanes[c])
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-12) -> IntegrationResult:
@@ -176,8 +284,8 @@ def integrate(f, a: float, b: float, tol: float = 1e-12) -> IntegrationResult:
     The returned value satisfies |value - integral| <= max(tol, tol * |value|)
     up to an absolute floor of 1e-14 near machine precision. Raises
     NonFiniteIntegrand if f produces nan/inf at a node and MaxDepthExceeded
-    if panel bisection reaches depth 50 without converging. Repeated calls
-    with identical arguments are bit-identical.
+    if panel bisection reaches depth 50 or 10,000 panels without converging.
+    Repeated calls with identical arguments are bit-identical.
     """
     (res,) = _integrate_components(lambda x: (f(x),), 1, a, b, tol)
     return res

@@ -177,10 +177,10 @@ def _arrow(tip, angle, length, color):
     return line + "\n" + tri
 
 
-def _interpolate(curve: SampledCurve, s: float) -> CurveSample:
-    """Linear interpolation of a sample record at arc length s."""
+def _interpolate(curve: SampledCurve, svals, s: float) -> CurveSample:
+    """Linear interpolation of a sample record at arc length s; svals is
+    the curve's list of sample arc lengths, built once by the caller."""
     pts = curve.samples
-    svals = [p.s for p in pts]
     if s <= svals[0]:
         return pts[0]
     if s >= svals[-1]:
@@ -220,13 +220,14 @@ def plot_svg(spec: PlotSpec) -> str:
                 f'<path d="{d}" fill="none" stroke="#000000" '
                 f'stroke-width="{fmt(width)}"/>'
             )
+    svals = {i: [p.s for p in spec.curves[i].samples] for i, _ in spec.annotations}
     for index, marker in spec.annotations:
         curve = spec.curves[index]
         for s, color, tilt in (
             (marker.s_at_max_kappa, "#c43b3b", 0.75 * math.pi),
             (marker.s_at_max_kappa_slope, "#3b5fc4", 0.25 * math.pi),
         ):
-            p = _interpolate(curve, s)
+            p = _interpolate(curve, svals[index], s)
             tip = cmap.point(p.x, p.y)
             lines.append(_arrow(tip, tilt, 28.0, color))
     lines.append("</svg>")
@@ -245,9 +246,10 @@ def ornament_svg(spec: OrnamentSpec) -> str:
     else:
         stations = [s0 + (s1 - s0) * j / (spec.count - 1) for j in range(spec.count)]
 
+    svals = [p.s for p in path.samples]
     records = []
     for j, s in enumerate(stations):
-        p = _interpolate(path, s)
+        p = _interpolate(path, svals, s)
         size = spec.size_base * spec.rhythm[j % len(spec.rhythm)]
         if spec.size_rule == "proportional_to_radius_of_curvature":
             if p.kappa == 0.0:

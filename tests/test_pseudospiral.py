@@ -2,9 +2,13 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import curvekit.pseudospiral as ps
 from curvekit.pseudospiral import (
     DomainExceeded,
     NaturalEquation,
@@ -90,6 +94,30 @@ def test_curvature_monotone_decreasing_for_positive_lambda():
         end = 3.0 if end == math.inf else 0.9 * end
         ks = [curvature(eq, end * i / 40.0) for i in range(41)]
         assert all(b < a + 1e-15 for a, b in zip(ks, ks[1:]))
+
+
+def _decimal_power_branch(alpha, lam, s):
+    """(theta, kappa) of the power branch at 50 digits, from the exact floats."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, l, x = Decimal(alpha), Decimal(lam), Decimal(s)
+        log_base = (1 + l * a * x).ln()
+        theta = (((a - 1) / a * log_base).exp() - 1) / (l * (a - 1))
+        kappa = (-log_base / a).exp()
+        return float(theta), float(kappa)
+
+
+@pytest.mark.parametrize("alpha", [0.999, 1.001, 1e-11, 0.5])
+def test_power_branch_matches_high_precision_reference(alpha):
+    # small lam * s, alpha near 1 or near 0: the textbook form
+    # ((1 + lam a s)^((a-1)/a) - 1) / (lam (a-1)) cancels here
+    eps = 2.0**-52
+    for lam in (1e-8, 1e-4, 1e-2):
+        for s in (1e-3, 1.0, 10.0):
+            eq = NaturalEquation(alpha, lam)
+            theta, kappa = _decimal_power_branch(alpha, lam, s)
+            assert abs(turning_angle(eq, s) - theta) <= 4.0 * eps * theta
+            assert abs(curvature(eq, s) - kappa) <= 4.0 * eps * kappa
 
 
 def test_lambda_must_be_positive():
@@ -307,6 +335,58 @@ def test_sample_curve_respects_pose():
     p1 = sc.samples[1]
     assert p1.y > -1.0
     assert abs(p1.x - 2.0) < (p1.y + 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(-3.0, 10.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, 1.0),
+    st.integers(2, 2000),
+)
+def test_sample_curve_matches_independent_quadrature(alpha, log_lam, u, count):
+    # every station against evaluate_point, which integrates from 0 with
+    # G7/K15 on its own: s_end reaches 0.99 of the alpha < 0 domain end,
+    # and runs from 1e-3 to 100 otherwise
+    eq = NaturalEquation(alpha, 10.0**log_lam)
+    if eq.alpha < 0.0:
+        s_end = max(u, 1e-3) * 0.99 * eq.s_max_domain
+    else:
+        s_end = 10.0 ** (-3.0 + 5.0 * u)
+    tol = 1e-12
+    sc = sample_curve(eq, s_end, count, tol=tol)
+    first = sc.samples[0]
+    assert (first.s, first.x, first.y) == (0.0, 0.0, 0.0)
+    for p in sc.samples:
+        x, y = evaluate_point(eq, p.s, tol)
+        assert math.hypot(p.x - x, p.y - y) <= tol * max(1.0, p.s), p.s
+    assert repr(sample_curve(eq, s_end, count, tol=tol)) == repr(sc)
+
+
+def test_sample_curve_on_a_log_spiral_of_length_2_5e24():
+    # a fitted segment of the Hermite acceptance test: the tangent turns
+    # within s ~ 1/lam of the start, about 80 halvings below s_end
+    eq = NaturalEquation(1.0, 88.93307902901887)
+    s_end = 2.5105642028377583e24
+    for count in (2, 9):
+        sc = sample_curve(eq, s_end, count)
+        for p in sc.samples:
+            x, y = evaluate_point(eq, p.s)
+            assert math.hypot(p.x - x, p.y - y) <= 1e-12 * max(1.0, p.s)
+
+
+def test_sample_curve_samples_the_tangent_per_piece_not_per_station(monkeypatch):
+    calls = 0
+    tangent = ps._tangent
+
+    def counted(eq, t):
+        nonlocal calls
+        calls += 1
+        return tangent(eq, t)
+
+    monkeypatch.setattr(ps, "_tangent", counted)
+    sample_curve(NaturalEquation(0.5, 1.0), 10.0, 2000)
+    assert 0 < calls < 1000
 
 
 def test_sample_curve_count_validation():

@@ -454,7 +454,8 @@ def test_cli_qi_writes_sample_qi_rows(spec, count):
             assert not out_path.exists()
             return
         assert rc == 0, err.getvalue()
-        # the spec as the CLI reads it back: from_dict normalizes v0 again
+        # the spec as the CLI reads it back; from_dict keeps an already-unit v0
+        # exact, so this equals spec (see the round-trip test below)
         loaded = QiCurveSpec.from_dict(json.loads(text))
         assert out_path.read_text(encoding="utf-8") == export_csv(sample_qi(loaded, count))
 

@@ -12,6 +12,8 @@ from curvekit.quadrature import (
     NonFiniteIntegrand,
     integrate,
     integrate_vector2,
+    _MAX_PANELS,
+    _accumulate,
     _eval_panel,
 )
 
@@ -195,8 +197,77 @@ def test_max_depth_on_endpoint_singularity():
         integrate(lambda x: x**-0.5, 0.0, 1.0)
 
 
+def _noise(x):
+    """Deterministic noise in [0, 1) that no panel or piece resolves."""
+    return math.sin(x * 12.9898 + 78.233) * 43758.5453 % 1.0
+
+
+def test_panel_budget_stops_a_noisy_integrand():
+    # worst-first refinement spreads over many shallow panels, so the depth
+    # limit alone would let it refine for minutes
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        if calls > _MAX_PANELS * 15:
+            raise AssertionError("refined past the panel budget")
+        return _noise(x)
+
+    with pytest.raises(MaxDepthExceeded, match="panels"):
+        integrate(counted, 0.0, 1.0)
+
+
 def test_result_type_is_frozen():
     r = integrate(math.cos, 0.0, 1.0)
     assert isinstance(r, IntegrationResult)
     with pytest.raises(AttributeError):
         r.value = 0.0
+
+
+# ------------------------------------------------------------ station sampler
+
+
+def test_station_sampler_is_exact_on_polynomials_and_smooth_integrands():
+    stations = [2.0 * i / 12 for i in range(13)]
+    rows = list(_accumulate(lambda x: (x**5, math.cos(x)), 2, stations, 1e-12))
+    assert [s for s, _ in rows] == stations
+    assert rows[0][1] == (0.0, 0.0)
+    for s, (p, c) in rows:
+        assert abs(p - s**6 / 6.0) <= 1e-14 * max(1.0, s**6 / 6.0)
+        assert abs(c - math.sin(s)) <= 1e-15
+
+
+def test_station_sampler_starts_at_the_first_station():
+    # sums run from stations[0], not from 0
+    rows = list(_accumulate(lambda x: (math.exp(x),), 1, [1.0, 1.5, 3.0], 1e-12))
+    assert rows[0] == (1.0, (0.0,))
+    for s, (v,) in rows:
+        assert abs(v - (math.exp(s) - math.e)) <= 1e-14 * math.exp(s)
+
+
+def test_station_sampler_raises_on_non_finite_samples():
+    with pytest.raises(NonFiniteIntegrand):
+        list(_accumulate(lambda x: (1.0, math.nan), 2, [0.0, 1.0], 1e-12))
+
+
+def test_station_sampler_stops_where_pieces_no_longer_halve():
+    # noise fails every piece: the depth-first split reaches the float
+    # resolution near 1 after about 52 halvings
+    with pytest.raises(MaxDepthExceeded, match="further"):
+        list(_accumulate(lambda x: (_noise(x),), 1, [1.0, 1.5, 2.0], 1e-12))
+
+
+def test_station_sampler_gives_up_within_the_piece_budget():
+    # 160,000 oscillations would need far more pieces than the budget
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        if calls > _MAX_PANELS * 33:
+            raise AssertionError("sampled past the piece budget")
+        return (math.sin(1e6 * x),)
+
+    with pytest.raises(MaxDepthExceeded, match="pieces"):
+        list(_accumulate(counted, 1, [0.0, 1.0], 1e-12))
