@@ -4,11 +4,29 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 
 def fmt(x: float) -> str:
     """Format a float at 17 significant digits (round-trip exact for doubles)."""
     return format(float(x), ".17g")
+
+
+class Record:
+    """Mixin for dataclass records: as_dict() maps each field, in declaration
+    order, to its JSON shape (tuples and lists become new lists, nested
+    records their own as_dict(), scalars stay as they are)."""
+
+    def as_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if hasattr(value, "as_dict"):
+        return value.as_dict()
+    return value
 
 
 def to_json(obj, indent: int = 0) -> str:

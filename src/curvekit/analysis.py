@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._fmt import Record
 from .pseudospiral import NaturalEquation, SampledCurve, curvature
 
 __all__ = [
@@ -31,7 +32,7 @@ class DegenerateLcg(ValueError):
 
 
 @dataclass(frozen=True)
-class LcgReport:
+class LcgReport(Record):
     """Fitted log-curvature line. points are (u, v) pairs; dropped counts
     stations discarded for a vanishing radius derivative."""
 
@@ -41,18 +42,9 @@ class LcgReport:
     rms_residual: float
     dropped: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "points": [list(p) for p in self.points],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rms_residual": self.rms_residual,
-            "dropped": self.dropped,
-        }
-
 
 @dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(Record):
     """Verdict of the curvature monotonicity check.
 
     direction is one of "decreasing", "increasing", "constant",
@@ -65,30 +57,15 @@ class MonotonicityReport:
     violations: tuple
     tolerance: float
 
-    def as_dict(self) -> dict:
-        return {
-            "is_monotone": self.is_monotone,
-            "direction": self.direction,
-            "violations": [list(v) for v in self.violations],
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
-class StressMarker:
+class StressMarker(Record):
     """Locations a designer would inspect: the curvature maximum and the
     steepest curvature change."""
 
     s_at_max_kappa: float
     kappa_max: float
     s_at_max_kappa_slope: float
-
-    def as_dict(self) -> dict:
-        return {
-            "s_at_max_kappa": self.s_at_max_kappa,
-            "kappa_max": self.kappa_max,
-            "s_at_max_kappa_slope": self.s_at_max_kappa_slope,
-        }
 
 
 def _fit_line(points):
@@ -140,16 +117,14 @@ def lcg_analytic(eq: NaturalEquation, s_range, count: int) -> LcgReport:
         raise ValueError("s_range must satisfy 0 <= s0 < s1")
     if count < 2:
         raise ValueError("count must be at least 2")
-    lam = eq.lam
-    a = eq.alpha
-
-    def dkappa(s: float) -> float:
-        if a == 0.0:
-            return -lam * math.exp(-lam * s)
-        return -lam * (lam * a * s + 1.0) ** (-1.0 / a - 1.0)
-
     stations = [s0 + (s1 - s0) * i / (count - 1) for i in range(count)]
-    return lcg_from_functions(lambda s: curvature(eq, s), dkappa, stations)
+    # dkappa/ds = -lam kappa^(alpha + 1): one closed form for every alpha,
+    # through curvature's log1p form, which does not cancel for tiny alpha
+    return lcg_from_functions(
+        lambda s: curvature(eq, s),
+        lambda s: -eq.lam * curvature(eq, s) ** (eq.alpha + 1.0),
+        stations,
+    )
 
 
 def _extract_s_kappa(data):

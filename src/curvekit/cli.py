@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ._fmt import fmt, to_json
 from .analysis import (
@@ -39,7 +39,6 @@ from .hermite import (
 from .pseudospiral import (
     DomainExceeded,
     NaturalEquation,
-    Pose,
     UnknownName,
     named_curve,
     sample_curve,
@@ -89,6 +88,9 @@ class Config:
         return cfg
 
     def _apply_file(self, path: str) -> None:
+        """Each key names a field; its value converts with the type of the
+        field's default."""
+        types = {f.name: type(f.default) for f in fields(self)}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -98,19 +100,9 @@ class Config:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                value = value.strip()
-                if key == "tol":
-                    self.tol = float(value)
-                elif key == "samples":
-                    self.samples = int(value)
-                elif key == "out_dir":
-                    self.out_dir = value
-                elif key == "lambda_min":
-                    self.lambda_min = float(value)
-                elif key == "lambda_max":
-                    self.lambda_max = float(value)
-                else:
+                if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                setattr(self, key, types[key](value.strip()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,9 +169,19 @@ def _add_family_args(p, with_send=True):
                        help="sample count (default from config)")
 
 
+def _count(args, cfg: Config) -> int:
+    return args.n if args.n is not None else cfg.samples
+
+
 def _sampled_from_args(args, cfg: Config):
-    count = args.n if args.n is not None else cfg.samples
-    return sample_curve(_equation_from_args(args), args.s_end, count)
+    return sample_curve(_equation_from_args(args), args.s_end, _count(args, cfg))
+
+
+def _input_or_sampled(args, cfg: Config):
+    """The --in CSV if given, else the family member the flags name."""
+    if args.input:
+        return _load_curve_csv(args.input)
+    return _sampled_from_args(args, cfg)
 
 
 def _load_curve_csv(path: str):
@@ -190,23 +192,41 @@ def _load_curve_csv(path: str):
     return curve_from_rows(rows)
 
 
+def _wrote(path: str, text: str, cfg: Config, summary: str) -> int:
+    """Write a command's output file, then report its path and summary."""
+    print(f"wrote {_write_text(path, text, cfg.out_dir)}")
+    print(summary)
+    return EXIT_OK
+
+
+def _report(args, cfg: Config, record, summary: str) -> int:
+    """Emit a record as JSON: written to --out when given, then printed with
+    --json, or else the one-line summary is printed."""
+    payload = to_json(record.as_dict()) + "\n"
+    if getattr(args, "out", None):
+        print(f"wrote {_write_text(args.out, payload, cfg.out_dir)}")
+    if args.json:
+        sys.stdout.write(payload)
+    else:
+        print(summary)
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_curve(args, cfg: Config) -> int:
     curve = _sampled_from_args(args, cfg)
-    out = _write_text(args.out, export_csv(curve), cfg.out_dir)
     if args.svg:
         spec = PlotSpec(curves=(curve,), axes=args.axes)
         _write_text(args.svg, plot_svg(spec), cfg.out_dir)
     first, last = curve.samples[0], curve.samples[-1]
-    print(f"wrote {out}")
-    print(
+    return _wrote(
+        args.out, export_csv(curve), cfg,
         f"samples = {len(curve.samples)}  s_end = {fmt(last.s)}  "
         f"theta_total = {fmt(last.theta - first.theta)}  "
-        f"kappa = {fmt(first.kappa)} -> {fmt(last.kappa)}"
+        f"kappa = {fmt(first.kappa)} -> {fmt(last.kappa)}",
     )
-    return EXIT_OK
 
 
 def _cmd_lcg(args, cfg: Config) -> int:
@@ -214,19 +234,12 @@ def _cmd_lcg(args, cfg: Config) -> int:
         report = lcg_from_samples(_load_curve_csv(args.input))
     else:
         eq = _equation_from_args(args)
-        count = args.n if args.n is not None else cfg.samples
-        report = lcg_analytic(eq, (0.0, args.s_end), count)
-    payload = to_json(report.as_dict()) + "\n"
-    if args.out:
-        print(f"wrote {_write_text(args.out, payload, cfg.out_dir)}")
-    if args.json:
-        sys.stdout.write(payload)
-    else:
-        print(
-            f"slope = {fmt(report.slope)}  intercept = {fmt(report.intercept)}  "
-            f"rms_residual = {fmt(report.rms_residual)}  dropped = {report.dropped}"
-        )
-    return EXIT_OK
+        report = lcg_analytic(eq, (0.0, args.s_end), _count(args, cfg))
+    return _report(
+        args, cfg, report,
+        f"slope = {fmt(report.slope)}  intercept = {fmt(report.intercept)}  "
+        f"rms_residual = {fmt(report.rms_residual)}  dropped = {report.dropped}",
+    )
 
 
 def _cmd_fit(args, cfg: Config) -> int:
@@ -237,37 +250,21 @@ def _cmd_fit(args, cfg: Config) -> int:
         t_end=(math.cos(args.end_angle), math.sin(args.end_angle)),
         alpha=args.alpha,
     )
-    try:
-        segment = fit_g1(
-            problem,
-            tol=args.tol if args.tol is not None else cfg.tol,
-            lam_bounds=(cfg.lambda_min, cfg.lambda_max),
-        )
-    except NoSolution as exc:
-        print(f"no solution: {exc}", file=sys.stderr)
-        if exc.psi_min is not None:
-            print(
-                f"drawable region: psi in [{fmt(exc.psi_min)}, {fmt(exc.psi_max)}], "
-                f"target psi = {fmt(exc.psi_target)}",
-                file=sys.stderr,
-            )
-        return EXIT_NO_SOLUTION
-    payload = to_json(segment.as_dict()) + "\n"
-    if args.out:
-        print(f"wrote {_write_text(args.out, payload, cfg.out_dir)}")
+    segment = fit_g1(
+        problem,
+        tol=args.tol if args.tol is not None else cfg.tol,
+        lam_bounds=(cfg.lambda_min, cfg.lambda_max),
+    )
     if args.svg:
         spec = PlotSpec(curves=(segment.sample(400),))
         _write_text(args.svg, plot_svg(spec), cfg.out_dir)
-    if args.json:
-        sys.stdout.write(payload)
-    else:
-        eq = segment.equation
-        print(
-            f"alpha = {fmt(eq.alpha)}  lambda = {fmt(eq.lam)}  "
-            f"s_total = {fmt(segment.s_total)}  scale = {fmt(segment.transform.scale)}  "
-            f"residual = {fmt(segment.residual)}"
-        )
-    return EXIT_OK
+    eq = segment.equation
+    return _report(
+        args, cfg, segment,
+        f"alpha = {fmt(eq.alpha)}  lambda = {fmt(eq.lam)}  "
+        f"s_total = {fmt(segment.s_total)}  scale = {fmt(segment.transform.scale)}  "
+        f"residual = {fmt(segment.residual)}",
+    )
 
 
 def _cmd_region(args, cfg: Config) -> int:
@@ -276,14 +273,12 @@ def _cmd_region(args, cfg: Config) -> int:
     region = drawable_region(args.alpha, args.delta_theta, (lo, hi), args.points)
     rows = ["lambda,psi"]
     rows.extend(f"{fmt(lam)},{fmt(psi)}" for lam, psi in region.boundary_samples)
-    out = _write_text(args.out, "\n".join(rows) + "\n", cfg.out_dir)
-    print(f"wrote {out}")
-    print(
+    return _wrote(
+        args.out, "\n".join(rows) + "\n", cfg,
         f"alpha = {fmt(region.alpha)}  delta_theta = {fmt(region.delta_theta)}  "
         f"psi_min = {fmt(region.psi_min)}  psi_max = {fmt(region.psi_max)}  "
-        f"samples = {len(region.boundary_samples)}"
+        f"samples = {len(region.boundary_samples)}",
     )
-    return EXIT_OK
 
 
 def _cmd_qi(args, cfg: Config) -> int:
@@ -304,25 +299,19 @@ def _cmd_qi(args, cfg: Config) -> int:
             qcurve=QuaternionCurve(controls),
             s_total=args.s_total,
         )
-    count = args.n if args.n is not None else cfg.samples
+    count = _count(args, cfg)
     rows = sample_qi(spec, count)
-    out = _write_text(args.out, export_csv(rows), cfg.out_dir)
     end = rows[-1]
-    print(f"wrote {out}")
-    print(
+    return _wrote(
+        args.out, export_csv(rows), cfg,
         f"samples = {count}  s_total = {fmt(spec.s_total)}  "
-        f"end = ({fmt(end[1])}, {fmt(end[2])}, {fmt(end[3])})"
+        f"end = ({fmt(end[1])}, {fmt(end[2])}, {fmt(end[3])})",
     )
-    return EXIT_OK
 
 
 def _cmd_ornament(args, cfg: Config) -> int:
-    if args.input:
-        path = _load_curve_csv(args.input)
-    else:
-        path = _sampled_from_args(args, cfg)
     spec = OrnamentSpec(
-        path=path,
+        path=_input_or_sampled(args, cfg),
         primitive=args.primitive,
         count=args.count,
         size_base=args.size_base,
@@ -330,27 +319,17 @@ def _cmd_ornament(args, cfg: Config) -> int:
         rhythm=_parse_float_list(args.rhythm, "--rhythm"),
         palette=tuple(c.strip() for c in args.palette.split(",") if c.strip()),
     )
-    out = _write_text(args.out, ornament_svg(spec), cfg.out_dir)
-    print(f"wrote {out}")
-    print(f"stations = {spec.count}  primitive = {spec.primitive}")
-    return EXIT_OK
+    return _wrote(args.out, ornament_svg(spec), cfg,
+                  f"stations = {spec.count}  primitive = {spec.primitive}")
 
 
 def _cmd_check(args, cfg: Config) -> int:
-    if args.input:
-        curve = _load_curve_csv(args.input)
-    else:
-        curve = _sampled_from_args(args, cfg)
-    report = check_monotone(curve)
-    payload = to_json(report.as_dict()) + "\n"
-    if args.json:
-        sys.stdout.write(payload)
-    else:
-        print(
-            f"is_monotone = {str(report.is_monotone).lower()}  "
-            f"direction = {report.direction}  violations = {len(report.violations)}"
-        )
-    return EXIT_OK
+    report = check_monotone(_input_or_sampled(args, cfg))
+    return _report(
+        args, cfg, report,
+        f"is_monotone = {str(report.is_monotone).lower()}  "
+        f"direction = {report.direction}  violations = {len(report.violations)}",
+    )
 
 
 def _cmd_plot(args, cfg: Config) -> int:
@@ -368,10 +347,8 @@ def _cmd_plot(args, cfg: Config) -> int:
         annotations=tuple(annotations),
         axes=args.axes,
     )
-    out = _write_text(args.out, plot_svg(spec), cfg.out_dir)
-    print(f"wrote {out}")
-    print(f"curves = {len(curves)}  paths = {len(curves) * len(widths)}")
-    return EXIT_OK
+    return _wrote(args.out, plot_svg(spec), cfg,
+                  f"curves = {len(curves)}  paths = {len(curves) * len(widths)}")
 
 
 def _canvas_size(text: str):
@@ -493,6 +470,12 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except (NoSolution, EmptyRegion, TurningUnreachable) as exc:
         print(f"no solution: {exc}", file=sys.stderr)
+        if getattr(exc, "psi_min", None) is not None:
+            print(
+                f"drawable region: psi in [{fmt(exc.psi_min)}, {fmt(exc.psi_max)}], "
+                f"target psi = {fmt(exc.psi_target)}",
+                file=sys.stderr,
+            )
         return EXIT_NO_SOLUTION
     except (DegenerateInput, UnknownName, EmptyInput, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._fmt import Record
 from .pseudospiral import (
     NaturalEquation,
     Pose,
@@ -172,7 +173,7 @@ def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12
 
 
 @dataclass(frozen=True)
-class HermiteProblem:
+class HermiteProblem(Record):
     """Endpoints with unit tangents and the family shape parameter."""
 
     p_start: tuple
@@ -215,18 +216,9 @@ class HermiteProblem:
         t = ((qx - px) * vy - (qy - py) * vx) / denom
         return (px + t * ux, py + t * uy)
 
-    def as_dict(self) -> dict:
-        return {
-            "p_start": list(self.p_start),
-            "p_end": list(self.p_end),
-            "t_start": list(self.t_start),
-            "t_end": list(self.t_end),
-            "alpha": self.alpha,
-        }
-
 
 @dataclass(frozen=True)
-class FittedSegment:
+class FittedSegment(Record):
     """A family segment plus the similarity placing it onto the problem.
 
     alternate_lambdas is always (): psi is monotone in lambda, so the
@@ -243,18 +235,9 @@ class FittedSegment:
         base = sample_curve(self.equation, self.s_total, count, Pose(), tol)
         return base.transformed(self.transform)
 
-    def as_dict(self) -> dict:
-        return {
-            "equation": self.equation.as_dict(),
-            "s_total": self.s_total,
-            "transform": self.transform.as_dict(),
-            "residual": self.residual,
-            "alternate_lambdas": list(self.alternate_lambdas),
-        }
-
 
 @dataclass(frozen=True)
-class DrawableRegion:
+class DrawableRegion(Record):
     """Reachable chord angles for one (alpha, delta_theta), tabulated over
     the lambda range that fit_g1 searches."""
 
@@ -263,15 +246,6 @@ class DrawableRegion:
     psi_min: float
     psi_max: float
     boundary_samples: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "delta_theta": self.delta_theta,
-            "psi_min": self.psi_min,
-            "psi_max": self.psi_max,
-            "boundary_samples": [list(p) for p in self.boundary_samples],
-        }
 
 
 def _reach(alpha: float, delta_theta: float, lam_bounds):

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
+from ._fmt import Record
 from .quadrature import _accumulate, _integrate_components
 
 __all__ = [
@@ -165,7 +166,7 @@ class Pose:
 
 
 @dataclass(frozen=True)
-class Similarity:
+class Similarity(Record):
     """Orientation-preserving or mirrored similarity of the plane.
 
     Applies as translate(rotate(scale(mirror(p)))): optional reflection
@@ -194,14 +195,6 @@ class Similarity:
 
     def apply_angle(self, theta: float) -> float:
         return self.rotation + (-theta if self.mirror else theta)
-
-    def as_dict(self) -> dict:
-        return {
-            "rotation": self.rotation,
-            "scale": self.scale,
-            "translation": list(self.translation),
-            "mirror": self.mirror,
-        }
 
 
 @dataclass(frozen=True)

@@ -229,8 +229,19 @@ class QiCurveSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QiCurveSpec":
-        curve = QuaternionCurve(tuple(UnitQuaternion(*c) for c in data["controls"]))
-        return cls(tuple(data["p0"]), tuple(data["v0"]), curve, float(data["s_total"]))
+        """Inverse of as_dict. Raises ValueError naming a missing key or a
+        value of the wrong shape."""
+        if not isinstance(data, dict):
+            raise ValueError(f"spec must be a JSON object, not {type(data).__name__}")
+        try:
+            if any(len(c) != 4 for c in data["controls"]):
+                raise ValueError("every control must be 4 numbers w, x, y, z")
+            curve = QuaternionCurve(tuple(UnitQuaternion(*c) for c in data["controls"]))
+            return cls(tuple(data["p0"]), tuple(data["v0"]), curve, float(data["s_total"]))
+        except KeyError as exc:
+            raise ValueError(f"spec has no {exc.args[0]!r} key") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed spec: {exc}") from None
 
 
 def _check_arc(spec: QiCurveSpec, s: float) -> None:

@@ -221,7 +221,7 @@ def _antiderivative(ck, half: float):
 
 def _accumulate(f, m: int, stations, tol: float):
     """Yield (s, sums) per station: the m integrals of f from the first
-    station to s, for increasing stations and m <= 3.
+    station to s, for increasing stations.
 
     Dense output: [stations[0], stations[-1]] is bisected depth-first into
     pieces on which the Chebyshev interpolant of f at 33 Lobatto points has
@@ -236,7 +236,7 @@ def _accumulate(f, m: int, stations, tol: float):
     """
     stations = list(stations)
     yield stations[0], (0.0,) * m
-    offsets = [0.0] * 3
+    offsets = [0.0] * m
     pending = [(stations[0], stations[-1])]  # pieces to the right, nearest last
     pieces = 0
     i = 1
@@ -257,22 +257,21 @@ def _accumulate(f, m: int, stations, tol: float):
             continue
         half = 0.5 * (pb - pa)
         lanes = [_antiderivative(c, half) for c in ck]
-        deg = max(map(len, lanes))
-        lanes = [lane + [0.0] * (deg - len(lane)) for lane in lanes]
-        lanes += [[0.0] * deg] * (3 - m)
-        # Clenshaw rows (x_k, y_k, z_k) from the highest degree down to 1
-        rows = list(zip(*(lane[:0:-1] for lane in lanes)))
-        fx, fy, fz = (lane[0] + off for lane, off in zip(lanes, offsets))
+        # per lane: the value term, and the Clenshaw coefficients from its
+        # own highest degree down to 1
+        heads = [lane[0] + off for lane, off in zip(lanes, offsets)]
+        tails = [lane[:0:-1] for lane in lanes]
         j = bisect_right(stations, pb, i) if pending else len(stations)
         for s in stations[i:j]:
             t = (s - mid) / half
             t2 = t + t
-            x1 = x2 = y1 = y2 = z1 = z2 = 0.0
-            for rx, ry, rz in rows:
-                x1, x2 = t2 * x1 - x2 + rx, x1
-                y1, y2 = t2 * y1 - y2 + ry, y1
-                z1, z2 = t2 * z1 - z2 + rz, z1
-            yield s, (fx + t * x1 - x2, fy + t * y1 - y2, fz + t * z1 - z2)[:m]
+            sums = []
+            for head, tail in zip(heads, tails):
+                b1 = b2 = 0.0
+                for r in tail:
+                    b1, b2 = t2 * b1 - b2 + r, b1
+                sums.append(head + t * b1 - b2)
+            yield s, tuple(sums)
         i = j
         for c in range(m):
             offsets[c] += sum(lanes[c])

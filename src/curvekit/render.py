@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._fmt import fmt
-from .analysis import StressMarker
 from .pseudospiral import CurveSample, Pose, SampledCurve
 
 __all__ = [

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -157,6 +158,20 @@ def test_log_spiral_radius_line():
     rep = lcg_analytic(eq, (0.0, 5.0), 100)
     for u, v in rep.points:
         assert v == pytest.approx(u - math.log(lam), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e-11, 1e-9, 0.5, 10.0])
+def test_lcg_analytic_matches_high_precision_reference(alpha):
+    # v = log(kappa / |dkappa/ds|) = log(1 + lam alpha s) - log(lam) on the
+    # power branch; at tiny alpha the power form of dkappa/ds cancels
+    for lam in (1e-4, 1e-2, 1.0):
+        rep = lcg_analytic(NaturalEquation(alpha, lam), (0.0, 2.0), 3)
+        for s, (_, v) in zip((0.0, 1.0, 2.0), rep.points):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                a, l = Decimal(alpha), Decimal(lam)
+                ref = float((1 + l * a * Decimal(s)).ln() - l.ln())
+            assert abs(v - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 # ------------------------------------------------------------ monotonicity

@@ -316,6 +316,24 @@ def test_qi_requires_controls_or_spec(tmp_path):
     assert "either --spec or --controls is required" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"p0": [0, 0, 0], "v0": [1, 0, 0], "s_total": 1}', "no 'controls' key"),
+        ("[[1, 0, 0, 0]]", "JSON object"),
+        ('{"p0": [0, 0, 0], "v0": [1, 0, 0], "controls": [[1, 0, 0]], "s_total": 1}',
+         "4 numbers"),
+    ],
+    ids=["no-controls", "list", "three-numbers"],
+)
+def test_qi_malformed_spec_exits_1_without_traceback(tmp_path, spec, message):
+    (tmp_path / "spec.json").write_text(spec)
+    r = run_cli(["qi", "--spec", "spec.json", "--n", "4"], tmp_path)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and message in r.stderr
+
+
 # ------------------------------------------------------------ check
 
 
