@@ -42,6 +42,9 @@ class LcgReport(Record):
     rms_residual: float
     dropped: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
+
 
 @dataclass(frozen=True)
 class MonotonicityReport(Record):
@@ -56,6 +59,9 @@ class MonotonicityReport(Record):
     direction: str
     violations: tuple
     tolerance: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "violations", tuple(map(tuple, self.violations)))
 
 
 @dataclass(frozen=True)

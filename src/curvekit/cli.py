@@ -12,6 +12,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -115,19 +116,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_text(path: str, text: str, out_dir: str) -> str:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically: temp file in the target directory, then rename.
+
+    A failed write raises OSError naming the requested path, never the
+    random temporary name, so the error message is the same on every run.
+    """
     if not os.path.isabs(path):
         path = os.path.join(out_dir, path)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".curvekit-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".curvekit-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     return path
 
 
@@ -359,6 +367,7 @@ def _canvas_size(text: str):
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache  # built once per process: parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="curvekit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -247,6 +247,9 @@ class DrawableRegion(Record):
     psi_max: float
     boundary_samples: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "boundary_samples", tuple(map(tuple, self.boundary_samples)))
+
 
 def _reach(alpha: float, delta_theta: float, lam_bounds):
     """Largest usable lambda in lam_bounds, or None when none above

@@ -117,18 +117,16 @@ def _check_domain(eq: NaturalEquation, s: float) -> None:
         )
 
 
-def curvature(eq: NaturalEquation, s: float) -> float:
-    """kappa(s) of the natural equation."""
-    _check_domain(eq, s)
+def _kappa(eq: NaturalEquation, s: float) -> float:
+    """kappa(s) for an s the caller has checked (see _check_domain)."""
     if eq.alpha == 0.0:
         return math.exp(-eq.lam * s)
     # log1p keeps lam*alpha*s below an ulp of 1 when alpha is tiny
     return math.exp(-math.log1p(eq.lam * eq.alpha * s) / eq.alpha)
 
 
-def turning_angle(eq: NaturalEquation, s: float) -> float:
-    """theta(s) = integral of kappa from 0 to s, in closed form per branch."""
-    _check_domain(eq, s)
+def _theta(eq: NaturalEquation, s: float) -> float:
+    """theta(s) for an s the caller has checked (see _check_domain)."""
     lam = eq.lam
     a = eq.alpha
     if a == 0.0:
@@ -141,18 +139,42 @@ def turning_angle(eq: NaturalEquation, s: float) -> float:
     return math.expm1((a - 1.0) / a * math.log1p(lam * a * s)) / (lam * (a - 1.0))
 
 
+def curvature(eq: NaturalEquation, s: float) -> float:
+    """kappa(s) of the natural equation."""
+    _check_domain(eq, s)
+    return _kappa(eq, s)
+
+
+def turning_angle(eq: NaturalEquation, s: float) -> float:
+    """theta(s) = integral of kappa from 0 to s, in closed form per branch."""
+    _check_domain(eq, s)
+    return _theta(eq, s)
+
+
 def _tangent(eq: NaturalEquation, t: float):
-    """Unit tangent (cos theta, sin theta) at t: the integrand of the point."""
-    th = turning_angle(eq, t)
+    """Unit tangent (cos theta, sin theta) at t: the integrand of the point.
+    Unchecked: its callers integrate over [0, s] with s already checked."""
+    th = _theta(eq, t)
     return (math.cos(th), math.sin(th))
 
 
 def evaluate_point(eq: NaturalEquation, s: float, tol: float = 1e-12):
-    """Point (x, y) at arc length s, starting at the origin with tangent +x."""
+    """Point (x, y) at arc length s, starting at the origin with tangent +x.
+
+    The tangent turns fastest near s = 0, over about 1/lambda of arc
+    length. The adaptive integral starts from panels cut at 1/lambda,
+    2/lambda, 4/lambda, ... below s (none shorter than s * 2^-52), so that
+    turn is sampled however long the member is.
+    """
     _check_domain(eq, s)
     if s == 0.0:
         return (0.0, 0.0)
-    rx, ry = _integrate_components(partial(_tangent, eq), 2, 0.0, s, tol)
+    breaks = []
+    cut = max(1.0 / eq.lam, s * 2.0**-52)
+    while cut < s:
+        breaks.append(cut)
+        cut += cut
+    rx, ry = _integrate_components(partial(_tangent, eq), 2, 0.0, s, tol, breaks)
     return (rx.value, ry.value)
 
 
@@ -181,6 +203,7 @@ class Similarity(Record):
     def __post_init__(self):
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
+        object.__setattr__(self, "translation", tuple(self.translation))
 
     def apply_point(self, x: float, y: float):
         if self.mirror:
@@ -273,6 +296,11 @@ def sample_curve(
     sampled per piece, not per station, and each station costs one short
     Clenshaw sum. Each position is within about tol * max(1, s) of the
     curve; theta and kappa are the closed forms.
+
+    The domain is checked once per curve, not per station: the check is
+    monotone in s and the stations increase from 0, so checking s_end and
+    the last station (which may round an ulp away from s_end) covers every
+    station and every tangent node. DomainExceeded names that arc length.
     """
     if count < 2:
         raise ValueError("count must be at least 2")
@@ -282,11 +310,12 @@ def sample_curve(
     cos_r = math.cos(pose.angle)
     sin_r = math.sin(pose.angle)
     stations = [s_end * i / (count - 1) for i in range(count)]
+    _check_domain(eq, stations[-1])
     samples = []
     for s, (x, y) in _accumulate(partial(_tangent, eq), 2, stations, tol):
         wx = pose.x + cos_r * x - sin_r * y
         wy = pose.y + sin_r * x + cos_r * y
         samples.append(
-            CurveSample(s, wx, wy, pose.angle + turning_angle(eq, s), curvature(eq, s))
+            CurveSample(s, wx, wy, pose.angle + _theta(eq, s), _kappa(eq, s))
         )
     return SampledCurve(eq, tuple(samples), pose)

@@ -130,13 +130,17 @@ def _targets(totals, tol: float):
     return [max(tol, tol * abs(t), _ERR_FLOOR) for t in totals]
 
 
-def _integrate_components(f, m: int, a: float, b: float, tol: float):
+def _integrate_components(f, m: int, a: float, b: float, tol: float, breaks=()):
     """Shared-subdivision adaptive integration of a tuple-valued integrand.
 
     All m components are integrated over the same panel set; a panel is
     acceptable only when every component's accumulated estimate meets
-    max(tol, tol * |value|, floor). Deterministic: the heap is ordered by
-    (error, insertion sequence) and the final sums run in spatial order.
+    max(tol, tol * |value|, floor). breaks are optional interior points,
+    increasing within (a, b): the loop starts from the panels they cut
+    [a, b] into, under the one global error budget, so a feature narrower
+    than the first panel's node spacing is not missed. Deterministic: the
+    heap is ordered by (error, insertion sequence) and the final sums run in
+    spatial order.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -145,12 +149,19 @@ def _integrate_components(f, m: int, a: float, b: float, tol: float):
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    values, errors = _eval_panel(f, a, b, m)
+    first = breaks[0] if breaks else b
+    values, errors = _eval_panel(f, a, first, m)
     totals = list(values)
     errs = list(errors)
     # Heap entries: (-worst component error, sequence, a, b, depth, values, errors)
-    heap = [(-max(errors), 0, a, b, 0, values, errors)]
-    seq = 1
+    heap = [(-max(errors), 0, a, first, 0, values, errors)]
+    for pa, pb in zip(breaks, (*breaks[1:], b)):
+        values, errors = _eval_panel(f, pa, pb, m)
+        for c in range(m):
+            totals[c] += values[c]
+            errs[c] += errors[c]
+        heapq.heappush(heap, (-max(errors), len(heap), pa, pb, 0, values, errors))
+    seq = len(heap)
     while True:
         targets = _targets(totals, tol)
         if all(errs[c] <= targets[c] for c in range(m)):
@@ -219,6 +230,24 @@ def _antiderivative(ck, half: float):
     return [sum(v if k & 1 else -v for k, v in enumerate(out, 1)), *out]
 
 
+def _clenshaw_pair(heads, tails, stations, mid: float, half: float):
+    """Yield (s, (x, y)) per station: the two lanes of _accumulate summed in
+    one Clenshaw loop. The shorter tail is padded with leading zeros, which
+    leave b1 = b2 = +0.0 and so each sum bit-identical to its own loop."""
+    hx, hy = heads
+    tx, ty = tails
+    pad = len(tx) - len(ty)
+    pairs = list(zip([0.0] * -pad + tx, [0.0] * pad + ty))
+    for s in stations:
+        t = (s - mid) / half
+        t2 = t + t
+        bx1 = bx2 = by1 = by2 = 0.0
+        for rx, ry in pairs:
+            bx2, bx1 = bx1, t2 * bx1 - bx2 + rx
+            by2, by1 = by1, t2 * by1 - by2 + ry
+        yield s, (hx + t * bx1 - bx2, hy + t * by1 - by2)
+
+
 def _accumulate(f, m: int, stations, tol: float):
     """Yield (s, sums) per station: the m integrals of f from the first
     station to s, for increasing stations.
@@ -228,11 +257,13 @@ def _accumulate(f, m: int, stations, tol: float):
     a tail within tol (see _chebyshev_piece). Each piece's interpolant is
     integrated exactly, and every station inside the piece is one Clenshaw
     sum of that antiderivative plus the end values of the earlier pieces,
-    added in piece order. The integrand is sampled per piece, not per
-    station; the error at s is about tol * (s - stations[0]) times the size
-    of f. The first station yields exact zeros. Raises MaxDepthExceeded when
-    a piece can no longer be halved in floating point or _MAX_PANELS pieces
-    have been sampled, and NonFiniteIntegrand on a nan or inf sample.
+    added in piece order. For m = 2 (plane curves) both lanes run in one
+    Clenshaw loop (_clenshaw_pair), bit-identical to one loop per lane. The
+    integrand is sampled per piece, not per station; the error at s is about
+    tol * (s - stations[0]) times the size of f. The first station yields
+    exact zeros. Raises MaxDepthExceeded when a piece can no longer be
+    halved in floating point or _MAX_PANELS pieces have been sampled, and
+    NonFiniteIntegrand on a nan or inf sample.
     """
     stations = list(stations)
     yield stations[0], (0.0,) * m
@@ -262,16 +293,19 @@ def _accumulate(f, m: int, stations, tol: float):
         heads = [lane[0] + off for lane, off in zip(lanes, offsets)]
         tails = [lane[:0:-1] for lane in lanes]
         j = bisect_right(stations, pb, i) if pending else len(stations)
-        for s in stations[i:j]:
-            t = (s - mid) / half
-            t2 = t + t
-            sums = []
-            for head, tail in zip(heads, tails):
-                b1 = b2 = 0.0
-                for r in tail:
-                    b1, b2 = t2 * b1 - b2 + r, b1
-                sums.append(head + t * b1 - b2)
-            yield s, tuple(sums)
+        if m == 2:
+            yield from _clenshaw_pair(heads, tails, stations[i:j], mid, half)
+        else:
+            for s in stations[i:j]:
+                t = (s - mid) / half
+                t2 = t + t
+                sums = []
+                for head, tail in zip(heads, tails):
+                    b1 = b2 = 0.0
+                    for r in tail:
+                        b1, b2 = t2 * b1 - b2 + r, b1
+                    sums.append(head + t * b1 - b2)
+                yield s, tuple(sums)
         i = j
         for c in range(m):
             offsets[c] += sum(lanes[c])

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from ._fmt import fmt
+from ._fmt import FIELD, fmt
 from .pseudospiral import CurveSample, Pose, SampledCurve
 
 __all__ = [
@@ -145,9 +145,12 @@ def _svg_open(size):
     )
 
 
+_SEGMENT = f"L {FIELD} {FIELD}"
+
+
 def _path_d(canvas_points):
     parts = [f"M {fmt(canvas_points[0][0])} {fmt(canvas_points[0][1])}"]
-    parts.extend(f"L {fmt(x)} {fmt(y)}" for x, y in canvas_points[1:])
+    parts.extend(_SEGMENT % (x, y) for x, y in canvas_points[1:])
     return " ".join(parts)
 
 
@@ -292,7 +295,9 @@ def export_csv(data) -> str:
 
     A SampledCurve writes the 2D header s,x,y,theta,kappa; an iterable of
     7-field records writes the 3D header s,x,y,z,tx,ty,tz. Floats are
-    formatted for exact round-trips; newlines are LF.
+    formatted for exact round-trips; newlines are LF. Each row is one
+    printf template of the header's width, with the same bytes as joining
+    fmt of every field.
     """
     if isinstance(data, SampledCurve):
         rows = [(p.s, p.x, p.y, p.theta, p.kappa) for p in data.samples]
@@ -305,8 +310,9 @@ def export_csv(data) -> str:
                 raise ValueError("3D records need exactly 7 fields")
     if not rows:
         raise EmptyInput("no samples to export")
+    template = ",".join([FIELD] * len(rows[0]))
     out = [header]
-    out.extend(",".join(fmt(v) for v in row) for row in rows)
+    out.extend(template % row for row in rows)
     return "\n".join(out) + "\n"
 
 

@@ -1,4 +1,5 @@
-"""End-to-end CLI tests through subprocess: exit codes, files, determinism."""
+"""End-to-end CLI tests, mostly through subprocess: exit codes, files,
+determinism."""
 
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from curvekit import cli
 from curvekit.pseudospiral import CurveSample, Pose, SampledCurve
 from curvekit.render import export_csv
 
@@ -491,3 +493,51 @@ def test_absolute_out_path_ignores_out_dir(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert target.exists()
+
+
+# ------------------------------------------------------------ in-process runs
+
+
+def run_in_process(args, cwd, monkeypatch, capsys):
+    monkeypatch.chdir(cwd)
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_in_process_calls_match_fresh_runs(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; a usage error must leave
+    # nothing behind for the calls after it
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    calls = (
+        ["curve", "--alpha", "1", "--bogus"],
+        ["curve", "--alpha", "0.5", "--lambda", "2", "--n", "9", "--out", "c.csv"],
+        ["qi", "--controls", "1,0,0,0;0.8,0.6,0,0", "--n", "7", "--out", "q.csv"],
+    )
+    warm, fresh = tmp_path / "warm", tmp_path / "fresh"
+    warm.mkdir()
+    fresh.mkdir()
+    for args in calls:
+        got = run_in_process(args, warm, monkeypatch, capsys)
+        r = run_cli(args, fresh)
+        assert got == (r.returncode, r.stdout, r.stderr), args
+    assert [p.name for p in sorted(warm.iterdir())] == ["c.csv", "q.csv"]
+    for name in ("c.csv", "q.csv"):
+        assert (warm / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_failed_write_names_the_requested_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    (tmp_path / "D").mkdir()
+    args = ["curve", "--alpha", "1", "--lambda", "1", "--n", "5", "--out", "D"]
+    runs = [run_in_process(args, tmp_path, monkeypatch, capsys) for _ in range(2)]
+    runs.append(tuple(getattr(run_cli(args, tmp_path), k)
+                      for k in ("returncode", "stdout", "stderr")))
+    for code, out, err in runs:
+        assert code == 1
+        assert out == ""
+        assert ".curvekit-" not in err
+        assert "D" in err
+    assert runs[0] == runs[1] == runs[2]
+    assert os.listdir(tmp_path) == ["D"]
+    assert os.listdir(tmp_path / "D") == []

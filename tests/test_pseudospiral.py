@@ -2,10 +2,11 @@
 
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvekit.pseudospiral as ps
@@ -344,6 +345,7 @@ def test_sample_curve_respects_pose():
     st.floats(0.0, 1.0),
     st.integers(2, 2000),
 )
+@example(0.0, 2.0, 1.0, 2)  # the whole turn lies within the first 1% of s_end
 def test_sample_curve_matches_independent_quadrature(alpha, log_lam, u, count):
     # every station against evaluate_point, which integrates from 0 with
     # G7/K15 on its own: s_end reaches 0.99 of the alpha < 0 domain end,
@@ -361,6 +363,39 @@ def test_sample_curve_matches_independent_quadrature(alpha, log_lam, u, count):
         x, y = evaluate_point(eq, p.s, tol)
         assert math.hypot(p.x - x, p.y - y) <= tol * max(1.0, p.s), p.s
     assert repr(sample_curve(eq, s_end, count, tol=tol)) == repr(sc)
+
+
+def graded_simpson_point(eq, s, n=200):
+    """(x, y) at arc length s by composite Simpson with n intervals on each
+    of the cells [0, c], [c, 2c], [2c, 4c], ... up to s, c = 1e-4/lambda, so
+    the turn near s = 0 is resolved whatever s is."""
+    cuts = [0.0]
+    c = 1e-4 / eq.lam
+    while c < s:
+        cuts.append(c)
+        c += c
+    cuts.append(s)
+    xs, ys = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        h = (b - a) / n
+        for k in range(n + 1):
+            w = (1.0 if k in (0, n) else 4.0 if k % 2 else 2.0) * h / 3.0
+            th = turning_angle(eq, a + k * h)
+            xs.append(w * math.cos(th))
+            ys.append(w * math.sin(th))
+    return math.fsum(xs), math.fsum(ys)
+
+
+def test_evaluate_point_resolves_a_turn_narrower_than_its_first_panel():
+    # theta saturates at 1/lambda = 0.01 within s ~ 0.05; every node of a
+    # single K15 panel on [0, 100] lies past the turn, so K15 and G7 agree
+    # on a wrong y (0.99998333)
+    eq = NaturalEquation(0.0, 100.0)
+    x, y = evaluate_point(eq, 100.0)
+    want_x, want_y = graded_simpson_point(eq, 100.0)
+    assert abs(y - want_y) <= 1e-10
+    assert abs(x - want_x) <= 1e-10
+    assert abs(y - 0.99988333647220) <= 1e-12
 
 
 def test_sample_curve_on_a_log_spiral_of_length_2_5e24():
@@ -387,6 +422,36 @@ def test_sample_curve_samples_the_tangent_per_piece_not_per_station(monkeypatch)
     monkeypatch.setattr(ps, "_tangent", counted)
     sample_curve(NaturalEquation(0.5, 1.0), 10.0, 2000)
     assert 0 < calls < 1000
+
+
+@pytest.mark.parametrize("count", [2, 2000])
+def test_sample_curve_checks_the_domain_once_per_curve(monkeypatch, count):
+    calls = 0
+    check = ps._check_domain
+
+    def counted(eq, s):
+        nonlocal calls
+        calls += 1
+        return check(eq, s)
+
+    monkeypatch.setattr(ps, "_check_domain", counted)
+    sample_curve(NaturalEquation(-1.0, 0.5), 1.9, count)
+    assert calls <= 2
+
+
+def test_sample_curve_domain_error_at_and_past_the_guard():
+    eq = NaturalEquation(-1.0, 0.5)  # s_max = 2
+    guard = ps._DOMAIN_GUARD * eq.s_max_domain
+    sample_curve(eq, guard, 36)  # the last station rounds below the guard
+    for s_end in (eq.s_max_domain, math.nextafter(guard, math.inf)):
+        with pytest.raises(DomainExceeded):
+            sample_curve(eq, s_end, 2)
+    # 6 stations: guard * 5 / 5 rounds an ulp past the guard, which the
+    # check at the last station catches though s_end itself passes
+    last = guard * 5 / 5
+    assert last > guard
+    with pytest.raises(DomainExceeded, match=re.escape(repr(last))):
+        sample_curve(eq, guard, 6)
 
 
 def test_sample_curve_count_validation():

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvekit.quadrature import (
     IntegrationResult,
@@ -14,6 +16,7 @@ from curvekit.quadrature import (
     integrate_vector2,
     _MAX_PANELS,
     _accumulate,
+    _clenshaw_pair,
     _eval_panel,
 )
 
@@ -271,3 +274,36 @@ def test_station_sampler_gives_up_within_the_piece_budget():
 
     with pytest.raises(MaxDepthExceeded, match="pieces"):
         list(_accumulate(counted, 1, [0.0, 1.0], 1e-12))
+
+
+def per_lane_clenshaw(head, tail, t):
+    """head + sum_k c_k T_k(t), tail = (c_n, ..., c_1), by Clenshaw's
+    recurrence on this one lane."""
+    b1 = b2 = 0.0
+    for r in tail:
+        b1, b2 = 2.0 * t * b1 - b2 + r, b1
+    return head + t * b1 - b2
+
+
+_COEFFS = st.lists(st.floats(-1e3, 1e3), max_size=34)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+    _COEFFS,
+    _COEFFS,
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+)
+@example(0.5, -0.25, [1.0, -2.0, 3.0, 0.5, -0.125], [7.0, -1e-3], [-1.0, 0.0, 0.3, 1.0])
+@example(-0.0, 0.0, [], [2.0, -0.0, 1e-300], [-0.0, 1.0])
+def test_fused_planar_lanes_are_bit_identical_to_per_lane_clenshaw(hx, hy, tx, ty, ts):
+    mid, half = 3.0, 0.5
+    stations = [mid + half * t for t in ts]
+    rows = list(_clenshaw_pair([hx, hy], [tx, ty], stations, mid, half))
+    assert [s for s, _ in rows] == stations
+    for s, (x, y) in rows:
+        t = (s - mid) / half
+        assert x.hex() == per_lane_clenshaw(hx, tx, t).hex()
+        assert y.hex() == per_lane_clenshaw(hy, ty, t).hex()

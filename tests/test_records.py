@@ -5,6 +5,8 @@ benchmark, so its key order, its nesting and the list type of its
 sequences are part of the output contract.
 """
 
+import dataclasses
+
 import pytest
 
 from curvekit import (
@@ -119,3 +121,27 @@ def test_as_dict_copies_sequences():
     d = report.as_dict()
     d["points"][0][0] = 9.0
     assert report.points[0] == (0.0, 1.0)
+
+
+def test_records_built_from_lists_are_hashable_and_immutable():
+    pairs = [[0.0, 1.5], [0.25, 2.0]]
+    built = [
+        Similarity(0.0, 1.0, [1.0, 2.0]),
+        LcgReport(pairs, 0.5, 1.0, 0.0),
+        MonotonicityReport(False, "non-monotone", pairs, 1e-12),
+        DrawableRegion(1.0, 0.5, 0.1, 0.2, pairs),
+    ]
+    given = [
+        Similarity(0.0, 1.0, (1.0, 2.0)),
+        LcgReport(((0.0, 1.5), (0.25, 2.0)), 0.5, 1.0, 0.0),
+        MonotonicityReport(False, "non-monotone", ((0.0, 1.5), (0.25, 2.0)), 1e-12),
+        DrawableRegion(1.0, 0.5, 0.1, 0.2, ((0.0, 1.5), (0.25, 2.0))),
+    ]
+    pairs[0][0] = 9.0  # the caller's lists are not shared
+    for record, same in zip(built, given):
+        assert record == same
+        assert hash(record) == hash(same)
+        assert record.as_dict() == same.as_dict()
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)

@@ -5,7 +5,10 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from curvekit._fmt import FIELD, fmt
 from curvekit.analysis import stress_marker
 from curvekit.pseudospiral import (
     CurveSample,
@@ -15,6 +18,7 @@ from curvekit.pseudospiral import (
     sample_curve,
 )
 from curvekit.render import (
+    _path_d,
     EmptyInput,
     OrnamentSpec,
     PlotSpec,
@@ -331,3 +335,30 @@ def test_csv_errors():
         parse_csv("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         parse_csv("s,x,y,theta,kappa\n1,2,3\n")
+
+
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308]
+
+
+@given(
+    st.lists(st.floats(), min_size=7, max_size=7),
+    st.lists(st.floats(), min_size=4, max_size=4),
+)
+@example(_EDGES[:7], _EDGES[4:])
+@example(_EDGES[1:], [2.2250738585072014e-308, -1e-310, 0.1, -1 / 3])
+def test_row_templates_match_per_field_fmt(row7, row4):
+    assert export_csv([row7]).split("\n")[1] == ",".join(map(fmt, row7))
+    curve = SampledCurve(None, (CurveSample(0.0, *row4), CurveSample(1.0, *row4)), Pose())
+    assert export_csv(curve).split("\n")[2] == ",".join(map(fmt, (1.0, *row4)))
+    pts = list(zip(row7, row4 + row7[:3]))
+    want = [f"M {fmt(pts[0][0])} {fmt(pts[0][1])}"]
+    want.extend(f"L {fmt(x)} {fmt(y)}" for x, y in pts[1:])
+    assert _path_d(pts) == " ".join(want)
+
+
+@given(st.one_of(st.floats(), st.integers(-(2**70), 2**70)))
+@example(-0.0)
+@example(5e-324)
+@example(2**53 + 1)
+def test_printf_field_equals_fmt(x):
+    assert FIELD % x == fmt(x)
