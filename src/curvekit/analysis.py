@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from ._fmt import Record
-from .pseudospiral import NaturalEquation, SampledCurve, curvature
+from .pseudospiral import NaturalEquation, SampledCurve, _check_domain, _theta_kappa
+from .quadrature import _stations
 
 __all__ = [
     "DegenerateLcg",
@@ -121,14 +122,17 @@ def lcg_analytic(eq: NaturalEquation, s_range, count: int) -> LcgReport:
     s0, s1 = (float(s_range[0]), float(s_range[1]))
     if not (0.0 <= s0 < s1):
         raise ValueError("s_range must satisfy 0 <= s0 < s1")
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    stations = [s0 + (s1 - s0) * i / (count - 1) for i in range(count)]
+    stations = _stations(s0, s1, count)
+    # the check is monotone in s: s1 and the last station (which may round
+    # an ulp past s1) cover every station
+    _check_domain(eq, s1)
+    _check_domain(eq, stations[-1])
     # dkappa/ds = -lam kappa^(alpha + 1): one closed form for every alpha,
-    # through curvature's log1p form, which does not cancel for tiny alpha
+    # through the log1p form of _theta_kappa, which does not cancel for
+    # tiny alpha
     return lcg_from_functions(
-        lambda s: curvature(eq, s),
-        lambda s: -eq.lam * curvature(eq, s) ** (eq.alpha + 1.0),
+        lambda s: _theta_kappa(eq, s)[1],
+        lambda s: -eq.lam * _theta_kappa(eq, s)[1] ** (eq.alpha + 1.0),
         stations,
     )
 

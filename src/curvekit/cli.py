@@ -29,6 +29,8 @@ from .analysis import (
     stress_marker,
 )
 from .hermite import (
+    _DEFAULT_BOUNDS,
+    _REGION_POINTS,
     DegenerateInput,
     EmptyRegion,
     HermiteProblem,
@@ -45,7 +47,7 @@ from .pseudospiral import (
     sample_curve,
     NAMED_CURVES,
 )
-from .qi3d import QiCurveSpec, QuaternionCurve, UnitQuaternion, sample_qi
+from .qi3d import QiCurveSpec, sample_qi
 from .quadrature import MaxDepthExceeded, NonFiniteIntegrand
 from .render import (
     EmptyInput,
@@ -75,8 +77,8 @@ class Config:
     tol: float = 1e-10
     samples: int = 1000
     out_dir: str = "."
-    lambda_min: float = 1e-6
-    lambda_max: float = 1e6
+    lambda_min: float = _DEFAULT_BOUNDS[0]
+    lambda_max: float = _DEFAULT_BOUNDS[1]
 
     @classmethod
     def load(cls, path: str | None) -> "Config":
@@ -165,16 +167,15 @@ def _equation_from_args(args) -> NaturalEquation:
     return NaturalEquation(args.alpha, args.lam)
 
 
-def _add_family_args(p, with_send=True):
+def _add_family_args(p):
     p.add_argument("--named", choices=sorted(NAMED_CURVES), help="catalog curve name")
     p.add_argument("--alpha", type=float, help="shape parameter")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="curvature decay rate")
-    if with_send:
-        p.add_argument("--s-end", dest="s_end", type=float, default=1.0,
-                       help="arc length to sample (default 1)")
-        p.add_argument("--n", type=int, default=None,
-                       help="sample count (default from config)")
+    p.add_argument("--s-end", dest="s_end", type=float, default=1.0,
+                   help="arc length to sample (default 1)")
+    p.add_argument("--n", type=int, default=None,
+                   help="sample count (default from config)")
 
 
 def _count(args, cfg: Config) -> int:
@@ -296,17 +297,16 @@ def _cmd_qi(args, cfg: Config) -> int:
     else:
         if not args.controls:
             raise ValueError("either --spec or --controls is required")
-        controls = tuple(
-            UnitQuaternion(*_parse_floats(part, 4, "--controls entry"))
-            for part in args.controls.split(";")
-            if part.strip()
-        )
-        spec = QiCurveSpec(
-            p0=_parse_floats(args.p0, 3, "--p0"),
-            v0=_parse_floats(args.v0, 3, "--v0"),
-            qcurve=QuaternionCurve(controls),
-            s_total=args.s_total,
-        )
+        spec = QiCurveSpec.from_dict({
+            "controls": [
+                _parse_floats(part, 4, "--controls entry")
+                for part in args.controls.split(";")
+                if part.strip()
+            ],
+            "p0": _parse_floats(args.p0, 3, "--p0"),
+            "v0": _parse_floats(args.v0, 3, "--v0"),
+            "s_total": args.s_total,
+        })
     count = _count(args, cfg)
     rows = sample_qi(spec, count)
     end = rows[-1]
@@ -409,7 +409,8 @@ def _build_parser() -> _Parser:
                    help="total turning in radians, in (0, pi)")
     p.add_argument("--lambda-min", dest="lambda_min", type=float)
     p.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p.add_argument("--points", type=int, default=97, help="grid size (default 97)")
+    p.add_argument("--points", type=int, default=_REGION_POINTS,
+                   help="grid size (default %(default)s)")
     p.add_argument("--out", default="region.csv", help="output CSV path")
     p.set_defaults(handler=_cmd_region)
 

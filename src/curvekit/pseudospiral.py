@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ._fmt import Record
-from .quadrature import _accumulate, _integrate_components
+from .quadrature import _accumulate, _integrate_components, _stations
 
 __all__ = [
     "CurveSample",
@@ -117,44 +117,39 @@ def _check_domain(eq: NaturalEquation, s: float) -> None:
         )
 
 
-def _kappa(eq: NaturalEquation, s: float) -> float:
-    """kappa(s) for an s the caller has checked (see _check_domain)."""
-    if eq.alpha == 0.0:
-        return math.exp(-eq.lam * s)
-    # log1p keeps lam*alpha*s below an ulp of 1 when alpha is tiny
-    return math.exp(-math.log1p(eq.lam * eq.alpha * s) / eq.alpha)
-
-
-def _theta(eq: NaturalEquation, s: float) -> float:
-    """theta(s) for an s the caller has checked (see _check_domain)."""
+def _theta_kappa(eq: NaturalEquation, s: float):
+    """(theta(s), kappa(s)) for an s the caller has checked (see _check_domain)."""
     lam = eq.lam
     a = eq.alpha
     if a == 0.0:
-        return -math.expm1(-lam * s) / lam
+        return -math.expm1(-lam * s) / lam, math.exp(-lam * s)
+    # log1p keeps lam*a*s below an ulp of 1 when a is tiny
+    log_k = math.log1p(lam * a * s)
+    kappa = math.exp(-log_k / a)
     if a == 1.0:
-        return math.log1p(lam * s) / lam
+        return log_k / lam, kappa
     # d/ds [((1 + lam*a*s)^((a-1)/a) - 1) / (lam*(a-1))] = (1 + lam*a*s)^(-1/a),
     # written with expm1/log1p so it does not cancel when lam*s, a or
     # |a - 1| is small
-    return math.expm1((a - 1.0) / a * math.log1p(lam * a * s)) / (lam * (a - 1.0))
+    return math.expm1((a - 1.0) / a * log_k) / (lam * (a - 1.0)), kappa
 
 
 def curvature(eq: NaturalEquation, s: float) -> float:
     """kappa(s) of the natural equation."""
     _check_domain(eq, s)
-    return _kappa(eq, s)
+    return _theta_kappa(eq, s)[1]
 
 
 def turning_angle(eq: NaturalEquation, s: float) -> float:
     """theta(s) = integral of kappa from 0 to s, in closed form per branch."""
     _check_domain(eq, s)
-    return _theta(eq, s)
+    return _theta_kappa(eq, s)[0]
 
 
 def _tangent(eq: NaturalEquation, t: float):
     """Unit tangent (cos theta, sin theta) at t: the integrand of the point.
     Unchecked: its callers integrate over [0, s] with s already checked."""
-    th = _theta(eq, t)
+    th = _theta_kappa(eq, t)[0]
     return (math.cos(th), math.sin(th))
 
 
@@ -302,20 +297,17 @@ def sample_curve(
     the last station (which may round an ulp away from s_end) covers every
     station and every tangent node. DomainExceeded names that arc length.
     """
-    if count < 2:
-        raise ValueError("count must be at least 2")
+    stations = _stations(0.0, s_end, count)
     if not s_end > 0.0:
         raise ValueError("s_end must be positive")
     _check_domain(eq, s_end)
+    _check_domain(eq, stations[-1])
     cos_r = math.cos(pose.angle)
     sin_r = math.sin(pose.angle)
-    stations = [s_end * i / (count - 1) for i in range(count)]
-    _check_domain(eq, stations[-1])
     samples = []
     for s, (x, y) in _accumulate(partial(_tangent, eq), 2, stations, tol):
         wx = pose.x + cos_r * x - sin_r * y
         wy = pose.y + sin_r * x + cos_r * y
-        samples.append(
-            CurveSample(s, wx, wy, pose.angle + _theta(eq, s), _kappa(eq, s))
-        )
+        theta, kappa = _theta_kappa(eq, s)
+        samples.append(CurveSample(s, wx, wy, pose.angle + theta, kappa))
     return SampledCurve(eq, tuple(samples), pose)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .quadrature import _accumulate, _integrate_components
+from .quadrature import _accumulate, _integrate_components, _stations
 
 __all__ = [
     "AntipodalSingularity",
@@ -274,13 +274,11 @@ def sample_qi(spec: QiCurveSpec, count: int, tol: float = 1e-12):
 
     Points come from one piecewise-Chebyshev antiderivative of the tangent
     field, evaluated at every station, and agree with qi_frame's within
-    tol * max(1, s); tangents are identical.
+    tol * max(1, s); tangents are identical. The stations increase from 0,
+    so checking the last one checks them all.
     """
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    stations = [spec.s_total * i / (count - 1) for i in range(count)]
-    for s in stations:
-        _check_arc(spec, s)
+    stations = _stations(0.0, spec.s_total, count)
+    _check_arc(spec, stations[-1])
     px, py, pz = spec.p0
     return [
         (s, px + x, py + y, pz + z, *_tangent(spec, s))

@@ -149,18 +149,17 @@ def _integrate_components(f, m: int, a: float, b: float, tol: float, breaks=()):
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    first = breaks[0] if breaks else b
-    values, errors = _eval_panel(f, a, first, m)
-    totals = list(values)
-    errs = list(errors)
+    edges = (a, *breaks, b)
+    totals = [0.0] * m
+    errs = [0.0] * m
     # Heap entries: (-worst component error, sequence, a, b, depth, values, errors)
-    heap = [(-max(errors), 0, a, first, 0, values, errors)]
-    for pa, pb in zip(breaks, (*breaks[1:], b)):
+    heap = []
+    for seq, (pa, pb) in enumerate(zip(edges, edges[1:])):
         values, errors = _eval_panel(f, pa, pb, m)
         for c in range(m):
             totals[c] += values[c]
             errs[c] += errors[c]
-        heapq.heappush(heap, (-max(errors), len(heap), pa, pb, 0, values, errors))
+        heapq.heappush(heap, (-max(errors), seq, pa, pb, 0, values, errors))
     seq = len(heap)
     while True:
         targets = _targets(totals, tol)
@@ -246,6 +245,14 @@ def _clenshaw_pair(heads, tails, stations, mid: float, half: float):
             bx2, bx1 = bx1, t2 * bx1 - bx2 + rx
             by2, by1 = by1, t2 * by1 - by2 + ry
         yield s, (hx + t * bx1 - bx2, hy + t * by1 - by2)
+
+
+def _stations(a: float, b: float, count: int):
+    """count uniform stations from a to b: a + (b - a) * i / (count - 1).
+    For a = 0 and b >= 0 this is b * i / (count - 1) to the bit."""
+    if count < 2:
+        raise ValueError("count must be at least 2")
+    return [a + (b - a) * i / (count - 1) for i in range(count)]
 
 
 def _accumulate(f, m: int, stations, tol: float):

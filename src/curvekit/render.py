@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ._fmt import FIELD, fmt
 from .pseudospiral import CurveSample, Pose, SampledCurve
+from .quadrature import _stations
 
 __all__ = [
     "EmptyInput",
@@ -243,10 +244,7 @@ def ornament_svg(spec: OrnamentSpec) -> str:
         raise EmptyInput("path needs at least two samples")
     s0 = path.samples[0].s
     s1 = path.samples[-1].s
-    if spec.count == 1:
-        stations = [s0]
-    else:
-        stations = [s0 + (s1 - s0) * j / (spec.count - 1) for j in range(spec.count)]
+    stations = [s0] if spec.count == 1 else _stations(s0, s1, spec.count)
 
     svals = [p.s for p in path.samples]
     records = []

@@ -541,3 +541,9 @@ def test_failed_write_names_the_requested_path(tmp_path, monkeypatch, capsys):
     assert runs[0] == runs[1] == runs[2]
     assert os.listdir(tmp_path) == ["D"]
     assert os.listdir(tmp_path / "D") == []
+
+
+def test_lcg_domain_error_names_the_requested_s_end(tmp_path):
+    r = run_cli(["lcg", "--alpha", "-1", "--lambda", "1", "--s-end", "2"], tmp_path)
+    assert r.returncode == 2
+    assert "s = 2.0 exceeds the domain" in r.stderr

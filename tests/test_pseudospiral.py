@@ -519,3 +519,42 @@ def test_as_dict_round_trip_keys():
     assert d == {"alpha": 2.0, "lambda": 0.5, "s_max_domain": math.inf}
     d = NaturalEquation(-1.0, 2.0).as_dict()
     assert d["s_max_domain"] == pytest.approx(0.5)
+
+
+def reference_theta(lam, a, s):
+    """The turning angle as three separate closed forms, one per branch."""
+    if a == 0.0:
+        return -math.expm1(-lam * s) / lam
+    if a == 1.0:
+        return math.log1p(lam * s) / lam
+    return math.expm1((a - 1.0) / a * math.log1p(lam * a * s)) / (lam * (a - 1.0))
+
+
+def reference_kappa(lam, a, s):
+    if a == 0.0:
+        return math.exp(-lam * s)
+    return math.exp(-math.log1p(lam * a * s) / a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 1e-11, 0.999, -1.0]),
+        st.floats(-5.0, 5.0, allow_nan=False),
+    ),
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 1.0),
+)
+def test_theta_kappa_is_bit_identical_to_the_separate_closed_forms(alpha, lam, frac):
+    eq = NaturalEquation(alpha, lam)
+    s = frac * min(50.0 / lam, ps._DOMAIN_GUARD * eq.s_max_domain)
+    theta, kappa = ps._theta_kappa(eq, s)
+    assert theta.hex() == reference_theta(eq.lam, eq.alpha, s).hex()
+    assert kappa.hex() == reference_kappa(eq.lam, eq.alpha, s).hex()
+    assert turning_angle(eq, s) == theta
+    assert curvature(eq, s) == kappa
+
+
+def test_sample_curve_bad_count_wins_over_bad_s_end():
+    with pytest.raises(ValueError, match="count must be at least 2"):
+        sample_curve(NaturalEquation(0.5, 1.0), -1.0, 1)

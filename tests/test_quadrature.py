@@ -18,6 +18,7 @@ from curvekit.quadrature import (
     _accumulate,
     _clenshaw_pair,
     _eval_panel,
+    _stations,
 )
 
 
@@ -307,3 +308,24 @@ def test_fused_planar_lanes_are_bit_identical_to_per_lane_clenshaw(hx, hy, tx, t
         t = (s - mid) / half
         assert x.hex() == per_lane_clenshaw(hx, tx, t).hex()
         assert y.hex() == per_lane_clenshaw(hy, ty, t).hex()
+
+
+_ENDS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1e300), _ENDS, _ENDS, st.integers(2, 2000))
+@example(2.0 * math.pi, 0.3, 2.0 * math.pi, 7)
+def test_stations_are_one_uniform_grid(b, lo, hi, count):
+    # from 0: bit for bit the b * i / (count - 1) the samplers always used
+    got = _stations(0.0, b, count)
+    assert [s.hex() for s in got] == [(b * i / (count - 1)).hex() for i in range(count)]
+    got = _stations(lo, hi, count)
+    want = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    assert [s.hex() for s in got] == [s.hex() for s in want]
+
+
+@pytest.mark.parametrize("count", [1, 0, -3])
+def test_stations_need_two(count):
+    with pytest.raises(ValueError, match="count must be at least 2"):
+        _stations(0.0, 1.0, count)
