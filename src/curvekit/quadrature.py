@@ -7,6 +7,10 @@ estimate is bisected until the accumulated estimate meets the tolerance.
 Node and weight literals are given to 20 significant digits; they were
 checked against the Legendre P7 roots and by polynomial exactness (the Gauss
 rule is exact through degree 13, the Kronrod rule through degree 23).
+
+Both integrators (the panels, and the Chebyshev pieces of _accumulate) call
+the integrand once per panel or piece as f(nodes); it returns one column of
+values per component, and the columns give the component count.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 __all__ = [
     "IntegrationResult",
@@ -94,46 +99,42 @@ class IntegrationResult:
     subdivisions: int
 
 
-def _eval_panel(f, a: float, b: float, m: int):
-    """Apply the G7/K15 pair to f on [a, b]; f returns an m-tuple per node.
+def _eval_panel(f, a: float, b: float):
+    """Apply the G7/K15 pair to f on [a, b], called once on the 15 nodes.
 
-    Returns (values, errors), each an m-tuple, where errors is the
-    per-component |K15 - G7| difference scaled to the interval.
+    Returns (values, errors), one entry per column f returns, where errors
+    is the per-component |K15 - G7| difference scaled to the interval.
     """
     xm = 0.5 * (a + b)
     xr = 0.5 * (b - a)
-    fc = f(xm)
-    kron = [_WGK_CENTER * v for v in fc]
-    gauss = [_WG_CENTER * v for v in fc]
-    for i in range(7):
-        dx = xr * _XGK[i]
-        f1 = f(xm - dx)
-        f2 = f(xm + dx)
-        w = _WGK[i]
-        for c in range(m):
-            kron[c] += w * (f1[c] + f2[c])
-        if i & 1:
-            w = _WG[i >> 1]
-            for c in range(m):
-                gauss[c] += w * (f1[c] + f2[c])
-    values = tuple(v * xr for v in kron)
-    errors = tuple(abs(kron[c] - gauss[c]) * abs(xr) for c in range(m))
-    for c in range(m):
-        if not math.isfinite(values[c]):
+    nodes = [xm]  # then xm - dx, xm + dx per Kronrod abscissa
+    for dx in [xr * x for x in _XGK]:
+        nodes += (xm - dx, xm + dx)
+    values = []
+    errors = []
+    for c, col in enumerate(f(nodes)):
+        kron = _WGK_CENTER * col[0]
+        gauss = _WG_CENTER * col[0]
+        # a plain left-to-right loop: sum() of floats is compensated on 3.12+
+        for i, (f1, f2) in enumerate(zip(col[1::2], col[2::2])):
+            kron += _WGK[i] * (f1 + f2)
+            if i & 1:
+                gauss += _WG[i >> 1] * (f1 + f2)
+        value = kron * xr
+        if not math.isfinite(value):
             raise NonFiniteIntegrand(
                 f"integrand component {c} is not finite on [{a!r}, {b!r}]"
             )
+        values.append(value)
+        errors.append(abs(kron - gauss) * abs(xr))
     return values, errors
 
 
-def _targets(totals, tol: float):
-    return [max(tol, tol * abs(t), _ERR_FLOOR) for t in totals]
+def _integrate_components(f, a: float, b: float, tol: float, breaks=()):
+    """Shared-subdivision adaptive integration of an integrand f that maps
+    a node list to one column of values per component.
 
-
-def _integrate_components(f, m: int, a: float, b: float, tol: float, breaks=()):
-    """Shared-subdivision adaptive integration of a tuple-valued integrand.
-
-    All m components are integrated over the same panel set; a panel is
+    All components are integrated over the same panel set; a panel is
     acceptable only when every component's accumulated estimate meets
     max(tol, tol * |value|, floor). breaks are optional interior points,
     increasing within (a, b): the loop starts from the panels they cut
@@ -150,21 +151,16 @@ def _integrate_components(f, m: int, a: float, b: float, tol: float, breaks=()):
         raise ValueError("tol must be positive")
 
     edges = (a, *breaks, b)
-    totals = [0.0] * m
-    errs = [0.0] * m
+    totals = errs = repeat(0.0)  # one running sum per column, from 0.0
     # Heap entries: (-worst component error, sequence, a, b, depth, values, errors)
     heap = []
     for seq, (pa, pb) in enumerate(zip(edges, edges[1:])):
-        values, errors = _eval_panel(f, pa, pb, m)
-        for c in range(m):
-            totals[c] += values[c]
-            errs[c] += errors[c]
+        values, errors = _eval_panel(f, pa, pb)
+        totals = list(map(add, totals, values))
+        errs = list(map(add, errs, errors))
         heapq.heappush(heap, (-max(errors), seq, pa, pb, 0, values, errors))
     seq = len(heap)
-    while True:
-        targets = _targets(totals, tol)
-        if all(errs[c] <= targets[c] for c in range(m)):
-            break
+    while not all(e <= max(tol, tol * abs(t), _ERR_FLOOR) for e, t in zip(errs, totals)):
         _, _, pa, pb, depth, pv, pe = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             raise MaxDepthExceeded(
@@ -175,37 +171,31 @@ def _integrate_components(f, m: int, a: float, b: float, tol: float, breaks=()):
                 f"no convergence within {_MAX_PANELS} panels on [{a!r}, {b!r}]"
             )
         mid = 0.5 * (pa + pb)
-        lv, le = _eval_panel(f, pa, mid, m)
-        rv, re = _eval_panel(f, mid, pb, m)
-        for c in range(m):
-            totals[c] += lv[c] + rv[c] - pv[c]
-            errs[c] += le[c] + re[c] - pe[c]
+        lv, le = _eval_panel(f, pa, mid)
+        rv, re = _eval_panel(f, mid, pb)
+        totals = [t + (x + y - p) for t, x, y, p in zip(totals, lv, rv, pv)]
+        errs = [e + (x + y - p) for e, x, y, p in zip(errs, le, re, pe)]
         heapq.heappush(heap, (-max(le), seq, pa, mid, depth + 1, lv, le))
         heapq.heappush(heap, (-max(re), seq + 1, mid, pb, depth + 1, rv, re))
         seq += 2
 
     leaves = sorted(heap, key=lambda leaf: leaf[2])
-    results = []
-    for c in range(m):
-        value = math.fsum(leaf[5][c] for leaf in leaves)
-        err = math.fsum(leaf[6][c] for leaf in leaves)
-        results.append(IntegrationResult(value, err, len(leaves)))
-    return results
+    values = map(math.fsum, zip(*(leaf[5] for leaf in leaves)))
+    errors = map(math.fsum, zip(*(leaf[6] for leaf in leaves)))
+    return [IntegrationResult(v, e, len(leaves)) for v, e in zip(values, errors)]
 
 
-def _chebyshev_piece(f, m: int, a: float, b: float, tol: float):
-    """Chebyshev coefficients of f's m components on [a, b], interpolated at
-    the Lobatto points, or None when some component's last three
+def _chebyshev_piece(f, a: float, b: float, tol: float):
+    """Chebyshev coefficients of each column f returns on [a, b], called
+    once on the Lobatto points, or None when some component's last three
     coefficients exceed tol * max(1, max |c_k|)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = [mid + half * x for x in _LOBATTO]
     nodes[0] = b  # exact ends: the integrand may not accept an ulp beyond
     nodes[-1] = a
-    columns = list(zip(*map(f, nodes)))
     coeffs = []
-    for c in range(m):
-        col = columns[c]
+    for c, col in enumerate(f(nodes)):
         if not all(map(math.isfinite, col)):
             raise NonFiniteIntegrand(
                 f"integrand component {c} is not finite on [{a!r}, {b!r}]"
@@ -255,26 +245,25 @@ def _stations(a: float, b: float, count: int):
     return [a + (b - a) * i / (count - 1) for i in range(count)]
 
 
-def _accumulate(f, m: int, stations, tol: float):
-    """Yield (s, sums) per station: the m integrals of f from the first
-    station to s, for increasing stations.
+def _accumulate(f, stations, tol: float):
+    """Yield (s, sums) per station: the integral of each column of f from
+    the first station to s, for increasing stations.
 
     Dense output: [stations[0], stations[-1]] is bisected depth-first into
     pieces on which the Chebyshev interpolant of f at 33 Lobatto points has
     a tail within tol (see _chebyshev_piece). Each piece's interpolant is
     integrated exactly, and every station inside the piece is one Clenshaw
     sum of that antiderivative plus the end values of the earlier pieces,
-    added in piece order. For m = 2 (plane curves) both lanes run in one
-    Clenshaw loop (_clenshaw_pair), bit-identical to one loop per lane. The
-    integrand is sampled per piece, not per station; the error at s is about
+    added in piece order. For two columns (plane curves) both lanes run in
+    one Clenshaw loop (_clenshaw_pair), bit-identical to one loop per lane.
+    f is called once per piece, not per station; the error at s is about
     tol * (s - stations[0]) times the size of f. The first station yields
     exact zeros. Raises MaxDepthExceeded when a piece can no longer be
     halved in floating point or _MAX_PANELS pieces have been sampled, and
     NonFiniteIntegrand on a nan or inf sample.
     """
     stations = list(stations)
-    yield stations[0], (0.0,) * m
-    offsets = [0.0] * m
+    offsets = None  # per lane: the integral up to the current piece
     pending = [(stations[0], stations[-1])]  # pieces to the right, nearest last
     pieces = 0
     i = 1
@@ -286,13 +275,16 @@ def _accumulate(f, m: int, stations, tol: float):
                 f"no convergence within {_MAX_PANELS} pieces near [{pa!r}, {pb!r}]"
             )
         mid = 0.5 * (pa + pb)
-        ck = _chebyshev_piece(f, m, pa, pb, tol)
+        ck = _chebyshev_piece(f, pa, pb, tol)
         if ck is None:
             if not pa < mid < pb:
                 raise MaxDepthExceeded(f"cannot split [{pa!r}, {pb!r}] further")
             pending.append((mid, pb))
             pending.append((pa, mid))
             continue
+        if offsets is None:  # the first piece gives the lane count
+            offsets = [0.0] * len(ck)
+            yield stations[0], tuple(offsets)
         half = 0.5 * (pb - pa)
         lanes = [_antiderivative(c, half) for c in ck]
         # per lane: the value term, and the Clenshaw coefficients from its
@@ -300,7 +292,7 @@ def _accumulate(f, m: int, stations, tol: float):
         heads = [lane[0] + off for lane, off in zip(lanes, offsets)]
         tails = [lane[:0:-1] for lane in lanes]
         j = bisect_right(stations, pb, i) if pending else len(stations)
-        if m == 2:
+        if len(lanes) == 2:
             yield from _clenshaw_pair(heads, tails, stations[i:j], mid, half)
         else:
             for s in stations[i:j]:
@@ -314,8 +306,7 @@ def _accumulate(f, m: int, stations, tol: float):
                     sums.append(head + t * b1 - b2)
                 yield s, tuple(sums)
         i = j
-        for c in range(m):
-            offsets[c] += sum(lanes[c])
+        offsets = [off + sum(lane) for off, lane in zip(offsets, lanes)]
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-12) -> IntegrationResult:
@@ -327,7 +318,7 @@ def integrate(f, a: float, b: float, tol: float = 1e-12) -> IntegrationResult:
     if panel bisection reaches depth 50 or 10,000 panels without converging.
     Repeated calls with identical arguments are bit-identical.
     """
-    (res,) = _integrate_components(lambda x: (f(x),), 1, a, b, tol)
+    (res,) = _integrate_components(lambda xs: (list(map(f, xs)),), a, b, tol)
     return res
 
 
@@ -338,5 +329,5 @@ def integrate_vector2(fx, fy, a: float, b: float, tol: float = 1e-12):
     for coordinates of one point. Returns a pair of IntegrationResult with
     equal subdivision counts.
     """
-    rx, ry = _integrate_components(lambda x: (fx(x), fy(x)), 2, a, b, tol)
+    rx, ry = _integrate_components(lambda xs: (list(map(fx, xs)), list(map(fy, xs))), a, b, tol)
     return rx, ry

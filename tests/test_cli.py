@@ -547,3 +547,26 @@ def test_lcg_domain_error_names_the_requested_s_end(tmp_path):
     r = run_cli(["lcg", "--alpha", "-1", "--lambda", "1", "--s-end", "2"], tmp_path)
     assert r.returncode == 2
     assert "s = 2.0 exceeds the domain" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["curve", "--alpha", "0.5", "--lambda", "5e-324"],
+        ["lcg", "--alpha", "0.5", "--lambda", "5e-324"],
+        ["check", "--alpha", "0.5", "--lambda", "5e-324"],
+        ["ornament", "--alpha", "0.5", "--lambda", "5e-324"],
+        ["qi", "--controls", "1e300,0,0,0;0,0,0,1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_extreme_parameters_exit_1_with_one_error_line(tmp_path, monkeypatch, capsys, args):
+    # lam * alpha underflows to 0 (a ZeroDivisionError in the closed forms),
+    # 1e300 ** 2 overflows (an OverflowError): both were tracebacks
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []

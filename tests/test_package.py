@@ -3,6 +3,9 @@ names, and curvekit re-exports exactly those lists. With star imports a name
 dropped from a module's __all__ would silently leave the package; the golden
 list below catches that."""
 
+import ast
+import os
+import sys
 import types
 
 import pytest
@@ -60,3 +63,22 @@ def test_package_exports_exactly_the_module_lists():
     star = {}
     exec("from curvekit import *", star)
     assert PUBLIC_NAMES <= set(star)
+
+
+def test_the_package_imports_only_the_standard_library():
+    # every absolute import's top-level name must be a stdlib module
+    root = os.path.dirname(curvekit.__file__)
+    sources = sorted(name for name in os.listdir(root) if name.endswith(".py"))
+    assert "quadrature.py" in sources
+    for name in sources:
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            for module in imported:
+                assert module.split(".")[0] in sys.stdlib_module_names, (name, module)

@@ -411,17 +411,17 @@ def test_sample_curve_on_a_log_spiral_of_length_2_5e24():
 
 
 def test_sample_curve_samples_the_tangent_per_piece_not_per_station(monkeypatch):
-    calls = 0
+    nodes = 0
     tangent = ps._tangent
 
-    def counted(eq, t):
-        nonlocal calls
-        calls += 1
-        return tangent(eq, t)
+    def counted(eq, ts):
+        nonlocal nodes
+        nodes += len(ts)
+        return tangent(eq, ts)
 
     monkeypatch.setattr(ps, "_tangent", counted)
     sample_curve(NaturalEquation(0.5, 1.0), 10.0, 2000)
-    assert 0 < calls < 1000
+    assert 0 < nodes < 1000
 
 
 @pytest.mark.parametrize("count", [2, 2000])
@@ -558,3 +558,36 @@ def test_theta_kappa_is_bit_identical_to_the_separate_closed_forms(alpha, lam, f
 def test_sample_curve_bad_count_wins_over_bad_s_end():
     with pytest.raises(ValueError, match="count must be at least 2"):
         sample_curve(NaturalEquation(0.5, 1.0), -1.0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0.0, 1.0, 1e-11, 0.999, -1.0]), st.floats(-5.0, 5.0)),
+    st.floats(1e-3, 1e3),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+def test_tangent_columns_equal_the_per_node_tangent(alpha, lam, fracs):
+    eq = NaturalEquation(alpha, lam)
+    ts = [f * min(50.0 / lam, ps._DOMAIN_GUARD * eq.s_max_domain) for f in fracs]
+    xs, ys = ps._tangent(eq, ts)
+    for t, x, y in zip(ts, xs, ys, strict=True):
+        theta = ps._theta_kappa(eq, t)[0]
+        assert (x.hex(), y.hex()) == (math.cos(theta).hex(), math.sin(theta).hex())
+
+
+@pytest.mark.parametrize(
+    "alpha, lam", [(0.5, 5e-324), (1e-11, 1e-310), (2.0, 2e-309), (-3.0, 5e-309)]
+)
+def test_natural_equation_rejects_a_lambda_whose_products_underflow(alpha, lam):
+    # the closed forms divide by lam * alpha and lam * (alpha - 1): at
+    # (1e-11, 1e-310) turning_angle(eq, 1.0) came back 0.998, not 1.0
+    with pytest.raises(ValueError, match="underflows"):
+        NaturalEquation(alpha, lam)
+
+
+@pytest.mark.parametrize(
+    "alpha, lam", [(0.0, 5e-324), (1.0, 5e-324), (5e-13, 5e-324), (0.5, 1e-290)]
+)
+def test_natural_equation_keeps_tiny_lambdas_that_do_not_underflow(alpha, lam):
+    eq = NaturalEquation(alpha, lam)
+    assert turning_angle(eq, 1.0) == pytest.approx(1.0, abs=1e-12)

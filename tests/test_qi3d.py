@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvekit.qi3d as qi3d
 from curvekit import cli
 from curvekit.qi3d import (
     AntipodalSingularity,
@@ -467,3 +468,28 @@ def test_spec_json_round_trip_samples_identically(spec, count):
     assert loaded == spec
     if not overshoots(spec.s_total, count):
         assert sample_qi(loaded, count) == sample_qi(spec, count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qi_specs(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_tangent_columns_equal_the_per_station_tangent(spec, fracs):
+    ss = [f * spec.s_total for f in fracs]
+    columns = qi3d._tangent(spec, ss)
+    assert len(columns) == 3
+    for k, s in enumerate(ss):
+        want = eval_quaternion_curve(spec.qcurve, s / spec.s_total).rotate(spec.v0)
+        assert [col[k].hex() for col in columns] == [c.hex() for c in want]
+
+
+@pytest.mark.parametrize(
+    "components", [(1e300, 0.0, 0.0, 0.0), (0.0, -1e200, 0.0, 1e155), (1e-10, 0.0, 1e155, 0.0)]
+)
+def test_unit_quaternion_rejects_a_norm_that_overflows(components):
+    # float ** 2 raises OverflowError where a product would give inf
+    with pytest.raises(ValueError, match="overflow"):
+        UnitQuaternion(*components)
+
+
+def test_unit_quaternion_normalizes_large_finite_norms():
+    q = UnitQuaternion(3e153, 0.0, 4e153, 0.0)
+    assert q.components() == pytest.approx((0.6, 0.0, 0.8, 0.0), abs=1e-15)

@@ -15,6 +15,11 @@ from curvekit.quadrature import (
     integrate,
     integrate_vector2,
     _MAX_PANELS,
+    _WG,
+    _WG_CENTER,
+    _WGK,
+    _WGK_CENTER,
+    _XGK,
     _accumulate,
     _clenshaw_pair,
     _eval_panel,
@@ -37,16 +42,51 @@ def test_panel_rule_polynomial_exactness():
     # G7 is exact through degree 13, K15 through degree 23
     for deg in range(0, 14):
         exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
-        values, errors = _eval_panel(lambda x, d=deg: (x**d,), -1.0, 1.0, 1)
+        values, errors = _eval_panel(lambda xs, d=deg: ([x**d for x in xs],), -1.0, 1.0)
         assert values[0] == pytest.approx(exact, abs=1e-14)
         assert errors[0] < 1e-13
     for deg in (14, 16, 18, 20, 22):
-        values, errors = _eval_panel(lambda x, d=deg: (x**d,), -1.0, 1.0, 1)
+        values, errors = _eval_panel(lambda xs, d=deg: ([x**d for x in xs],), -1.0, 1.0)
         exact = 2.0 / (deg + 1)
         assert values[0] == pytest.approx(exact, abs=1e-14)
     # degree 24 breaks the Kronrod rule: the panel value must drift
-    values, _ = _eval_panel(lambda x: (x**24,), -1.0, 1.0, 1)
+    values, _ = _eval_panel(lambda xs: ([x**24 for x in xs],), -1.0, 1.0)
     assert abs(values[0] - 2.0 / 25.0) > 1e-10
+
+
+def reference_panel(g, a, b, m):
+    """The G7/K15 panel on a per-node integrand g (an m-tuple per node),
+    summed in the order the column walk keeps: centre, then w * (f(xm - dx)
+    + f(xm + dx)) left to right."""
+    xm, xr = 0.5 * (a + b), 0.5 * (b - a)
+    fc = g(xm)
+    kron = [_WGK_CENTER * v for v in fc]
+    gauss = [_WG_CENTER * v for v in fc]
+    for i in range(7):
+        dx = xr * _XGK[i]
+        f1, f2 = g(xm - dx), g(xm + dx)
+        for c in range(m):
+            kron[c] += _WGK[i] * (f1[c] + f2[c])
+            if i & 1:
+                gauss[c] += _WG[i >> 1] * (f1[c] + f2[c])
+    return [v * xr for v in kron], [abs(k - q) * abs(xr) for k, q in zip(kron, gauss)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-3.0, 3.0)), min_size=1, max_size=3),
+    st.floats(-1e3, 1e3),
+    st.floats(0.0, 1e3),
+)
+@example([(1.0, 0.5), (-2.0, 0.0), (7.5, -1.0)], -0.0, 0.0)
+def test_column_panel_is_bit_identical_to_the_per_node_panel(params, a, width):
+    def g(x):
+        return tuple(math.sin(k * x + p) * math.exp(-abs(x) / (1.0 + abs(k))) for k, p in params)
+
+    values, errors = _eval_panel(lambda xs: tuple(zip(*map(g, xs))), a, a + width)
+    want_values, want_errors = reference_panel(g, a, a + width, len(params))
+    assert [v.hex() for v in values] == [v.hex() for v in want_values]
+    assert [e.hex() for e in errors] == [e.hex() for e in want_errors]
 
 
 # ------------------------------------------------------------ basic values
@@ -234,7 +274,9 @@ def test_result_type_is_frozen():
 
 def test_station_sampler_is_exact_on_polynomials_and_smooth_integrands():
     stations = [2.0 * i / 12 for i in range(13)]
-    rows = list(_accumulate(lambda x: (x**5, math.cos(x)), 2, stations, 1e-12))
+    rows = list(
+        _accumulate(lambda xs: ([x**5 for x in xs], list(map(math.cos, xs))), stations, 1e-12)
+    )
     assert [s for s, _ in rows] == stations
     assert rows[0][1] == (0.0, 0.0)
     for s, (p, c) in rows:
@@ -244,7 +286,7 @@ def test_station_sampler_is_exact_on_polynomials_and_smooth_integrands():
 
 def test_station_sampler_starts_at_the_first_station():
     # sums run from stations[0], not from 0
-    rows = list(_accumulate(lambda x: (math.exp(x),), 1, [1.0, 1.5, 3.0], 1e-12))
+    rows = list(_accumulate(lambda xs: (list(map(math.exp, xs)),), [1.0, 1.5, 3.0], 1e-12))
     assert rows[0] == (1.0, (0.0,))
     for s, (v,) in rows:
         assert abs(v - (math.exp(s) - math.e)) <= 1e-14 * math.exp(s)
@@ -252,29 +294,29 @@ def test_station_sampler_starts_at_the_first_station():
 
 def test_station_sampler_raises_on_non_finite_samples():
     with pytest.raises(NonFiniteIntegrand):
-        list(_accumulate(lambda x: (1.0, math.nan), 2, [0.0, 1.0], 1e-12))
+        list(_accumulate(lambda xs: ([1.0] * len(xs), [math.nan] * len(xs)), [0.0, 1.0], 1e-12))
 
 
 def test_station_sampler_stops_where_pieces_no_longer_halve():
     # noise fails every piece: the depth-first split reaches the float
     # resolution near 1 after about 52 halvings
     with pytest.raises(MaxDepthExceeded, match="further"):
-        list(_accumulate(lambda x: (_noise(x),), 1, [1.0, 1.5, 2.0], 1e-12))
+        list(_accumulate(lambda xs: (list(map(_noise, xs)),), [1.0, 1.5, 2.0], 1e-12))
 
 
 def test_station_sampler_gives_up_within_the_piece_budget():
     # 160,000 oscillations would need far more pieces than the budget
     calls = 0
 
-    def counted(x):
+    def counted(xs):
         nonlocal calls
-        calls += 1
+        calls += len(xs)
         if calls > _MAX_PANELS * 33:
             raise AssertionError("sampled past the piece budget")
-        return (math.sin(1e6 * x),)
+        return ([math.sin(1e6 * x) for x in xs],)
 
     with pytest.raises(MaxDepthExceeded, match="pieces"):
-        list(_accumulate(counted, 1, [0.0, 1.0], 1e-12))
+        list(_accumulate(counted, [0.0, 1.0], 1e-12))
 
 
 def per_lane_clenshaw(head, tail, t):
