@@ -123,15 +123,16 @@ def arc_length_for_turning(alpha: float, lam: float, theta: float) -> float:
         return math.inf
 
 
-def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
-    """Normalized chord integral in log-radius measured back from the end.
+def _chord_integrand(alpha: float, lam: float, delta_theta: float):
+    """Normalized chord integrand in log-radius measured back from the end.
 
     Substituting ds = rho dtheta turns the endpoint integral into
     int_0^dtheta e^(i theta) rho(theta) dtheta, dominated by the large-rho
     end at extreme lambda. A second substitution u = log(rho(dth)/rho(theta))
     makes the weight exp((alpha-1)(U-u) - u)/lam: explicit exponential decay
     the panel subdivision can follow, and no overflow at any lambda. Returns
-    (x, y, log_scale) with the true endpoint being e^(log_scale) * (x, y).
+    (f, a, b, log_scale): the true endpoint is e^(log_scale) times the
+    integral of the two columns of f over [a, b].
     """
     am1 = alpha - 1.0
     log_ref = lam * delta_theta if alpha == 1.0 else math.log1p(delta_theta * lam * am1) / am1
@@ -157,6 +158,13 @@ def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
             ys.append(w * math.sin(theta))
         return xs, ys
 
+    return f, a, b, log_ref
+
+
+def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
+    """(x, y, log_scale) of the chord integral: the true endpoint is
+    e^(log_scale) * (x, y). See _chord_integrand."""
+    f, a, b, log_ref = _chord_integrand(alpha, lam, delta_theta)
     rx, ry = _integrate_components(f, a, b, tol)
     return rx.value, ry.value, log_ref
 
@@ -276,7 +284,14 @@ def drawable_region(
     """Tabulate psi over a log grid of lam_bounds and report its range.
 
     Grid points at or beyond the largest usable lambda (see _reach) give way
-    to that lambda, so the region covers the range fit_g1 searches."""
+    to that lambda, so the region covers the range fit_g1 searches.
+
+    The grid is swept as one continuation: each chord integral starts from
+    the previous grid point's final panels, rescaled onto its own interval,
+    instead of from one panel. The adaptive loop and its tolerance are those
+    of chord_angle, so every psi meets the same bound; a row may differ from
+    chord_angle's, and from releases before the sweep, in the last digit.
+    The reach row, when there is one, starts cold, exactly as chord_angle."""
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
     if count < 2:
@@ -290,9 +305,25 @@ def drawable_region(
     llo, lhi = math.log(lam_bounds[0]), math.log(lam_bounds[1])
     lams = [math.exp(llo + (lhi - llo) * i / (count - 1)) for i in range(count)]
     if hi < lam_bounds[1]:
-        lams = [lam for lam in lams if lam < hi] + [hi]
-    samples = tuple((lam, chord_angle(alpha, lam, delta_theta, tol)) for lam in lams)
-    values = [p for _, p in samples]
+        lams = [lam for lam in lams if lam < hi]
+    # every grid lambda is below the reach, so each member turns by delta_theta
+    values = []
+    edges, pa, pb = (), 0.0, 0.0  # the previous integral's interior leaf edges on [pa, pb]
+    for lam in lams:
+        f, a, b, _ = _chord_integrand(alpha, lam, delta_theta)
+        breaks = ()
+        if edges:  # one leaf carries nothing: skip the list work
+            k = (b - a) / (pb - pa)
+            breaks = [a + (e - pa) * k for e in edges]
+        edges, pa, pb = [], a, b
+        rx, ry = _integrate_components(f, a, b, tol, breaks, leaf_edges=edges)
+        values.append(math.atan2(ry.value, rx.value))
+    if hi < lam_bounds[1]:
+        # the reach is fit_g1's bracket end: a cold start, as fit_g1 takes it,
+        # so the region's end psi is the bit-same bracket end fit_g1 checks
+        lams.append(hi)
+        values.append(chord_angle(alpha, hi, delta_theta, tol))
+    samples = tuple(zip(lams, values))
     return DrawableRegion(alpha, delta_theta, min(values), max(values), samples)
 
 

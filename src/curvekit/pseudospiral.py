@@ -165,10 +165,12 @@ def _tangent(eq: NaturalEquation, ts):
 def evaluate_point(eq: NaturalEquation, s: float, tol: float = 1e-12):
     """Point (x, y) at arc length s, starting at the origin with tangent +x.
 
-    The tangent turns fastest near s = 0, over about 1/lambda of arc
-    length. The adaptive integral starts from panels cut at 1/lambda,
-    2/lambda, 4/lambda, ... below s (none shorter than s * 2^-52), so that
-    turn is sampled however long the member is.
+    Each coordinate is within tol * max(1, s) of the curve: the one position
+    contract that sample_curve and sample_qi also state. The tangent turns
+    fastest near s = 0, over about 1/lambda of arc length. The adaptive
+    integral starts from panels cut at 1/lambda, 2/lambda, 4/lambda, ...
+    below s (none shorter than s * 2^-52), so that turn is sampled however
+    long the member is.
     """
     _check_domain(eq, s)
     if s == 0.0:
@@ -178,7 +180,9 @@ def evaluate_point(eq: NaturalEquation, s: float, tol: float = 1e-12):
     while cut < s:
         breaks.append(cut)
         cut += cut
-    rx, ry = _integrate_components(partial(_tangent, eq), 0.0, s, tol, breaks)
+    rx, ry = _integrate_components(
+        partial(_tangent, eq), 0.0, s, tol, breaks, scale=max(1.0, s)
+    )
     return (rx.value, ry.value)
 
 

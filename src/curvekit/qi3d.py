@@ -264,11 +264,14 @@ def _station_tangent(spec: QiCurveSpec, s: float):
 
 
 def qi_point(spec: QiCurveSpec, s: float, tol: float = 1e-12):
-    """Point C(s): componentwise quadrature of the rotated direction field."""
+    """Point C(s): componentwise quadrature of the rotated direction field.
+
+    Each coordinate is within tol * max(1, s) of the curve, the position
+    contract that sample_qi and the planar samplers also state."""
     _check_arc(spec, s)
     if s == 0.0:
         return spec.p0
-    rx, ry, rz = _integrate_components(partial(_tangent, spec), 0.0, s, tol)
+    rx, ry, rz = _integrate_components(partial(_tangent, spec), 0.0, s, tol, scale=max(1.0, s))
     return (spec.p0[0] + rx.value, spec.p0[1] + ry.value, spec.p0[2] + rz.value)
 
 

@@ -130,16 +130,23 @@ def _eval_panel(f, a: float, b: float):
     return values, errors
 
 
-def _integrate_components(f, a: float, b: float, tol: float, breaks=()):
+def _integrate_components(
+    f, a: float, b: float, tol: float, breaks=(), *, scale: float = 1.0, leaf_edges=None
+):
     """Shared-subdivision adaptive integration of an integrand f that maps
     a node list to one column of values per component.
 
-    All components are integrated over the same panel set; a panel is
-    acceptable only when every component's accumulated estimate meets
-    max(tol, tol * |value|, floor). breaks are optional interior points,
-    increasing within (a, b): the loop starts from the panels they cut
-    [a, b] into, under the one global error budget, so a feature narrower
-    than the first panel's node spacing is not missed. Deterministic: the
+    All components are integrated over the same panel set; the set is
+    accepted only when every component's accumulated estimate meets
+    max(tol * scale, tol * |value|, floor). The default scale 1 makes that
+    target relative to each value; a scale at least as large as every
+    |value| can get makes it the absolute tol * scale. breaks are optional
+    interior points, increasing within (a, b): the loop starts from the
+    panels they cut [a, b] into, under the one global error budget, so a
+    feature narrower than the first panel's node spacing is not missed.
+    When leaf_edges is a list, the interior edges of the final panels are
+    appended to it in increasing order (none for a single panel), for a
+    caller that starts a similar integral from them. Deterministic: the
     heap is ordered by (error, insertion sequence) and the final sums run in
     spatial order.
     """
@@ -150,6 +157,7 @@ def _integrate_components(f, a: float, b: float, tol: float, breaks=()):
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
+    atol = tol * scale
     edges = (a, *breaks, b)
     totals = errs = repeat(0.0)  # one running sum per column, from 0.0
     # Heap entries: (-worst component error, sequence, a, b, depth, values, errors)
@@ -160,7 +168,7 @@ def _integrate_components(f, a: float, b: float, tol: float, breaks=()):
         errs = list(map(add, errs, errors))
         heapq.heappush(heap, (-max(errors), seq, pa, pb, 0, values, errors))
     seq = len(heap)
-    while not all(e <= max(tol, tol * abs(t), _ERR_FLOOR) for e, t in zip(errs, totals)):
+    while not all(e <= max(atol, tol * abs(t), _ERR_FLOOR) for e, t in zip(errs, totals)):
         _, _, pa, pb, depth, pv, pe = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             raise MaxDepthExceeded(
@@ -180,6 +188,8 @@ def _integrate_components(f, a: float, b: float, tol: float, breaks=()):
         seq += 2
 
     leaves = sorted(heap, key=lambda leaf: leaf[2])
+    if leaf_edges is not None and len(leaves) > 1:
+        leaf_edges += [leaf[2] for leaf in leaves[1:]]
     values = map(math.fsum, zip(*(leaf[5] for leaf in leaves)))
     errors = map(math.fsum, zip(*(leaf[6] for leaf in leaves)))
     return [IntegrationResult(v, e, len(leaves)) for v, e in zip(values, errors)]

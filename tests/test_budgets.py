@@ -29,7 +29,9 @@ def test_sample_curve_tangent_nodes(monkeypatch):
     assert 0 < nodes <= SLACK * 99
 
 
-# alpha -> (chord integrals, panels summed over them) per fit
+# alpha -> (chord integrals, panels summed over them) per fit; the panels
+# are the leaf panels each integral ends with (its subdivisions), not the
+# panels it evaluated on the way
 FIT_COUNTS = {-1.0: (12, 43), 0.0: (16, 28), 1.0: (13, 17), 2.0: (16, 91)}
 
 
@@ -52,3 +54,27 @@ def test_fit_g1_chord_integrals_and_panels(monkeypatch, alpha):
     max_integrals, max_panels = FIT_COUNTS[alpha]
     assert 0 < integrals <= SLACK * max_integrals
     assert 0 < panels <= SLACK * max_panels
+
+
+# (alpha, delta_theta) -> integrand calls, one per evaluated panel, for the
+# default 97-point region; each grid point starts from the previous one's
+# panels (a cold start per point made 379, 617 and 701)
+REGION_CALLS = {(1.0, 1.2): 305, (2.0, 1.5): 365, (10.0, 1.5): 407}
+
+
+@pytest.mark.parametrize("alpha, dth", sorted(REGION_CALLS))
+def test_drawable_region_integrand_calls(monkeypatch, alpha, dth):
+    calls = 0
+    integrate = he._integrate_components
+
+    def counted_integrate(f, *args, **kwargs):
+        def counted(nodes):
+            nonlocal calls
+            calls += 1
+            return f(nodes)
+
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(he, "_integrate_components", counted_integrate)
+    he.drawable_region(alpha, dth)
+    assert 0 < calls <= SLACK * REGION_CALLS[alpha, dth]

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvekit.hermite import (
@@ -429,3 +429,40 @@ def test_region_rejects_bad_turning():
         drawable_region(1.0, 0.0)
     with pytest.raises(ValueError):
         drawable_region(1.0, 3.5)
+
+
+def _cold_grid(alpha, dth, lo, hi, count):
+    """The region's lambda column, built without curvekit: count log-spaced
+    points of [lo, hi], those at or past the reach replaced by the reach."""
+    llo, lhi = math.log(lo), math.log(hi)
+    lams = [math.exp(llo + (lhi - llo) * i / (count - 1)) for i in range(count)]
+    if alpha < 1.0:
+        reach = (1.0 - 1e-8) / dth / (1.0 - alpha)
+        if reach < hi:
+            lams = [lam for lam in lams if lam < reach] + [reach]
+    return lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-3.0, 10.0)),
+    dth=st.floats(0.05, 3.0),
+    count=st.integers(2, 200),
+    ends=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2, unique=True),
+)
+def test_region_sweep_matches_independent_chord_angles(alpha, dth, count, ends):
+    # the sweep carries each grid point's panels to the next; every row must
+    # still be the chord angle of its own lambda, on the cold grid
+    lo, hi = (10.0**e for e in sorted(ends))
+    assume(lo < hi)  # distinct exponents can still round to one power of 10
+    try:
+        reg = drawable_region(alpha, dth, (lo, hi), count)
+    except EmptyRegion:
+        assert alpha < 1.0 and (1.0 - 1e-8) / dth / (1.0 - alpha) <= lo
+        return
+    lams = [lam for lam, _ in reg.boundary_samples]
+    assert lams == _cold_grid(alpha, dth, lo, hi, count)
+    for lam, psi in reg.boundary_samples:
+        assert abs(psi - chord_angle(alpha, lam, dth)) <= 1e-13
+    psis = [psi for _, psi in reg.boundary_samples]
+    assert (reg.psi_min, reg.psi_max) == (min(psis), max(psis))

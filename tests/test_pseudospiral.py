@@ -1,5 +1,6 @@
 """Curve family tests: closed forms, named members, sampling, transforms."""
 
+import cmath
 import math
 import random
 import re
@@ -396,6 +397,17 @@ def test_evaluate_point_resolves_a_turn_narrower_than_its_first_panel():
     assert abs(y - want_y) <= 1e-10
     assert abs(x - want_x) <= 1e-10
     assert abs(y - 0.99988333647220) <= 1e-12
+
+
+def test_evaluate_point_meets_the_arc_length_target_on_a_long_log_spiral():
+    # about 6,909 rad of turning over s = 1e6 while |P| stays near 1,000: a
+    # target relative to the point, not to s, ran out of panels here
+    eq = NaturalEquation(1.0, 1e-3)
+    s = 1e6
+    x, y = evaluate_point(eq, s)
+    theta = math.log1p(eq.lam * s) / eq.lam
+    want = (cmath.exp((eq.lam + 1j) * theta) - 1.0) / (eq.lam + 1j)
+    assert max(abs(x - want.real), abs(y - want.imag)) <= 1e-12 * s
 
 
 def test_sample_curve_on_a_log_spiral_of_length_2_5e24():
