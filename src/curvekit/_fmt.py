@@ -19,9 +19,20 @@ def fmt(x: float) -> str:
 
 
 class Record:
-    """Mixin for dataclass records: as_dict() maps each field, in declaration
-    order, to its JSON shape (tuples and lists become new lists, nested
-    records their own as_dict(), scalars stay as they are)."""
+    """Mixin for frozen dataclass records: list fields, and lists one level
+    down, are stored as tuples (hashable, no list shared with the caller).
+    as_dict() maps each field, in declaration order, to its JSON shape (tuples
+    and lists become new lists, nested records their own as_dict())."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            seq = getattr(self, f.name)
+            if isinstance(seq, (tuple, list)):
+                if set(map(type, seq)) <= {tuple, list}:  # pairs, at C speed
+                    seq = tuple(map(tuple, seq))
+                else:
+                    seq = tuple(tuple(v) if isinstance(v, (tuple, list)) else v for v in seq)
+                object.__setattr__(self, f.name, seq)
 
     def as_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}

@@ -43,9 +43,6 @@ class LcgReport(Record):
     rms_residual: float
     dropped: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
-
 
 @dataclass(frozen=True)
 class MonotonicityReport(Record):
@@ -60,9 +57,6 @@ class MonotonicityReport(Record):
     direction: str
     violations: tuple
     tolerance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(map(tuple, self.violations)))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .analysis import (
 from .hermite import (
     _DEFAULT_BOUNDS,
     _REGION_POINTS,
-    DegenerateInput,
     EmptyRegion,
     HermiteProblem,
     NoSolution,
@@ -42,7 +41,6 @@ from .hermite import (
 from .pseudospiral import (
     DomainExceeded,
     NaturalEquation,
-    UnknownName,
     named_curve,
     sample_curve,
     NAMED_CURVES,
@@ -50,7 +48,6 @@ from .pseudospiral import (
 from .qi3d import QiCurveSpec, sample_qi
 from .quadrature import MaxDepthExceeded, NonFiniteIntegrand
 from .render import (
-    EmptyInput,
     OrnamentSpec,
     PlotSpec,
     curve_from_rows,
@@ -71,8 +68,9 @@ EXIT_NO_SOLUTION = 4
 
 @dataclass
 class Config:
-    """Run configuration: built-in defaults, then config file, then the
-    output-directory environment variable, then flags."""
+    """Run configuration. Each setting comes from the first of: a flag whose
+    dest is the field's name (unless None), the CURVEKIT_OUT_DIR environment
+    variable (out_dir only), the config file, the built-in default."""
 
     tol: float = 1e-10
     samples: int = 1000
@@ -81,13 +79,16 @@ class Config:
     lambda_max: float = _DEFAULT_BOUNDS[1]
 
     @classmethod
-    def load(cls, path: str | None) -> "Config":
+    def load(cls, path: str | None, args=None) -> "Config":
         cfg = cls()
         if path is not None:
             cfg._apply_file(path)
         env_dir = os.environ.get(ENV_OUT_DIR)
         if env_dir:
             cfg.out_dir = env_dir
+        for f in fields(cfg):
+            if getattr(args, f.name, None) is not None:
+                setattr(cfg, f.name, getattr(args, f.name))
         return cfg
 
     def _apply_file(self, path: str) -> None:
@@ -174,16 +175,12 @@ def _add_family_args(p):
                    help="curvature decay rate")
     p.add_argument("--s-end", dest="s_end", type=float, default=1.0,
                    help="arc length to sample (default 1)")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", dest="samples", metavar="N", type=int,
                    help="sample count (default from config)")
 
 
-def _count(args, cfg: Config) -> int:
-    return args.n if args.n is not None else cfg.samples
-
-
 def _sampled_from_args(args, cfg: Config):
-    return sample_curve(_equation_from_args(args), args.s_end, _count(args, cfg))
+    return sample_curve(_equation_from_args(args), args.s_end, cfg.samples)
 
 
 def _input_or_sampled(args, cfg: Config):
@@ -243,7 +240,7 @@ def _cmd_lcg(args, cfg: Config) -> int:
         report = lcg_from_samples(_load_curve_csv(args.input))
     else:
         eq = _equation_from_args(args)
-        report = lcg_analytic(eq, (0.0, args.s_end), _count(args, cfg))
+        report = lcg_analytic(eq, (0.0, args.s_end), cfg.samples)
     return _report(
         args, cfg, report,
         f"slope = {fmt(report.slope)}  intercept = {fmt(report.intercept)}  "
@@ -259,11 +256,7 @@ def _cmd_fit(args, cfg: Config) -> int:
         t_end=(math.cos(args.end_angle), math.sin(args.end_angle)),
         alpha=args.alpha,
     )
-    segment = fit_g1(
-        problem,
-        tol=args.tol if args.tol is not None else cfg.tol,
-        lam_bounds=(cfg.lambda_min, cfg.lambda_max),
-    )
+    segment = fit_g1(problem, tol=cfg.tol, lam_bounds=(cfg.lambda_min, cfg.lambda_max))
     if args.svg:
         spec = PlotSpec(curves=(segment.sample(400),))
         _write_text(args.svg, plot_svg(spec), cfg.out_dir)
@@ -277,9 +270,8 @@ def _cmd_fit(args, cfg: Config) -> int:
 
 
 def _cmd_region(args, cfg: Config) -> int:
-    lo = args.lambda_min if args.lambda_min is not None else cfg.lambda_min
-    hi = args.lambda_max if args.lambda_max is not None else cfg.lambda_max
-    region = drawable_region(args.alpha, args.delta_theta, (lo, hi), args.points)
+    bounds = (cfg.lambda_min, cfg.lambda_max)
+    region = drawable_region(args.alpha, args.delta_theta, bounds, args.points)
     rows = ["lambda,psi"]
     rows.extend(f"{fmt(lam)},{fmt(psi)}" for lam, psi in region.boundary_samples)
     return _wrote(
@@ -307,12 +299,11 @@ def _cmd_qi(args, cfg: Config) -> int:
             "v0": _parse_floats(args.v0, 3, "--v0"),
             "s_total": args.s_total,
         })
-    count = _count(args, cfg)
-    rows = sample_qi(spec, count)
+    rows = sample_qi(spec, cfg.samples)
     end = rows[-1]
     return _wrote(
         args.out, export_csv(rows), cfg,
-        f"samples = {count}  s_total = {fmt(spec.s_total)}  "
+        f"samples = {cfg.samples}  s_total = {fmt(spec.s_total)}  "
         f"end = ({fmt(end[1])}, {fmt(end[2])}, {fmt(end[3])})",
     )
 
@@ -420,7 +411,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p0", default="0,0,0", help="start point (default origin)")
     p.add_argument("--v0", default="1,0,0", help="swept unit vector (default +x)")
     p.add_argument("--s-total", dest="s_total", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=None, help="sample count")
+    p.add_argument("--n", dest="samples", metavar="N", type=int, help="sample count")
     p.add_argument("--out", default="qi.csv", help="output CSV path")
     p.set_defaults(handler=_cmd_qi)
 
@@ -467,7 +458,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ARGS
     try:
-        cfg = Config.load(args.config)
+        cfg = Config.load(args.config, args)
         return args.handler(args, cfg)
     except DomainExceeded as exc:
         print(f"domain error: {exc}", file=sys.stderr)
@@ -487,7 +478,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return EXIT_NO_SOLUTION
-    except (DegenerateInput, UnknownName, EmptyInput, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS
 

@@ -22,7 +22,7 @@ from .pseudospiral import (
     Similarity,
     sample_curve,
 )
-from .quadrature import _integrate_components
+from .quadrature import _integrate_components, _stations
 
 __all__ = [
     "DegenerateInput",
@@ -258,9 +258,6 @@ class DrawableRegion(Record):
     psi_max: float
     boundary_samples: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "boundary_samples", tuple(map(tuple, self.boundary_samples)))
-
 
 def _reach(alpha: float, delta_theta: float, lam_bounds):
     """Largest usable lambda in lam_bounds, or None when none above
@@ -269,6 +266,8 @@ def _reach(alpha: float, delta_theta: float, lam_bounds):
     lo, hi = lam_bounds
     if not 0.0 < lo < hi:
         raise ValueError("lam_bounds requires 0 < lo < hi")
+    if hi == math.inf:
+        raise ValueError("lam_bounds must be finite")
     if alpha < 1.0:
         hi = min(hi, (1.0 - _REACH_MARGIN) / delta_theta / (1.0 - alpha))
     return hi if lo < hi else None
@@ -294,16 +293,14 @@ def drawable_region(
     The reach row, when there is one, starts cold, exactly as chord_angle."""
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
-    if count < 2:
-        raise ValueError("count must be at least 2")
     hi = _reach(alpha, delta_theta, lam_bounds)
+    # bad bounds are reported before a bad count, a bad count before an empty region
+    lams = [math.exp(v) for v in _stations(*map(math.log, lam_bounds), count)]
     if hi is None:
         raise EmptyRegion(
             f"no lambda in [{lam_bounds[0]!r}, {lam_bounds[1]!r}] reaches "
             f"turning {delta_theta!r} for alpha = {alpha!r}"
         )
-    llo, lhi = math.log(lam_bounds[0]), math.log(lam_bounds[1])
-    lams = [math.exp(llo + (lhi - llo) * i / (count - 1)) for i in range(count)]
     if hi < lam_bounds[1]:
         lams = [lam for lam in lams if lam < hi]
     # every grid lambda is below the reach, so each member turns by delta_theta
@@ -366,6 +363,8 @@ def fit_g1(
     lam_bounds[1], or for alpha < 1 at most (1 - 1e-8) / (delta_theta (1 - alpha)).
     The residual is the remaining chord-angle mismatch in radians; it
     exceeds tol only when the root-find stalls."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     quad_tol = min(1e-12, tol * 1e-2)
     cx = problem.p_end[0] - problem.p_start[0]
     cy = problem.p_end[1] - problem.p_start[1]

@@ -211,7 +211,7 @@ class Similarity(Record):
     def __post_init__(self):
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
-        object.__setattr__(self, "translation", tuple(self.translation))
+        super().__post_init__()
 
     def apply_point(self, x: float, y: float):
         if self.mirror:

@@ -277,7 +277,6 @@ def qi_point(spec: QiCurveSpec, s: float, tol: float = 1e-12):
 
 def qi_frame(spec: QiCurveSpec, s: float, tol: float = 1e-12):
     """(point, unit tangent) at arc length s."""
-    _check_arc(spec, s)
     return qi_point(spec, s, tol), _station_tangent(spec, s)
 
 

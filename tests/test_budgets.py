@@ -2,14 +2,19 @@
 the count measured when each budget was set plus 10%. A change that lowers
 a count tightens its ceiling; raising one needs a stated reason."""
 
+import contextlib
+import io
 import math
 
 import pytest
 
 import curvekit.hermite as he
 import curvekit.pseudospiral as ps
+import curvekit.qi3d as qi
+from curvekit import cli
 from curvekit.hermite import HermiteProblem, fit_g1
 from curvekit.pseudospiral import NaturalEquation, sample_curve
+from curvekit.qi3d import QiCurveSpec, QuaternionCurve, UnitQuaternion, q_exp, sample_qi
 
 SLACK = 1.1
 
@@ -58,8 +63,15 @@ def test_fit_g1_chord_integrals_and_panels(monkeypatch, alpha):
 
 # (alpha, delta_theta) -> integrand calls, one per evaluated panel, for the
 # default 97-point region; each grid point starts from the previous one's
-# panels (a cold start per point made 379, 617 and 701)
-REGION_CALLS = {(1.0, 1.2): 305, (2.0, 1.5): 365, (10.0, 1.5): 407}
+# panels (a cold start per point made 379, 617 and 701). For alpha < 1 the
+# grid stops below the reach and the region ends on a cold reach row.
+REGION_CALLS = {
+    (-1.0, 1.5): 60,
+    (0.5, 1.0): 56,
+    (1.0, 1.2): 305,
+    (2.0, 1.5): 365,
+    (10.0, 1.5): 407,
+}
 
 
 @pytest.mark.parametrize("alpha, dth", sorted(REGION_CALLS))
@@ -78,3 +90,46 @@ def test_drawable_region_integrand_calls(monkeypatch, alpha, dth):
     monkeypatch.setattr(he, "_integrate_components", counted_integrate)
     he.drawable_region(alpha, dth)
     assert 0 < calls <= SLACK * REGION_CALLS[alpha, dth]
+
+
+@pytest.mark.parametrize("count", [50, 1000])
+def test_sample_qi_tangent_nodes(monkeypatch, count):
+    # the README circle: one Chebyshev piece of 33 nodes, whatever the count
+    nodes = 0
+    tangent = qi._tangent
+
+    def counted(spec, ss):
+        nonlocal nodes
+        nodes += len(ss)
+        return tangent(spec, ss)
+
+    monkeypatch.setattr(qi, "_tangent", counted)
+    circle = QiCurveSpec(
+        p0=(0.0, 0.0, 0.0),
+        v0=(1.0, 0.0, 0.0),
+        qcurve=QuaternionCurve((
+            UnitQuaternion(1.0, 0.0, 0.0, 0.0),
+            q_exp((0.0, 0.0, math.pi / 2)),
+            q_exp((0.0, 0.0, math.pi)),
+        )),
+        s_total=math.tau,
+    )
+    sample_qi(circle, count)
+    assert 0 < nodes <= SLACK * 33
+
+
+def test_one_parser_build_per_process(tmp_path, monkeypatch):
+    # the parser is cached: in-process callers (the benchmark's space
+    # workload among them) must not rebuild it per call
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    calls = (
+        ["curve", "--alpha", "1", "--lambda", "1", "--n", "5"],
+        ["curve", "--bogus"],
+        ["region", "--alpha", "2", "--delta-theta", "1", "--points", "3"],
+        ["qi", "--controls", "1,0,0,0;0.8,0.6,0,0", "--n", "4"],
+    )
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for args in calls:
+            cli.main(args)
+    assert cli._build_parser.cache_info().misses <= 1

@@ -1,16 +1,23 @@
 """End-to-end CLI tests, mostly through subprocess: exit codes, files,
 determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvekit import cli
+from curvekit.hermite import HermiteProblem, drawable_region, fit_g1
 from curvekit.pseudospiral import CurveSample, Pose, SampledCurve
 from curvekit.render import export_csv
 
@@ -570,3 +577,121 @@ def test_extreme_parameters_exit_1_with_one_error_line(tmp_path, monkeypatch, ca
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == []
+
+
+README_FIT = ["fit", "--start", "0,0", "--end", "0.7,0.72", "--start-angle", "0",
+              "--end-angle", "1.2"]
+
+
+def readme_problem(alpha):
+    return HermiteProblem((0.0, 0.0), (0.7, 0.72), (1.0, 0.0),
+                          (math.cos(1.2), math.sin(1.2)), alpha)
+
+
+@pytest.mark.parametrize(
+    "command, alpha, bounds",
+    [
+        ("region", 0.5, (1e-6, math.inf)),  # was one row, exit 0
+        ("region", 2.0, (1e-6, math.inf)),  # was "integration bounds must be finite"
+        ("fit", 2.0, (1e-6, math.inf)),  # was a numerical failure, exit 2
+        ("region", 2.0, (-math.inf, 1e6)),
+        ("fit", 2.0, (math.nan, 1e6)),
+    ],
+)
+def test_non_finite_lambda_bounds_exit_1(tmp_path, monkeypatch, capsys, command, alpha, bounds):
+    with pytest.raises(ValueError, match="lam_bounds"):
+        if command == "region":
+            drawable_region(alpha, 1.0, bounds)
+        else:
+            fit_g1(readme_problem(alpha), lam_bounds=bounds)
+    # the CLI takes region's bounds as flags and fit's from a config file
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    (tmp_path / "ck.cfg").write_text(
+        f"lambda_min = {bounds[0]!r}\nlambda_max = {bounds[1]!r}\n")
+    if command == "region":
+        args = ["region", "--alpha", repr(alpha), "--delta-theta", "1",
+                f"--lambda-min={bounds[0]!r}", f"--lambda-max={bounds[1]!r}"]
+    else:
+        args = ["--config", "ck.cfg", *README_FIT, "--alpha", repr(alpha)]
+    code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lam_bounds") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["ck.cfg"]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_fit_rejects_tol_outside_zero_to_inf(tmp_path, monkeypatch, capsys, tol):
+    # inf ended on the bracket end with exit 0; nan ignored the tolerance
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        fit_g1(readme_problem(2.0), tol=tol)
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    args = [*README_FIT, "--alpha", "2", "--tol", repr(tol)]
+    code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
+    assert (code, out, err) == (1, "", "error: tol must be positive and finite\n")
+
+
+# setting -> (its flag, values to draw); lambda_min stays below lambda_max
+PRECEDENCE = {
+    "samples": ("--n", st.integers(2, 40)),
+    "lambda_min": ("--lambda-min", st.floats(1e-4, 1.0)),
+    "lambda_max": ("--lambda-max", st.floats(10.0, 1e4)),
+    "tol": ("--tol", st.floats(1e-9, 1e-4)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fixed_dictionaries({
+    name: st.tuples(st.none() | values, st.none() | values)
+    for name, (_, values) in PRECEDENCE.items()
+}))
+def test_flag_then_file_then_builtin(drawn):
+    # drawn: setting -> (flag value, config file value), each maybe absent
+    builtin = cli.Config()
+    want = {name: next((v for v in (flag, key) if v is not None), getattr(builtin, name))
+            for name, (flag, key) in drawn.items()}
+
+    def flags(*names):
+        return [a for n in names if drawn[n][0] is not None
+                for a in (PRECEDENCE[n][0], repr(drawn[n][0]))]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = [f"{name} = {key!r}\n" for name, (_, key) in drawn.items() if key is not None]
+        head = []
+        if config:
+            with open(os.path.join(tmp, "ck.cfg"), "w", encoding="utf-8") as fh:
+                fh.writelines(config)
+            head = ["--config", os.path.join(tmp, "ck.cfg")]
+
+        def run(*args):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([*head, *args])
+            assert 0 <= code <= 4 and "Traceback" not in err.getvalue(), (args, err.getvalue())
+            return code
+
+        def csv_rows(name):
+            with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                return fh.read().splitlines()[1:]
+
+        out = os.path.join(tmp, "c.csv")
+        assert run("curve", "--alpha", "1", "--lambda", "1", "--out", out,
+                   *flags("samples")) == 0
+        assert len(csv_rows("c.csv")) == want["samples"]
+
+        out = os.path.join(tmp, "r.csv")
+        assert run("region", "--alpha", "2", "--delta-theta", "1", "--points", "3",
+                   "--out", out, *flags("lambda_min", "lambda_max")) == 0
+        lams = [float(row.split(",")[0]) for row in csv_rows("r.csv")]
+        lo, hi = math.log(want["lambda_min"]), math.log(want["lambda_max"])
+        # the last grid point is lo + (hi - lo), which need not round to hi
+        assert (lams[0], lams[-1]) == (math.exp(lo), math.exp(lo + (hi - lo)))
+
+        seen = []
+
+        def recording(problem, tol, lam_bounds):
+            seen.append(tol)
+            return fit_g1(problem, tol, lam_bounds)
+
+        with mock.patch.object(cli, "fit_g1", recording):
+            run(*README_FIT, "--alpha", "2", *flags("tol"))
+        assert seen == [want["tol"]]

@@ -431,6 +431,17 @@ def test_region_rejects_bad_turning():
         drawable_region(1.0, 3.5)
 
 
+def test_region_checks_bounds_then_count_then_reach():
+    # the grid comes from quadrature._stations after _reach has checked the
+    # bounds, and before the empty-region check
+    with pytest.raises(ValueError, match="count must be at least 2"):
+        drawable_region(0.5, 1.0, (10.0, 20.0), count=1)  # empty, bad count
+    with pytest.raises(EmptyRegion):
+        drawable_region(0.5, 1.0, (10.0, 20.0), count=2)
+    with pytest.raises(ValueError, match="lam_bounds requires"):
+        drawable_region(2.0, 1.0, (2.0, 1.0), count=1)  # bad bounds, bad count
+
+
 def _cold_grid(alpha, dth, lo, hi, count):
     """The region's lambda column, built without curvekit: count log-spaced
     points of [lo, hi], those at or past the reach replaced by the reach."""

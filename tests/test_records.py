@@ -130,12 +130,16 @@ def test_records_built_from_lists_are_hashable_and_immutable():
         LcgReport(pairs, 0.5, 1.0, 0.0),
         MonotonicityReport(False, "non-monotone", pairs, 1e-12),
         DrawableRegion(1.0, 0.5, 0.1, 0.2, pairs),
+        FittedSegment(NaturalEquation(1, 1), 1.0, Similarity(), 0.0, [2.0]),
+        StressMarker(0.0, 1.0, 0.75),
     ]
     given = [
         Similarity(0.0, 1.0, (1.0, 2.0)),
         LcgReport(((0.0, 1.5), (0.25, 2.0)), 0.5, 1.0, 0.0),
         MonotonicityReport(False, "non-monotone", ((0.0, 1.5), (0.25, 2.0)), 1e-12),
         DrawableRegion(1.0, 0.5, 0.1, 0.2, ((0.0, 1.5), (0.25, 2.0))),
+        FittedSegment(NaturalEquation(1, 1), 1.0, Similarity(), 0.0, (2.0,)),
+        StressMarker(0.0, 1.0, 0.75),
     ]
     pairs[0][0] = 9.0  # the caller's lists are not shared
     for record, same in zip(built, given):
