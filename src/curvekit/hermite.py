@@ -22,7 +22,7 @@ from .pseudospiral import (
     Similarity,
     sample_curve,
 )
-from .quadrature import _integrate_components, _stations
+from .quadrature import _check_tol, _integrate_components, _stations
 
 __all__ = [
     "DegenerateInput",
@@ -363,8 +363,7 @@ def fit_g1(
     lam_bounds[1], or for alpha < 1 at most (1 - 1e-8) / (delta_theta (1 - alpha)).
     The residual is the remaining chord-angle mismatch in radians; it
     exceeds tol only when the root-find stalls."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
     quad_tol = min(1e-12, tol * 1e-2)
     cx = problem.p_end[0] - problem.p_start[0]
     cy = problem.p_end[1] - problem.p_start[1]

@@ -16,6 +16,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from operator import lt
+from typing import NamedTuple
 
 from ._fmt import Record
 from .quadrature import _accumulate, _integrate_components, _stations
@@ -228,9 +230,11 @@ class Similarity(Record):
         return self.rotation + (-theta if self.mirror else theta)
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    """One station of a sampled curve: arc length, point, tangent, curvature."""
+class CurveSample(NamedTuple):
+    """One station of a sampled curve: arc length, point, tangent, curvature.
+
+    A tuple row (s, x, y, theta, kappa): it unpacks, compares and hashes as
+    that 5-tuple, and formats as one CSV row without a copy."""
 
     s: float
     x: float
@@ -259,11 +263,11 @@ class SampledCurve:
         pts = tuple(self.samples)
         if not pts:
             raise ValueError("samples must be nonempty")
-        if pts[0].s != 0.0:
+        s = [p.s for p in pts]
+        if s[0] != 0.0:
             raise ValueError("samples must start at s = 0")
-        for prev, cur in zip(pts, pts[1:]):
-            if not cur.s > prev.s:
-                raise ValueError("sample arc lengths must increase strictly")
+        if not all(map(lt, s, s[1:])):
+            raise ValueError("sample arc lengths must increase strictly")
         object.__setattr__(self, "samples", pts)
 
     @property

@@ -154,8 +154,7 @@ def _integrate_components(
         raise ValueError("integration bounds must be finite")
     if a > b:
         raise ValueError("integration requires a <= b")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
 
     atol = tol * scale
     edges = (a, *breaks, b)
@@ -193,6 +192,12 @@ def _integrate_components(
     values = map(math.fsum, zip(*(leaf[5] for leaf in leaves)))
     errors = map(math.fsum, zip(*(leaf[6] for leaf in leaves)))
     return [IntegrationResult(v, e, len(leaves)) for v, e in zip(values, errors)]
+
+
+def _check_tol(tol: float) -> None:
+    # tol = inf would accept the first estimate, tol <= 0 or nan never converges
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
 
 def _chebyshev_piece(f, a: float, b: float, tol: float):
@@ -270,8 +275,10 @@ def _accumulate(f, stations, tol: float):
     tol * (s - stations[0]) times the size of f. The first station yields
     exact zeros. Raises MaxDepthExceeded when a piece can no longer be
     halved in floating point or _MAX_PANELS pieces have been sampled, and
-    NonFiniteIntegrand on a nan or inf sample.
+    NonFiniteIntegrand on a nan or inf sample, and ValueError unless
+    0 < tol < inf.
     """
+    _check_tol(tol)
     stations = list(stations)
     offsets = None  # per lane: the integral up to the current piece
     pending = [(stations[0], stations[-1])]  # pieces to the right, nearest last

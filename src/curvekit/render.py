@@ -102,11 +102,12 @@ class OrnamentSpec:
 
 
 class _CanvasMap:
-    """Uniform-scale world-to-canvas transform fitting a bounding box."""
+    """Uniform-scale world-to-canvas transform fitting the bounding box of
+    curve samples."""
 
-    def __init__(self, points, size, margin):
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
+    def __init__(self, samples, size, margin):
+        xs = [p.x for p in samples]
+        ys = [p.y for p in samples]
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         w, h = size
@@ -133,6 +134,11 @@ class _CanvasMap:
             self.oy - self.k * (y - self.cy),
         )
 
+    def points(self, samples):
+        """point(x, y) of every sample, in one pass (the same expressions)."""
+        ox, oy, k, cx, cy = self.ox, self.oy, self.k, self.cx, self.cy
+        return [(ox + k * (x - cx), oy - k * (y - cy)) for _, x, y, _, _ in samples]
+
     def angle(self, theta):
         return -theta  # y flip reverses angles
 
@@ -151,7 +157,7 @@ _SEGMENT = f"L {FIELD} {FIELD}"
 
 def _path_d(canvas_points):
     parts = [f"M {fmt(canvas_points[0][0])} {fmt(canvas_points[0][1])}"]
-    parts.extend(_SEGMENT % (x, y) for x, y in canvas_points[1:])
+    parts.extend(map(_SEGMENT.__mod__, canvas_points[1:]))
     return " ".join(parts)
 
 
@@ -204,8 +210,7 @@ def plot_svg(spec: PlotSpec) -> str:
     """Render curves as polyline paths; deterministic byte-for-byte."""
     if not spec.curves:
         raise EmptyInput("no curves to plot")
-    world = [(p.x, p.y) for c in spec.curves for p in c.samples]
-    cmap = _CanvasMap(world, spec.size, spec.margin)
+    cmap = _CanvasMap([p for c in spec.curves for p in c.samples], spec.size, spec.margin)
 
     lines = [_svg_open(spec.size)]
     if spec.axes:
@@ -216,8 +221,7 @@ def plot_svg(spec: PlotSpec) -> str:
             f'L {fmt(x0)} {fmt(h)}" fill="none" stroke="#888888" stroke-width="1"/>'
         )
     for curve in spec.curves:
-        pts = [cmap.point(p.x, p.y) for p in curve.samples]
-        d = _path_d(pts)
+        d = _path_d(cmap.points(curve.samples))
         for width in spec.stroke_widths:
             lines.append(
                 f'<path d="{d}" fill="none" stroke="#000000" '
@@ -260,12 +264,11 @@ def ornament_svg(spec: OrnamentSpec) -> str:
         color = spec.palette[j % len(spec.palette)]
         records.append((p, size, color))
 
-    world = [(p.x, p.y) for p in path.samples]
-    cmap = _CanvasMap(world, spec.size, spec.margin)
+    cmap = _CanvasMap(path.samples, spec.size, spec.margin)
     lines = [_svg_open(spec.size)]
-    pts = [cmap.point(q.x, q.y) for q in path.samples]
     lines.append(
-        f'<path d="{_path_d(pts)}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
+        f'<path d="{_path_d(cmap.points(path.samples))}" fill="none" stroke="#bbbbbb" '
+        'stroke-width="1"/>'
     )
     for p, size, color in records:
         cx, cy = cmap.point(p.x, p.y)
@@ -295,13 +298,13 @@ def export_csv(data) -> str:
     7-field records writes the 3D header s,x,y,z,tx,ty,tz. Floats are
     formatted for exact round-trips; newlines are LF. Each row is one
     printf template of the header's width, with the same bytes as joining
-    fmt of every field.
+    fmt of every field; a 2D sample is such a row already.
     """
     if isinstance(data, SampledCurve):
-        rows = [(p.s, p.x, p.y, p.theta, p.kappa) for p in data.samples]
+        rows = data.samples
         header = _HEADER_2D
     else:
-        rows = [tuple(float(v) for v in row) for row in data]
+        rows = [tuple(map(float, row)) for row in data]
         header = _HEADER_3D
         for row in rows:
             if len(row) != 7:
@@ -310,7 +313,7 @@ def export_csv(data) -> str:
         raise EmptyInput("no samples to export")
     template = ",".join([FIELD] * len(rows[0]))
     out = [header]
-    out.extend(template % row for row in rows)
+    out.extend(map(template.__mod__, rows))
     return "\n".join(out) + "\n"
 
 
@@ -322,18 +325,22 @@ def parse_csv(text: str):
     fields = tuple(lines[0].strip().split(","))
     if fields not in (tuple(_HEADER_2D.split(",")), tuple(_HEADER_3D.split(","))):
         raise ValueError(f"unrecognized CSV header: {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
-        values = tuple(float(v) for v in ln.split(","))
-        if len(values) != len(fields):
-            raise ValueError(f"row width {len(values)} does not match header")
-        rows.append(values)
+    try:
+        rows = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
+        ok = set(map(len, rows)) <= {len(fields)}
+    except ValueError:
+        ok = False
+    if not ok:  # report the first faulty row, its bad number before its width
+        for ln in lines[1:]:
+            values = tuple(float(v) for v in ln.split(","))
+            if len(values) != len(fields):
+                raise ValueError(f"row width {len(values)} does not match header")
     return fields, rows
 
 
 def curve_from_rows(rows) -> SampledCurve:
     """Rebuild a SampledCurve from parsed 2D CSV rows."""
-    samples = tuple(CurveSample(*row) for row in rows)
+    samples = tuple(map(CurveSample._make, rows))
     if not samples:
         raise EmptyInput("no rows")
     first = samples[0]

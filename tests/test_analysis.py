@@ -133,6 +133,17 @@ def test_nonpositive_curvature_rejected():
         lcg_from_samples([(0.0, 1.0), (0.1, 0.0), (0.2, 0.5)])
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([(0.0, 1.0), (0.1, 0.0), (0.2, math.nan)], "kappa must be positive"),
+    ([(0.0, 1.0), (0.1, math.inf), (0.2, -1.0)], "samples must be finite"),
+    ([(0.0, 1.0), (math.nan, 0.5), (0.2, -1.0)], "samples must be finite"),
+    ([(0.0, 1.0), (0.1, -0.5), (math.inf, 0.5)], "kappa must be positive"),
+])
+def test_lcg_from_samples_names_the_first_faulty_sample(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        lcg_from_samples(pairs)
+
+
 def test_too_few_points_degenerate():
     with pytest.raises(DegenerateLcg):
         lcg_from_functions(lambda s: math.exp(-s), lambda s: -math.exp(-s), [0.5])

@@ -34,6 +34,28 @@ def test_sample_curve_tangent_nodes(monkeypatch):
     assert 0 < nodes <= SLACK * 99
 
 
+# alpha -> tangent nodes of one 2,000-station sweep at lambda = 0.003 to
+# s = 100 (0.9 of the alpha = -3 domain): 13 or 15 pieces of 33 nodes
+SWEEP_NODES = {
+    -3.0: 429, -1.0: 429, -0.5: 429, 0.0: 495, 0.5: 495, 1.0: 495, 2.0: 495, 10.0: 495,
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(SWEEP_NODES))
+def test_sample_curve_tangent_nodes_per_alpha(monkeypatch, alpha):
+    nodes = 0
+    tangent = ps._tangent
+
+    def counted(eq, ts):
+        nonlocal nodes
+        nodes += len(ts)
+        return tangent(eq, ts)
+
+    monkeypatch.setattr(ps, "_tangent", counted)
+    sample_curve(NaturalEquation(alpha, 0.003), 100.0, 2000)
+    assert 0 < nodes <= SLACK * SWEEP_NODES[alpha]
+
+
 # alpha -> (chord integrals, panels summed over them) per fit; the panels
 # are the leaf panels each integral ends with (its subdivisions), not the
 # panels it evaluated on the way
@@ -116,6 +138,32 @@ def test_sample_qi_tangent_nodes(monkeypatch, count):
     )
     sample_qi(circle, count)
     assert 0 < nodes <= SLACK * 33
+
+
+def test_sample_qi_one_quaternion_evaluation_per_station(monkeypatch):
+    # each station's tangent rotates v0 by one eval_quaternion_curve; the
+    # position sweep evaluates the tangent field through its column call
+    calls = 0
+    evaluate = qi.eval_quaternion_curve
+
+    def counted(curve, t):
+        nonlocal calls
+        calls += 1
+        return evaluate(curve, t)
+
+    monkeypatch.setattr(qi, "eval_quaternion_curve", counted)
+    spec = QiCurveSpec(
+        p0=(0.0, 0.0, 0.0),
+        v0=(1.0, 0.0, 0.0),
+        qcurve=QuaternionCurve((
+            UnitQuaternion(1.0, 0.0, 0.0, 0.0),
+            UnitQuaternion(0.8, 0.6, 0.0, 0.0),
+            UnitQuaternion(0.6, 0.0, 0.8, 0.0),
+        )),
+        s_total=3.0,
+    )
+    sample_qi(spec, 500)
+    assert 0 < calls <= SLACK * 500
 
 
 def test_one_parser_build_per_process(tmp_path, monkeypatch):

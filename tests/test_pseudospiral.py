@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import curvekit.pseudospiral as ps
 from curvekit.pseudospiral import (
+    CurveSample,
     DomainExceeded,
     NaturalEquation,
     Pose,
@@ -523,6 +524,27 @@ def test_sampled_curve_validation():
     bad = (sc.samples[0], sc.samples[2], sc.samples[1])
     with pytest.raises(ValueError):
         SampledCurve(eq, bad)
+    first, mid, last = sc.samples
+    for bad in (
+        (first, mid, mid),  # a repeated arc length
+        (first, mid._replace(s=math.nan), last),
+        (first, mid, last._replace(s=math.nan)),
+    ):
+        with pytest.raises(ValueError, match="increase strictly"):
+            SampledCurve(eq, bad)
+
+
+def test_curve_sample_is_a_tuple_row():
+    p = CurveSample(0.5, 1.0, -2.0, 0.25, 3.0)
+    assert CurveSample._fields == ("s", "x", "y", "theta", "kappa")
+    assert repr(p) == "CurveSample(s=0.5, x=1.0, y=-2.0, theta=0.25, kappa=3.0)"
+    assert p == (0.5, 1.0, -2.0, 0.25, 3.0) and tuple(p) == (p.s, p.x, p.y, p.theta, p.kappa)
+    assert hash(p) == hash((0.5, 1.0, -2.0, 0.25, 3.0))
+    for name in CurveSample._fields:
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0.0)
+    assert p._replace(kappa=1.0) == CurveSample(0.5, 1.0, -2.0, 0.25, 1.0)
+    assert p.kappa == 3.0
 
 
 def test_as_dict_round_trip_keys():

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curvekit.hermite import chord_angle, drawable_region
+from curvekit.pseudospiral import NaturalEquation, sample_curve
+from curvekit.qi3d import QiCurveSpec, sample_qi
 from curvekit.quadrature import (
     IntegrationResult,
     MaxDepthExceeded,
@@ -226,6 +229,27 @@ def test_invalid_arguments():
         integrate(math.sin, 0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         integrate(math.sin, 0.0, math.inf)
+
+
+_TOL_ENTRIES = {
+    "integrate": lambda tol: integrate(lambda x: math.sin(30 * x), 0.0, 3.0, tol=tol),
+    "chord_angle": lambda tol: chord_angle(0.5, 1.0, 1.0, tol=tol),
+    "drawable_region": lambda tol: drawable_region(2.0, 1.0, count=3, tol=tol),
+    "sample_curve": lambda tol: sample_curve(NaturalEquation(0.5, 1.0), 5.0, 5, tol=tol),
+    "sample_qi": lambda tol: sample_qi(QiCurveSpec.from_dict({
+        "controls": [[1, 0, 0, 0], [0.8, 0.6, 0, 0]],
+        "p0": [0, 0, 0], "v0": [1, 0, 0], "s_total": 3.0,
+    }), 5, tol=tol),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TOL_ENTRIES))
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_both_integrators_reject_tol_outside_zero_to_inf(entry, tol):
+    # tol = inf accepted the first estimate (integrate gave 0.3439 for
+    # 0.04827); tol <= 0 bisected the sampler to MaxDepthExceeded
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        _TOL_ENTRIES[entry](tol)
 
 
 def test_non_finite_integrand():

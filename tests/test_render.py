@@ -5,13 +5,14 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvekit._fmt import FIELD, fmt
 from curvekit.analysis import stress_marker
 from curvekit.pseudospiral import (
     CurveSample,
+    NaturalEquation,
     Pose,
     SampledCurve,
     named_curve,
@@ -335,6 +336,56 @@ def test_csv_errors():
         parse_csv("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         parse_csv("s,x,y,theta,kappa\n1,2,3\n")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 10.0]),
+    st.floats(1e-2, 1e2),
+    st.floats(0.05, 0.9),
+    st.integers(2, 300),
+)
+def test_csv_round_trip_of_sampled_members(alpha, lam, frac, n):
+    # s_end is frac of the alpha < 0 domain, or of a turning of 2 pi
+    s_end = frac * (-1.0 / (lam * alpha) if alpha < 0.0 else 2.0 * math.pi)
+    text = export_csv(sample_curve(NaturalEquation(alpha, lam), s_end, n))
+    assert export_csv(curve_from_rows(parse_csv(text)[1])) == text
+
+
+def _parse_rows_per_row(lines, width):
+    """The row loop parse_csv replaced: its result, or its first error."""
+    rows = []
+    for ln in lines:
+        values = tuple(float(v) for v in ln.split(","))
+        if len(values) != width:
+            raise ValueError(f"row width {len(values)} does not match header")
+        rows.append(values)
+    return rows
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(
+    st.lists(st.sampled_from(["1", "-0", "2.5e-308", "nan", "-inf", " 3 ", "x", ""]),
+             min_size=1, max_size=7).map(",".join),
+    max_size=6,
+))
+@example(["1,2,3", "1,x,3,4,5"])  # a short row before a bad number
+@example(["1,x,3,4,5", "1,2,3"])  # a bad number before a short row
+@example(["1,x,3"])  # in one row, the bad number wins over the width
+def test_parse_csv_reports_the_first_faulty_row(body):
+    header = "s,x,y,theta,kappa"
+    body = [ln for ln in body if ln.strip()]
+    want = _outcome(_parse_rows_per_row, body, 5)
+    got = _outcome(parse_csv, "\n".join([header, *body]) + "\n")
+    if not isinstance(want, tuple):
+        want = (tuple(header.split(",")), want)
+    assert repr(got) == repr(want)  # repr: nan rows compare equal
 
 
 _EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308]
