@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
-from itertools import chain
 
 
 _SPEC = ".17g"
@@ -39,15 +38,8 @@ class Record:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
-_ROWS = {tuple, list}
-_SCALARS = {float, int, bool, str, type(None)}
-
-
 def _plain(value):
     if isinstance(value, (tuple, list)):
-        all_rows = set(map(type, value)) <= _ROWS
-        if all_rows and set(map(type, chain.from_iterable(value))) <= _SCALARS:
-            return list(map(list, value))  # rows of scalars, in one step
         return [_plain(v) for v in value]
     if hasattr(value, "as_dict"):
         return value.as_dict()
@@ -59,9 +51,7 @@ def to_json(obj, indent: int = 0) -> str:
 
     stdlib json cannot format floats at a fixed significand width, which the
     output contract requires, so this walks the structure itself. Non-finite
-    floats serialize as null. Dict keys keep insertion order. A list of
-    equal-width rows of finite floats (an LCG's points, say) is written with
-    one row template, with the bytes the walk would give.
+    floats serialize as null. Dict keys keep insertion order.
     """
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -74,11 +64,6 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) <= _ROWS and len(set(map(len, obj))) == 1:
-            flat = list(chain.from_iterable(obj))
-            if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
-                row = "[" + ", ".join([FIELD] * len(obj[0])) + "]"
-                return "[" + ", ".join(map(row.__mod__, map(tuple, obj))) + "]"
         inner = ", ".join(to_json(v, indent + 1) for v in obj)
         return "[" + inner + "]"
     if isinstance(obj, bool) or obj is None:

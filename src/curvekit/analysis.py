@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 from ._fmt import Record
 from .pseudospiral import NaturalEquation, SampledCurve, _check_domain, _theta_kappa
@@ -73,17 +72,18 @@ class StressMarker(Record):
 def _fit_line(points):
     """Least-squares line through (u, v) points; returns slope, intercept, rms."""
     n = len(points)
-    us, vs = zip(*points)
-    su = math.fsum(us)
-    sv = math.fsum(vs)
-    suu = math.fsum(map(mul, us, us))
-    suv = math.fsum(map(mul, us, vs))
+    su = math.fsum(p[0] for p in points)
+    sv = math.fsum(p[1] for p in points)
+    suu = math.fsum(p[0] * p[0] for p in points)
+    suv = math.fsum(p[0] * p[1] for p in points)
     denom = n * suu - su * su
     if not denom > 0.0 or not math.isfinite(denom):
         raise DegenerateLcg("graph abscissae do not span an interval; cannot fit a line")
     slope = (n * suv - su * sv) / denom
     intercept = (sv - slope * su) / n
-    rms = math.sqrt(math.fsum((v - slope * u - intercept) ** 2 for u, v in points) / n)
+    rms = math.sqrt(
+        math.fsum((p[1] - slope * p[0] - intercept) ** 2 for p in points) / n
+    )
     return slope, intercept, rms
 
 
@@ -157,15 +157,13 @@ def lcg_from_samples(data, drop_tolerance: float | None = None) -> LcgReport:
     pairs = _extract_s_kappa(data)
     if len(pairs) < 3:
         raise DegenerateLcg("need at least three samples")
+    for s, k in pairs:
+        if not (math.isfinite(s) and math.isfinite(k)):
+            raise ValueError("samples must be finite")
+        if k <= 0.0:
+            raise ValueError("kappa must be positive at every sample")
     s = [p[0] for p in pairs]
-    kappa = [p[1] for p in pairs]
-    if not (all(map(math.isfinite, s)) and all(map(math.isfinite, kappa)) and min(kappa) > 0.0):
-        for si, k in pairs:  # the first faulty sample names the error
-            if not (math.isfinite(si) and math.isfinite(k)):
-                raise ValueError("samples must be finite")
-            if k <= 0.0:
-                raise ValueError("kappa must be positive at every sample")
-    rho = [1.0 / k for k in kappa]
+    rho = [1.0 / p[1] for p in pairs]
     if drop_tolerance is None:
         drop_tolerance = 1e-12 * max(rho) / (s[-1] - s[0])
 

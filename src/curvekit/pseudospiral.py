@@ -20,7 +20,7 @@ from operator import lt
 from typing import NamedTuple
 
 from ._fmt import Record
-from .quadrature import _accumulate, _integrate_components, _stations
+from .quadrature import _accumulate, _check_tol, _integrate_components, _stations
 
 __all__ = [
     "CurveSample",
@@ -175,6 +175,7 @@ def evaluate_point(eq: NaturalEquation, s: float, tol: float = 1e-12):
     long the member is.
     """
     _check_domain(eq, s)
+    _check_tol(tol)
     if s == 0.0:
         return (0.0, 0.0)
     breaks = []

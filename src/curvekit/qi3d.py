@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .quadrature import _accumulate, _integrate_components, _stations
+from .quadrature import _accumulate, _check_tol, _integrate_components, _stations
 
 __all__ = [
     "AntipodalSingularity",
@@ -269,6 +269,7 @@ def qi_point(spec: QiCurveSpec, s: float, tol: float = 1e-12):
     Each coordinate is within tol * max(1, s) of the curve, the position
     contract that sample_qi and the planar samplers also state."""
     _check_arc(spec, s)
+    _check_tol(tol)
     if s == 0.0:
         return spec.p0
     rx, ry, rz = _integrate_components(partial(_tangent, spec), 0.0, s, tol, scale=max(1.0, s))

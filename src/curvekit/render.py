@@ -102,12 +102,11 @@ class OrnamentSpec:
 
 
 class _CanvasMap:
-    """Uniform-scale world-to-canvas transform fitting the bounding box of
-    curve samples."""
+    """Uniform-scale world-to-canvas transform fitting a bounding box."""
 
-    def __init__(self, samples, size, margin):
-        xs = [p.x for p in samples]
-        ys = [p.y for p in samples]
+    def __init__(self, points, size, margin):
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         w, h = size
@@ -133,11 +132,6 @@ class _CanvasMap:
             self.ox + self.k * (x - self.cx),
             self.oy - self.k * (y - self.cy),
         )
-
-    def points(self, samples):
-        """point(x, y) of every sample, in one pass (the same expressions)."""
-        ox, oy, k, cx, cy = self.ox, self.oy, self.k, self.cx, self.cy
-        return [(ox + k * (x - cx), oy - k * (y - cy)) for _, x, y, _, _ in samples]
 
     def angle(self, theta):
         return -theta  # y flip reverses angles
@@ -210,7 +204,8 @@ def plot_svg(spec: PlotSpec) -> str:
     """Render curves as polyline paths; deterministic byte-for-byte."""
     if not spec.curves:
         raise EmptyInput("no curves to plot")
-    cmap = _CanvasMap([p for c in spec.curves for p in c.samples], spec.size, spec.margin)
+    world = [(p.x, p.y) for c in spec.curves for p in c.samples]
+    cmap = _CanvasMap(world, spec.size, spec.margin)
 
     lines = [_svg_open(spec.size)]
     if spec.axes:
@@ -221,7 +216,8 @@ def plot_svg(spec: PlotSpec) -> str:
             f'L {fmt(x0)} {fmt(h)}" fill="none" stroke="#888888" stroke-width="1"/>'
         )
     for curve in spec.curves:
-        d = _path_d(cmap.points(curve.samples))
+        pts = [cmap.point(p.x, p.y) for p in curve.samples]
+        d = _path_d(pts)
         for width in spec.stroke_widths:
             lines.append(
                 f'<path d="{d}" fill="none" stroke="#000000" '
@@ -264,11 +260,12 @@ def ornament_svg(spec: OrnamentSpec) -> str:
         color = spec.palette[j % len(spec.palette)]
         records.append((p, size, color))
 
-    cmap = _CanvasMap(path.samples, spec.size, spec.margin)
+    world = [(p.x, p.y) for p in path.samples]
+    cmap = _CanvasMap(world, spec.size, spec.margin)
     lines = [_svg_open(spec.size)]
+    pts = [cmap.point(q.x, q.y) for q in path.samples]
     lines.append(
-        f'<path d="{_path_d(cmap.points(path.samples))}" fill="none" stroke="#bbbbbb" '
-        'stroke-width="1"/>'
+        f'<path d="{_path_d(pts)}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
     )
     for p, size, color in records:
         cx, cy = cmap.point(p.x, p.y)
@@ -325,16 +322,12 @@ def parse_csv(text: str):
     fields = tuple(lines[0].strip().split(","))
     if fields not in (tuple(_HEADER_2D.split(",")), tuple(_HEADER_3D.split(","))):
         raise ValueError(f"unrecognized CSV header: {lines[0]!r}")
-    try:
-        rows = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
-        ok = set(map(len, rows)) <= {len(fields)}
-    except ValueError:
-        ok = False
-    if not ok:  # report the first faulty row, its bad number before its width
-        for ln in lines[1:]:
-            values = tuple(float(v) for v in ln.split(","))
-            if len(values) != len(fields):
-                raise ValueError(f"row width {len(values)} does not match header")
+    rows = []
+    for ln in lines[1:]:
+        values = tuple(map(float, ln.split(",")))
+        if len(values) != len(fields):
+            raise ValueError(f"row width {len(values)} does not match header")
+        rows.append(values)
     return fields, rows
 
 

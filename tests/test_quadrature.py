@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvekit.hermite import chord_angle, drawable_region
-from curvekit.pseudospiral import NaturalEquation, sample_curve
-from curvekit.qi3d import QiCurveSpec, sample_qi
+from curvekit.pseudospiral import NaturalEquation, evaluate_point, sample_curve
+from curvekit.qi3d import QiCurveSpec, qi_point, sample_qi
 from curvekit.quadrature import (
     IntegrationResult,
     MaxDepthExceeded,
@@ -231,15 +231,19 @@ def test_invalid_arguments():
         integrate(math.sin, 0.0, math.inf)
 
 
+_QI_SPEC = QiCurveSpec.from_dict({
+    "controls": [[1, 0, 0, 0], [0.8, 0.6, 0, 0]],
+    "p0": [0, 0, 0], "v0": [1, 0, 0], "s_total": 3.0,
+})
 _TOL_ENTRIES = {
     "integrate": lambda tol: integrate(lambda x: math.sin(30 * x), 0.0, 3.0, tol=tol),
     "chord_angle": lambda tol: chord_angle(0.5, 1.0, 1.0, tol=tol),
     "drawable_region": lambda tol: drawable_region(2.0, 1.0, count=3, tol=tol),
     "sample_curve": lambda tol: sample_curve(NaturalEquation(0.5, 1.0), 5.0, 5, tol=tol),
-    "sample_qi": lambda tol: sample_qi(QiCurveSpec.from_dict({
-        "controls": [[1, 0, 0, 0], [0.8, 0.6, 0, 0]],
-        "p0": [0, 0, 0], "v0": [1, 0, 0], "s_total": 3.0,
-    }), 5, tol=tol),
+    "sample_qi": lambda tol: sample_qi(_QI_SPEC, 5, tol=tol),
+    # s = 0 returns the start point without an integral
+    "evaluate_point": lambda tol: evaluate_point(NaturalEquation(0.5, 1.0), 0.0, tol=tol),
+    "qi_point": lambda tol: qi_point(_QI_SPEC, 0.0, tol=tol),
 }
 
 

@@ -6,12 +6,8 @@ sequences are part of the output contract.
 """
 
 import dataclasses
-import json
-import math
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from curvekit import (
     DrawableRegion,
@@ -26,7 +22,7 @@ from curvekit import (
     StressMarker,
     UnitQuaternion,
 )
-from curvekit._fmt import _plain, fmt, to_json
+from curvekit._fmt import to_json
 
 
 GOLDEN = [
@@ -154,49 +150,3 @@ def test_records_built_from_lists_are_hashable_and_immutable():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, None)
 
-
-def _walk(obj):
-    """to_json of lists and scalars, one element at a time: the reference
-    for its row template."""
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(map(_walk, obj)) + "]"
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "null"
-    if isinstance(obj, float):
-        return fmt(obj)
-    return json.dumps(obj)
-
-
-def _plain_walk(value):
-    if isinstance(value, (tuple, list)):
-        return [_plain_walk(v) for v in value]
-    return value
-
-
-_SCALAR = st.one_of(
-    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308]),
-    st.integers(-(2**70), 2**70), st.booleans(),
-)
-_ROWS = st.integers(0, 4).flatmap(
-    lambda w: st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                min_size=w, max_size=w).map(tuple), max_size=6)
-)
-_NESTED = st.recursive(st.lists(_SCALAR, max_size=4), lambda inner: st.lists(inner, max_size=4))
-
-
-@given(st.one_of(_ROWS, _NESTED, st.lists(st.lists(_SCALAR, max_size=3), max_size=5)))
-@example([(0.0, -0.0), (5e-324, 1.7976931348623157e308)])
-@example([(1.0, math.inf), (1.0, 2.0)])  # a non-finite value: null
-@example([(1.0, math.nan)])
-@example([[1.0, 2.0], [3.0]])  # ragged
-@example([[1.0, 2], [3.0, 4.0]])  # an int among floats
-@example([[1.0, True], [3.0, 4.0]])  # a bool among floats
-@example([[[1.0, 2.0]], [[3.0, 4.0]]])  # nested a level deeper
-@example([(), ()])
-@example([[(1.0, 2.0)], [(3.0, 4.0)]])  # rows of rows: every level becomes a list
-def test_row_template_writes_what_the_walk_writes(rows):
-    assert to_json(rows) == _walk(rows)
-    assert to_json({"rows": rows}) == '{\n  "rows": ' + _walk(rows) + "\n}"
-    plain = _plain(rows)
-    assert plain == _plain_walk(rows)
-    assert to_json(plain) == _walk(rows)
