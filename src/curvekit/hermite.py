@@ -12,7 +12,9 @@ lambda range holds exactly one solution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from math import cos, exp, expm1, sin
 
 from ._fmt import Record
 from .pseudospiral import (
@@ -80,13 +82,27 @@ def turning_limit(alpha: float, lam: float) -> float:
 
     alpha >= 1 turns without bound; below that the bound is
     1/(lam*(1-alpha)), attained at the domain end for alpha < 0 and only
-    approached for 0 <= alpha < 1.
+    approached for 0 <= alpha < 1. lam, and lam * |alpha - 1| off alpha = 1,
+    must be normal doubles (see _check_lam).
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
+    _check_lam(alpha, lam)
     if alpha >= 1.0:
         return math.inf
     return 1.0 / (lam * (1.0 - alpha))
+
+
+def _check_lam(alpha: float, lam: float) -> None:
+    """Raise ValueError unless lam and, off alpha = 1, lam * |alpha - 1| are
+    normal doubles: the turning limit and the chord integrand divide by them."""
+    if lam < sys.float_info.min or (
+        alpha != 1.0 and lam * abs(alpha - 1.0) < sys.float_info.min
+    ):
+        raise ValueError(
+            f"lam = {lam!r} is too small for alpha = {alpha!r}: "
+            "lam or lam * (alpha - 1) underflows"
+        )
 
 
 def _check_reachable(alpha: float, lam: float, theta: float) -> None:
@@ -146,16 +162,17 @@ def _chord_integrand(alpha: float, lam: float, delta_theta: float):
     elif alpha < 0.0:
         a = max(0.0, u_end + 45.0 / alpha)
 
+    lam_am1 = lam * am1
+
     def f(us):
-        if alpha == 1.0:
-            thetas = [delta_theta - u / lam for u in us]
-        else:
-            thetas = [math.expm1(am1 * (u_end - u)) / (lam * am1) for u in us]
+        # one pass per node: v = (alpha-1)(U-u) serves theta and the weight
         xs, ys = [], []
-        for u, theta in zip(us, thetas):
-            w = math.exp(am1 * (u_end - u) - u) / lam
-            xs.append(w * math.cos(theta))
-            ys.append(w * math.sin(theta))
+        for u in us:
+            v = am1 * (u_end - u)
+            theta = delta_theta - u / lam if alpha == 1.0 else expm1(v) / lam_am1
+            w = exp(v - u) / lam
+            xs.append(w * cos(theta))
+            ys.append(w * sin(theta))
         return xs, ys
 
     return f, a, b, log_ref
@@ -174,7 +191,7 @@ def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12
 
     The segment starts at the origin with tangent +x and turns by exactly
     delta_theta. Raises TurningUnreachable when that much turning is beyond
-    the member's limit.
+    the member's limit, and ValueError when lam underflows (see turning_limit).
     """
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
@@ -268,6 +285,7 @@ def _reach(alpha: float, delta_theta: float, lam_bounds):
         raise ValueError("lam_bounds requires 0 < lo < hi")
     if hi == math.inf:
         raise ValueError("lam_bounds must be finite")
+    _check_lam(alpha, lo)  # every lambda searched or tabulated is at least lo
     if alpha < 1.0:
         hi = min(hi, (1.0 - _REACH_MARGIN) / delta_theta / (1.0 - alpha))
     return hi if lo < hi else None

@@ -41,6 +41,7 @@ _XGK = (
     0.40584515137739716691,
     0.20778495500789846760,
 )
+_XGK_SIGNED = tuple(v for x in _XGK for v in (-x, x))  # node order after the centre
 _WGK = (
     0.022935322010529224964,
     0.063092092629978553291,
@@ -107,19 +108,20 @@ def _eval_panel(f, a: float, b: float):
     """
     xm = 0.5 * (a + b)
     xr = 0.5 * (b - a)
-    nodes = [xm]  # then xm - dx, xm + dx per Kronrod abscissa
-    for dx in [xr * x for x in _XGK]:
-        nodes += (xm - dx, xm + dx)
+    # xm + xr * -x is xm - xr * x to the bit; the centre stays xm, so -0.0 stays
+    nodes = [xm, *[xm + xr * x for x in _XGK_SIGNED]]
+    k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g2, g4, g6 = _WG  # pairs 2, 4 and 6 are the Gauss nodes
     values = []
     errors = []
     for c, col in enumerate(f(nodes)):
-        kron = _WGK_CENTER * col[0]
-        gauss = _WG_CENTER * col[0]
-        # a plain left-to-right loop: sum() of floats is compensated on 3.12+
-        for i, (f1, f2) in enumerate(zip(col[1::2], col[2::2])):
-            kron += _WGK[i] * (f1 + f2)
-            if i & 1:
-                gauss += _WG[i >> 1] * (f1 + f2)
+        y, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = col
+        # pair sums f(xm - dx) + f(xm + dx), added left to right in the fixed
+        # Kronrod order: sum() of floats is compensated on 3.12+
+        p2, p4, p6 = l2 + r2, l4 + r4, l6 + r6
+        kron = (_WGK_CENTER * y + k1 * (l1 + r1) + k2 * p2 + k3 * (l3 + r3) + k4 * p4
+                + k5 * (l5 + r5) + k6 * p6 + k7 * (l7 + r7))
+        gauss = _WG_CENTER * y + g2 * p2 + g4 * p4 + g6 * p6
         value = kron * xr
         if not math.isfinite(value):
             raise NonFiniteIntegrand(

@@ -83,6 +83,37 @@ def test_fit_g1_chord_integrals_and_panels(monkeypatch, alpha):
     assert 0 < panels <= SLACK * max_panels
 
 
+# alpha -> integrand calls, one per evaluated panel, per fit_g1 on the
+# README problem: a cheaper panel must not hide extra panels
+FIT_PANEL_CALLS = {-1.0: 74, 0.0: 40, 1.0: 21, 2.0: 166}
+
+
+def integrand_calls(monkeypatch, run):
+    """Integrand calls, one per evaluated panel, of hermite's integrals in run()."""
+    calls = 0
+    integrate = he._integrate_components
+
+    def counted_integrate(f, *args, **kwargs):
+        def counted(nodes):
+            nonlocal calls
+            calls += 1
+            return f(nodes)
+
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(he, "_integrate_components", counted_integrate)
+    run()
+    return calls
+
+
+@pytest.mark.parametrize("alpha", sorted(FIT_PANEL_CALLS))
+def test_fit_g1_integrand_calls(monkeypatch, alpha):
+    t_end = (math.cos(1.2), math.sin(1.2))
+    problem = HermiteProblem((0.0, 0.0), (0.7, 0.72), (1.0, 0.0), t_end, alpha)
+    calls = integrand_calls(monkeypatch, lambda: fit_g1(problem))
+    assert 0 < calls <= SLACK * FIT_PANEL_CALLS[alpha]
+
+
 # (alpha, delta_theta) -> integrand calls, one per evaluated panel, for the
 # default 97-point region; each grid point starts from the previous one's
 # panels (a cold start per point made 379, 617 and 701). For alpha < 1 the
@@ -98,19 +129,7 @@ REGION_CALLS = {
 
 @pytest.mark.parametrize("alpha, dth", sorted(REGION_CALLS))
 def test_drawable_region_integrand_calls(monkeypatch, alpha, dth):
-    calls = 0
-    integrate = he._integrate_components
-
-    def counted_integrate(f, *args, **kwargs):
-        def counted(nodes):
-            nonlocal calls
-            calls += 1
-            return f(nodes)
-
-        return integrate(counted, *args, **kwargs)
-
-    monkeypatch.setattr(he, "_integrate_components", counted_integrate)
-    he.drawable_region(alpha, dth)
+    calls = integrand_calls(monkeypatch, lambda: he.drawable_region(alpha, dth))
     assert 0 < calls <= SLACK * REGION_CALLS[alpha, dth]
 
 

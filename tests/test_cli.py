@@ -619,6 +619,23 @@ def test_non_finite_lambda_bounds_exit_1(tmp_path, monkeypatch, capsys, command,
     assert sorted(os.listdir(tmp_path)) == ["ck.cfg"]
 
 
+@pytest.mark.parametrize("alpha", ["-3", "0", "0.5", "1", "2", "10"])
+@pytest.mark.parametrize("command", ["fit", "region"])
+def test_subnormal_lambda_min_exits_1(tmp_path, monkeypatch, capsys, command, alpha):
+    # at alpha = 0.5 a ZeroDivisionError traceback, elsewhere exit 2 with
+    # "integrand component 0 is not finite on [0.0, 5e-324]"
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    (tmp_path / "ck.cfg").write_text("lambda_min = 5e-324\n")
+    if command == "fit":
+        args = [*README_FIT, "--alpha", alpha, "--svg", "fit.svg"]
+    else:
+        args = ["region", "--alpha", alpha, "--delta-theta", "1.2", "--out", "r.csv"]
+    code, out, err = run_in_process(["--config", "ck.cfg", *args], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lam = 5e-324 is too small") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["ck.cfg"]
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_fit_rejects_tol_outside_zero_to_inf(tmp_path, monkeypatch, capsys, tol):
     # inf ended on the bracket end with exit 0; nan ignored the tolerance

@@ -2,9 +2,10 @@
 
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvekit.hermite import (
@@ -16,6 +17,7 @@ from curvekit.hermite import (
     NoSolution,
     TurningUnreachable,
     _chord_components,
+    _chord_integrand,
     arc_length_for_turning,
     chord_angle,
     drawable_region,
@@ -59,6 +61,34 @@ def test_turning_limit_values():
     assert turning_limit(-1.0, 1.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         turning_limit(0.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [-3.0, 0.0, 0.5, 1.0, 2.0, 10.0])
+def test_a_lambda_whose_products_underflow_is_a_value_error(alpha):
+    # turning_limit and the chord integrand divide by lam * (alpha - 1):
+    # a subnormal lambda was a ZeroDivisionError or a non-finite integrand
+    for call in (
+        lambda: turning_limit(alpha, 5e-324),
+        lambda: chord_angle(alpha, 5e-324, 1.2),
+        lambda: drawable_region(alpha, 1.2, (5e-324, 1e6)),
+        lambda: fit_g1(problem_from_psi(alpha, 1.2, 0.7), lam_bounds=(5e-324, 1e6)),
+    ):
+        with pytest.raises(ValueError, match="is too small for alpha .* underflows"):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [-3.0, 0.0, 0.5, 1.0, 2.0, 10.0])
+def test_the_smallest_normal_products_are_accepted(alpha):
+    lam = sys.float_info.min
+    if alpha != 1.0:
+        lam = max(lam, lam / abs(alpha - 1.0))
+        while lam * abs(alpha - 1.0) < sys.float_info.min:
+            lam = math.nextafter(lam, 1.0)
+    assert turning_limit(alpha, lam) > 0.0
+    # a member this slow is a circular arc: the chord bisects the turning
+    assert chord_angle(alpha, lam, 1.2) == pytest.approx(0.6, abs=1e-12)
+    region = drawable_region(alpha, 1.2, (lam, 1e6))
+    assert region.boundary_samples[0][1] == pytest.approx(0.6, abs=1e-12)
 
 
 def test_turning_limit_attained_at_domain_end_for_negative_alpha():
@@ -167,6 +197,77 @@ def test_chord_angle_increases_from_half_turning():
         hi = chord_angle(alpha, min(3.0, limit_lam), 1.0)
         assert lo == pytest.approx(0.5, abs=1e-4)
         assert hi > lo
+
+
+def per_node_chord_columns(alpha, lam, delta_theta, us):
+    """The chord integrand's columns from separate per-node expressions, every
+    theta first and then each weight on its own: the reference the
+    one-pass loop must match bit for bit."""
+    am1 = alpha - 1.0
+    _, _, _, u_end = _chord_integrand(alpha, lam, delta_theta)
+    if alpha == 1.0:
+        thetas = [delta_theta - u / lam for u in us]
+    else:
+        thetas = [math.expm1(am1 * (u_end - u)) / (lam * am1) for u in us]
+    xs, ys = [], []
+    for u, theta in zip(us, thetas):
+        w = math.exp(am1 * (u_end - u) - u) / lam
+        xs.append(w * math.cos(theta))
+        ys.append(w * math.sin(theta))
+    return xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-3.0, 10.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=15),
+)
+@example(0.0, 0.5, 1.2, [0.0, 0.5, 1.0])
+@example(1.0, 0.5, 1.2, [0.0, 0.5, 1.0])
+@example(1.0, 1.0, 3.0, [0.0, 1e-9, 1.0])
+def test_chord_integrand_columns_are_bit_identical_to_per_node_expressions(
+    alpha, frac, dth, ts
+):
+    # lambda log-uniform over [1e-6, 1e6], below the reach (1 - 1e-8) lambda*
+    hi = 1e6 if alpha >= 1.0 else min(1e6, (1.0 - 1e-8) / dth / (1.0 - alpha))
+    lam = math.exp(math.log(1e-6) + frac * (math.log(hi) - math.log(1e-6)))
+    f, a, b, _ = _chord_integrand(alpha, lam, dth)
+    us = [a + (b - a) * t for t in ts]
+    got = f(us)
+    want = per_node_chord_columns(alpha, lam, dth, us)
+    assert [[v.hex() for v in col] for col in got] == [[v.hex() for v in col] for col in want]
+
+
+# float.hex of results taken before the panel and integrand were unrolled;
+# identical on Python 3.10, 3.11 and 3.12
+CHORD_ANGLE_BITS = {  # chord_angle(alpha, 0.3, 1.2)
+    -1.0: "0x1.5383f4d3352e4p-1",
+    0.0: "0x1.4a89df4314c23p-1",
+    0.5: "0x1.47ff0305b6dacp-1",
+    1.0: "0x1.460ba7cf1c6cfp-1",
+    2.0: "0x1.43340e8c00cfap-1",
+}
+FIT_BITS = {  # lambda, residual and scale of fit_g1 on the README problem
+    -1.0: ("0x1.aa95fd169d87ap-2", "0x1.df08000000000p-38", "0x1.cf3bad17a3181p-2"),
+    0.0: ("0x1.75b9fff5e9115p-1", "0x1.4000000000000p-51", "0x1.7c8a8d5d61781p-2"),
+    1.0: ("0x1.bf5e17d8bf55ep+0", "0x1.a6d5000000000p-37", "0x1.083d25e8b13a1p-2"),
+    2.0: ("0x1.e153a54de1683p+6", "0x1.8000000000000p-52", "0x1.862ca3e1abb59p-7"),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(CHORD_ANGLE_BITS))
+def test_chord_angle_pinned_bits(alpha):
+    assert chord_angle(alpha, 0.3, 1.2).hex() == CHORD_ANGLE_BITS[alpha]
+
+
+@pytest.mark.parametrize("alpha", sorted(FIT_BITS))
+def test_fit_g1_pinned_bits(alpha):
+    t_end = (math.cos(1.2), math.sin(1.2))
+    seg = fit_g1(HermiteProblem((0.0, 0.0), (0.7, 0.72), (1.0, 0.0), t_end, alpha))
+    got = (seg.equation.lam.hex(), seg.residual.hex(), seg.transform.scale.hex())
+    assert got == FIT_BITS[alpha]
 
 
 # ------------------------------------------------------------ problem type

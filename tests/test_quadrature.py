@@ -92,6 +92,26 @@ def test_column_panel_is_bit_identical_to_the_per_node_panel(params, a, width):
     assert [e.hex() for e in errors] == [e.hex() for e in want_errors]
 
 
+@pytest.mark.parametrize(
+    "a, b", [(-0.0, -0.0), (0.0, 0.0), (-0.0, 0.0), (0.3, 0.7), (-2.5, 1e-300), (1e300, 1.7e308)]
+)
+def test_panel_nodes_are_centre_then_minus_plus_pairs(a, b):
+    # compared by hex: on a = b = -0.0 the centre must be -0.0, which it is
+    # only as xm itself (xm + xr * 0.0 would be +0.0)
+    seen = []
+
+    def f(xs):
+        seen.extend(xs)
+        return ([1.0] * len(xs),)
+
+    _eval_panel(f, a, b)
+    xm, xr = 0.5 * (a + b), 0.5 * (b - a)
+    want = [xm]
+    for x in _XGK:
+        want += (xm - xr * x, xm + xr * x)
+    assert [x.hex() for x in seen] == [x.hex() for x in want]
+
+
 # ------------------------------------------------------------ basic values
 
 
