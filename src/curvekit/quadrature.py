@@ -18,9 +18,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
-from operator import add, mul
+from operator import add, itemgetter, lt, mul
+from typing import NamedTuple
 
 __all__ = [
     "IntegrationResult",
@@ -63,6 +63,7 @@ _MAX_DEPTH = 50
 _MAX_PANELS = 10_000  # panels per integral, pieces per station sweep
 _ERR_FLOOR = 1e-14  # absolute error floor near machine precision
 _EPS = 2.0**-52
+_LEFT_EDGE = itemgetter(2)  # of a heap entry
 
 # Station sampler: Chebyshev interpolation of degree _CHEB_N per piece, at
 # the Lobatto points x_j = cos(pi j / N), from x_0 = 1 down to x_N = -1.
@@ -91,8 +92,7 @@ class NonFiniteIntegrand(ArithmeticError):
     """The integrand returned nan or inf at a quadrature node."""
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
+class IntegrationResult(NamedTuple):
     """Value of a definite integral with its accumulated error estimate."""
 
     value: float
@@ -150,7 +150,8 @@ def _integrate_components(
     appended to it in increasing order (none for a single panel), for a
     caller that starts a similar integral from them. Deterministic: the
     heap is ordered by (error, insertion sequence) and the final sums run in
-    spatial order.
+    spatial order. An integral that ends on one panel returns that panel's
+    running sums at once, which are the final sums to the bit.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -158,7 +159,7 @@ def _integrate_components(
         raise ValueError("integration requires a <= b")
     _check_tol(tol)
 
-    atol = tol * scale
+    floor = max(tol * scale, _ERR_FLOOR)
     edges = (a, *breaks, b)
     totals = errs = repeat(0.0)  # one running sum per column, from 0.0
     # Heap entries: (-worst component error, sequence, a, b, depth, values, errors)
@@ -167,9 +168,10 @@ def _integrate_components(
         values, errors = _eval_panel(f, pa, pb)
         totals = list(map(add, totals, values))
         errs = list(map(add, errs, errors))
-        heapq.heappush(heap, (-max(errors), seq, pa, pb, 0, values, errors))
+        heap.append((-max(errors), seq, pa, pb, 0, values, errors))
+    heapq.heapify(heap)  # pops follow the (-error, seq) keys, a total order
     seq = len(heap)
-    while not all(e <= max(atol, tol * abs(t), _ERR_FLOOR) for e, t in zip(errs, totals)):
+    while not all([e <= floor or e <= tol * abs(t) for e, t in zip(errs, totals)]):
         _, _, pa, pb, depth, pv, pe = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             raise MaxDepthExceeded(
@@ -188,12 +190,17 @@ def _integrate_components(
         heapq.heappush(heap, (-max(re), seq + 1, mid, pb, depth + 1, rv, re))
         seq += 2
 
-    leaves = sorted(heap, key=lambda leaf: leaf[2])
-    if leaf_edges is not None and len(leaves) > 1:
-        leaf_edges += [leaf[2] for leaf in leaves[1:]]
-    values = map(math.fsum, zip(*(leaf[5] for leaf in leaves)))
-    errors = map(math.fsum, zip(*(leaf[6] for leaf in leaves)))
-    return [IntegrationResult(v, e, len(leaves)) for v, e in zip(values, errors)]
+    if len(heap) == 1:
+        # one leaf: its sums are 0.0 + x, which is fsum([x]) to the bit
+        # (x itself, except that -0.0 becomes +0.0)
+        return [IntegrationResult(v, e, 1) for v, e in zip(totals, errs)]
+    heap.sort(key=_LEFT_EDGE)  # the leaves in spatial order
+    if leaf_edges is not None:
+        leaf_edges += map(_LEFT_EDGE, heap[1:])
+    n = len(heap)
+    values = map(math.fsum, zip(*(leaf[5] for leaf in heap)))
+    errors = map(math.fsum, zip(*(leaf[6] for leaf in heap)))
+    return [IntegrationResult(v, e, n) for v, e in zip(values, errors)]
 
 
 def _check_tol(tol: float) -> None:
@@ -256,10 +263,21 @@ def _clenshaw_pair(heads, tails, stations, mid: float, half: float):
 
 def _stations(a: float, b: float, count: int):
     """count uniform stations from a to b: a + (b - a) * i / (count - 1).
-    For a = 0 and b >= 0 this is b * i / (count - 1) to the bit."""
+    For a = 0 and b >= 0 this is b * i / (count - 1) to the bit.
+
+    For a < b, raises ValueError unless the stations increase strictly and
+    half their extent is positive: the station sweep maps a piece onto
+    [-1, 1] by dividing by its half-width, which rounds to 0 over one least
+    subnormal (5e-324). An empty or reversed range is the caller's to
+    report."""
     if count < 2:
         raise ValueError("count must be at least 2")
-    return [a + (b - a) * i / (count - 1) for i in range(count)]
+    stations = [a + (b - a) * i / (count - 1) for i in range(count)]
+    if a < b and not (
+        0.5 * (stations[-1] - stations[0]) > 0.0 and all(map(lt, stations, stations[1:]))
+    ):
+        raise ValueError(f"[{a!r}, {b!r}] is too short for {count} stations")
+    return stations
 
 
 def _accumulate(f, stations, tol: float):

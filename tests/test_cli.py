@@ -647,6 +647,33 @@ def test_fit_rejects_tol_outside_zero_to_inf(tmp_path, monkeypatch, capsys, tol)
     assert (code, out, err) == (1, "", "error: tol must be positive and finite\n")
 
 
+SUBNORMAL_EXTENT = {  # arc lengths of one or two least subnormals
+    "curve": ["curve", "--alpha", "0.5", "--lambda", "1", "--s-end", "5e-324", "--out", "o.csv"],
+    "curve-1e-323": ["curve", "--alpha", "0.5", "--lambda", "1", "--s-end", "1e-323",
+                     "--out", "o.csv"],
+    "check": ["check", "--alpha", "0.5", "--lambda", "1", "--s-end", "5e-324"],
+    "plot": ["plot", "--alpha", "0.5", "--lambda", "1", "--s-end", "5e-324", "--out", "o.svg"],
+    "ornament": ["ornament", "--alpha", "0.5", "--lambda", "1", "--s-end", "5e-324",
+                 "--out", "o.svg"],
+    "lcg": ["lcg", "--alpha", "0.5", "--lambda", "1", "--s-end", "5e-324"],
+    "qi": ["qi", "--controls", "1,0,0,0;0,1,0,0", "--s-total", "5e-324", "--out", "o.csv"],
+    "qi-1e-323": ["qi", "--controls", "1,0,0,0;0,1,0,0", "--s-total", "1e-323", "--n", "4",
+                  "--out", "o.csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBNORMAL_EXTENT))
+def test_subnormal_extent_exits_one_with_one_line(tmp_path, monkeypatch, capsys, name):
+    # these divided by a zero half-width (a traceback), wrote repeated
+    # arc lengths (qi, exit 0), named an internal invariant (curve at
+    # 1e-323) or called the input degenerate (lcg, exit 3)
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    code, out, err = run_in_process(SUBNORMAL_EXTENT[name], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: \[0\.0, (5e-324|1e-323)\] is too short for \d+ stations\n", err), err
+    assert os.listdir(tmp_path) == []
+
+
 # setting -> (its flag, values to draw); lambda_min stays below lambda_max
 PRECEDENCE = {
     "samples": ("--n", st.integers(2, 40)),

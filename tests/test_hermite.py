@@ -270,6 +270,50 @@ def test_fit_g1_pinned_bits(alpha):
     assert got == FIT_BITS[alpha]
 
 
+# float.hex of drawable_region on the README problem (delta_theta = 1.2),
+# taken before one-panel integrals returned at once: alpha -> (row count,
+# {row index: (lambda, psi)}) for every 16th row and the last; identical on
+# Python 3.10, 3.11 and 3.12
+REGION_BITS = {
+    -1.0: (46, {
+        0: ("0x1.0c6f7a0b5ed8fp-20", "0x1.333337539cc09p-1"),
+        16: ("0x1.a36e2eb1c4326p-14", "0x1.3334cfe8fbba0p-1"),
+        32: ("0x1.47ae147ae1478p-7", "0x1.33d65c01335e1p-1"),
+        45: ("0x1.aaaaaa6315791p-2", "0x1.9c2a67e06912fp-1"),
+    }),
+    0.0: (49, {
+        0: ("0x1.0c6f7a0b5ed8fp-20", "0x1.333337539c96fp-1"),
+        16: ("0x1.a36e2eb1c4326p-14", "0x1.3334cfe2a4b73p-1"),
+        32: ("0x1.47ae147ae1478p-7", "0x1.33d55ebf8d749p-1"),
+        48: ("0x1.aaaaaa6315791p-1", "0x1.2388258eb3626p+0"),
+    }),
+    0.5: (51, {
+        0: ("0x1.0c6f7a0b5ed8fp-20", "0x1.333337539c822p-1"),
+        16: ("0x1.a36e2eb1c4326p-14", "0x1.3334cfdf794c1p-1"),
+        32: ("0x1.47ae147ae1478p-7", "0x1.33d4e17f1f23fp-1"),
+        48: ("0x1.0000000000000p+0", "0x1.907af10f39319p-1"),
+        50: ("0x1.aaaaaa6315791p+0", "0x1.33332fb74fe1bp+0"),
+    }),
+    2.0: (97, {
+        0: ("0x1.0c6f7a0b5ed8fp-20", "0x1.333337539c43ep-1"),
+        16: ("0x1.a36e2eb1c4326p-14", "0x1.3334cfd5f764cp-1"),
+        32: ("0x1.47ae147ae1478p-7", "0x1.33d36f1dcb06dp-1"),
+        48: ("0x1.0000000000000p+0", "0x1.5a7a266d1975dp-1"),
+        64: ("0x1.8fffffffffff7p+6", "0x1.990f25593c846p-1"),
+        80: ("0x1.3880000000005p+13", "0x1.9ab1cb83919c2p-1"),
+        96: ("0x1.e847ffffffffcp+19", "0x1.9ab60c665bbd6p-1"),
+    }),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(REGION_BITS))
+def test_region_pinned_bits(alpha):
+    rows = drawable_region(alpha, 1.2).boundary_samples
+    count, picked = REGION_BITS[alpha]
+    assert len(rows) == count
+    assert {i: (rows[i][0].hex(), rows[i][1].hex()) for i in picked} == picked
+
+
 # ------------------------------------------------------------ problem type
 
 

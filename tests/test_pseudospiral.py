@@ -589,6 +589,25 @@ def test_theta_kappa_is_bit_identical_to_the_separate_closed_forms(alpha, lam, f
     assert curvature(eq, s) == kappa
 
 
+# float.hex of evaluate_point, taken before one-panel integrals returned at
+# once: (alpha, lambda, s) -> (x, y); identical on Python 3.10, 3.11 and 3.12
+POINT_BITS = {
+    (0.5, 1.0, 0.3): ("0x1.2f7b600de869cp-2", "0x1.4d82ead301156p-5"),
+    (0.5, 1.0, 2.0): ("0x1.91ea4467c3db8p+0", "0x1.1c37c92d43db4p+0"),
+    (0.5, 1.0, 10.0): ("0x1.40fb2c42be580p+1", "0x1.1db7a0262b2b7p+3"),
+    (2.0, 3.0, 0.1): ("0x1.99096a7c172a7p-4", "0x1.2c6efff01e86fp-8"),
+    (2.0, 3.0, 1.0): ("0x1.e105ab0a48d8ep-1", "0x1.3a47a282942f0p-2"),
+    (2.0, 3.0, 5.0): ("0x1.5a59c3b035910p+1", "0x1.dd35e025b6d71p+1"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(POINT_BITS))
+def test_evaluate_point_pinned_bits(key):
+    alpha, lam, s = key
+    x, y = evaluate_point(NaturalEquation(alpha, lam), s)
+    assert (x.hex(), y.hex()) == POINT_BITS[key]
+
+
 def test_sample_curve_bad_count_wins_over_bad_s_end():
     with pytest.raises(ValueError, match="count must be at least 2"):
         sample_curve(NaturalEquation(0.5, 1.0), -1.0, 1)

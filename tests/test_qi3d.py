@@ -270,6 +270,20 @@ def test_circle_tangent_turns_with_arclength():
         assert t == pytest.approx((math.cos(s), math.sin(s), 0.0), abs=1e-12)
 
 
+# float.hex of qi_point on the README circle (unit v0), taken before
+# one-panel integrals returned at once; identical on Python 3.10, 3.11 and 3.12
+QI_POINT_BITS = {
+    1.0: ('0x1.aed548f090ceep-1', '0x1.d6bafe095f2e7p-2', '0x0.0p+0'),
+    2.5: ('0x1.326af0dcfcab2p-1', '0x1.cd17bf7c2c5bep+0', '0x0.0p+0'),
+    6.283185307179586: ('-0x1.8bc8ca46132f6p-51', '-0x1.8000000000000p-51', '0x0.0p+0'),
+}
+
+
+@pytest.mark.parametrize("s", sorted(QI_POINT_BITS))
+def test_qi_point_pinned_bits(s):
+    assert tuple(v.hex() for v in qi_point(circle_spec(), s)) == QI_POINT_BITS[s]
+
+
 def test_frame_tangent_matches_finite_difference():
     spec = circle_spec()
     h = 1e-6

@@ -1,7 +1,10 @@
 """Integrator tests against closed forms and a composite-Simpson oracle."""
 
+import heapq
 import math
 import random
+from itertools import repeat
+from operator import add
 
 import numpy as np
 import pytest
@@ -9,14 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvekit.hermite import chord_angle, drawable_region
-from curvekit.pseudospiral import NaturalEquation, evaluate_point, sample_curve
+from curvekit.analysis import lcg_analytic
+from curvekit.pseudospiral import CurveSample, NaturalEquation, SampledCurve, evaluate_point, sample_curve
 from curvekit.qi3d import QiCurveSpec, qi_point, sample_qi
+from curvekit.render import OrnamentSpec, ornament_svg
 from curvekit.quadrature import (
     IntegrationResult,
     MaxDepthExceeded,
     NonFiniteIntegrand,
     integrate,
     integrate_vector2,
+    _ERR_FLOOR,
+    _MAX_DEPTH,
     _MAX_PANELS,
     _WG,
     _WG_CENTER,
@@ -24,8 +31,10 @@ from curvekit.quadrature import (
     _WGK_CENTER,
     _XGK,
     _accumulate,
+    _check_tol,
     _clenshaw_pair,
     _eval_panel,
+    _integrate_components,
     _stations,
 )
 
@@ -110,6 +119,126 @@ def test_panel_nodes_are_centre_then_minus_plus_pairs(a, b):
     for x in _XGK:
         want += (xm - xr * x, xm + xr * x)
     assert [x.hex() for x in seen] == [x.hex() for x in want]
+
+
+# ------------------------------------------------------------ panel loop
+
+
+def reference_integrate_components(
+    f, a: float, b: float, tol: float, breaks=(), *, scale: float = 1.0, leaf_edges=None
+):
+    """The panel loop as it was before one-panel integrals returned at once,
+    copied verbatim (docstring aside): the reference for the property below."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration bounds must be finite")
+    if a > b:
+        raise ValueError("integration requires a <= b")
+    _check_tol(tol)
+
+    atol = tol * scale
+    edges = (a, *breaks, b)
+    totals = errs = repeat(0.0)  # one running sum per column, from 0.0
+    # Heap entries: (-worst component error, sequence, a, b, depth, values, errors)
+    heap = []
+    for seq, (pa, pb) in enumerate(zip(edges, edges[1:])):
+        values, errors = _eval_panel(f, pa, pb)
+        totals = list(map(add, totals, values))
+        errs = list(map(add, errs, errors))
+        heapq.heappush(heap, (-max(errors), seq, pa, pb, 0, values, errors))
+    seq = len(heap)
+    while not all(e <= max(atol, tol * abs(t), _ERR_FLOOR) for e, t in zip(errs, totals)):
+        _, _, pa, pb, depth, pv, pe = heapq.heappop(heap)
+        if depth >= _MAX_DEPTH:
+            raise MaxDepthExceeded(
+                f"no convergence after depth {_MAX_DEPTH} near [{pa!r}, {pb!r}]"
+            )
+        if seq + 2 > _MAX_PANELS:  # seq counts the panels evaluated so far
+            raise MaxDepthExceeded(
+                f"no convergence within {_MAX_PANELS} panels on [{a!r}, {b!r}]"
+            )
+        mid = 0.5 * (pa + pb)
+        lv, le = _eval_panel(f, pa, mid)
+        rv, re = _eval_panel(f, mid, pb)
+        totals = [t + (x + y - p) for t, x, y, p in zip(totals, lv, rv, pv)]
+        errs = [e + (x + y - p) for e, x, y, p in zip(errs, le, re, pe)]
+        heapq.heappush(heap, (-max(le), seq, pa, mid, depth + 1, lv, le))
+        heapq.heappush(heap, (-max(re), seq + 1, mid, pb, depth + 1, rv, re))
+        seq += 2
+
+    leaves = sorted(heap, key=lambda leaf: leaf[2])
+    if leaf_edges is not None and len(leaves) > 1:
+        leaf_edges += [leaf[2] for leaf in leaves[1:]]
+    values = map(math.fsum, zip(*(leaf[5] for leaf in leaves)))
+    errors = map(math.fsum, zip(*(leaf[6] for leaf in leaves)))
+    return [IntegrationResult(v, e, len(leaves)) for v, e in zip(values, errors)]
+
+
+def loop_column(kind, p, q):
+    """One integrand column: smooth, exact on one panel, -0.0 everywhere,
+    with a pole at q, nan past q, or noise."""
+    return {
+        "wave": lambda x: math.sin(p * x + q) * math.exp(-abs(x) / (1.0 + abs(p))),
+        "poly": lambda x: p * x * x + q,
+        "zero": lambda x: -0.0,
+        "pole": lambda x: 1.0 / (x - q) if x != q else math.inf,
+        "nan": lambda x: math.nan if x > q else p,
+        "noise": _noise,
+    }[kind]
+
+
+def run_loop(integrate_components, columns, a, b, tol, breaks, scale, edges):
+    """(results or exception, the node lists f saw, leaf_edges), all as hex."""
+    fns = [loop_column(*c) for c in columns]
+    seen = []
+
+    def f(xs):
+        seen.append([x.hex() for x in xs])
+        return [list(map(g, xs)) for g in fns]
+
+    leaf_edges = None if edges is None else list(edges)
+    try:
+        results = integrate_components(f, a, b, tol, breaks, scale=scale, leaf_edges=leaf_edges)
+        got = [(r.value.hex(), r.error_estimate.hex(), r.subdivisions) for r in results]
+    except (MaxDepthExceeded, NonFiniteIntegrand) as exc:
+        got = (type(exc), str(exc))
+    return got, seen, leaf_edges if edges is None else [e.hex() for e in leaf_edges]
+
+
+@st.composite
+def loop_cases(draw):
+    a = draw(st.floats(-10.0, 10.0))
+    b = a + draw(st.floats(0.0, 20.0))
+    columns = draw(st.lists(
+        st.tuples(st.sampled_from(["wave", "poly", "zero", "pole", "nan"]),
+                  st.floats(-40.0, 40.0), st.floats(-10.0, 30.0)),
+        min_size=1, max_size=3,
+    ))
+    breaks = sorted(x for x in draw(st.lists(st.floats(a, b), max_size=3, unique=True)) if a < x < b)
+    tol = 10.0 ** draw(st.floats(-13.0, -3.0))
+    scale = draw(st.just(1.0) | st.floats(1e-3, 1e3))
+    edges = draw(st.sampled_from([None, (), (7.0,)]))
+    return columns, a, b, tol, breaks, scale, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_cases())
+@example(([("zero", 0.0, 0.0)], 0.0, 1.0, 1e-12, [], 1.0, ()))  # one panel: +0.0, as fsum
+@example(([("zero", 0.0, 0.0), ("wave", 30.0, 1.0)], -1.0, 2.0, 1e-12, [0.5], 1.0, ()))
+@example(([("poly", 2.0, -0.0)], 0.0, 1.0, 1e-12, [], 1.0, (7.0,)))
+@example(([("pole", 0.0, 0.3)], 0.0, 1.0, 1e-12, [], 1.0, None))  # depth limit
+@example(([("wave", 1.0, 0.0), ("nan", 1.0, 0.7)], 0.0, 1.0, 1e-12, [0.25], 1.0, ()))
+@example(([("noise", 0.0, 0.0)], 0.0, 1.0, 1e-12, [], 1.0, None))  # panel budget
+def test_panel_loop_is_bit_identical_to_the_reference_loop(case):
+    # values, error estimates, subdivisions, leaf edges, exceptions and
+    # every node list handed to f, all bit for bit
+    columns, a, b, tol, breaks, scale, edges = case
+    args = (columns, a, b, tol, breaks, scale, edges)
+    assert run_loop(_integrate_components, *args) == run_loop(reference_integrate_components, *args)
+
+
+def test_one_panel_integral_of_negative_zero_is_positive_zero():
+    (r,) = _integrate_components(lambda xs: ([-0.0] * len(xs),), 0.0, 1.0, 1e-12)
+    assert (r.value.hex(), r.error_estimate.hex(), r.subdivisions) == ("0x0.0p+0", "0x0.0p+0", 1)
 
 
 # ------------------------------------------------------------ basic values
@@ -315,6 +444,9 @@ def test_result_type_is_frozen():
     assert isinstance(r, IntegrationResult)
     with pytest.raises(AttributeError):
         r.value = 0.0
+    # a NamedTuple: it unpacks and equals the plain 3-tuple of its fields
+    value, error, panels = r
+    assert r == (value, error, panels) == (r.value, r.error_estimate, r.subdivisions)
 
 
 # ------------------------------------------------------------ station sampler
@@ -406,13 +538,51 @@ _ENDS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 1e300), _ENDS, _ENDS, st.integers(2, 2000))
 @example(2.0 * math.pi, 0.3, 2.0 * math.pi, 7)
+@example(5e-324, 1.0, 1.0000000000000002, 3)
+@example(1e-323, -0.0, 5e-324, 2)
+@example(1e-323, 0.0, 1e-323, 3)  # gaps of 5e-324, but an extent that halves
 def test_stations_are_one_uniform_grid(b, lo, hi, count):
     # from 0: bit for bit the b * i / (count - 1) the samplers always used
-    got = _stations(0.0, b, count)
-    assert [s.hex() for s in got] == [(b * i / (count - 1)).hex() for i in range(count)]
-    got = _stations(lo, hi, count)
+    want = [b * i / (count - 1) for i in range(count)]
+    assert_grid_or_rejected(0.0, b, count, want)
     want = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    assert [s.hex() for s in got] == [s.hex() for s in want]
+    assert_grid_or_rejected(lo, hi, count, want)
+
+
+def assert_grid_or_rejected(a, b, count, want):
+    # over a < b, repeated stations, or an extent of one least subnormal
+    # (whose half rounds to 0), reject the whole grid
+    if a < b and (want[-1] - want[0] <= 5e-324 or any(t <= s for s, t in zip(want, want[1:]))):
+        with pytest.raises(ValueError, match=f"is too short for {count} stations"):
+            _stations(a, b, count)
+    else:
+        assert [s.hex() for s in _stations(a, b, count)] == [s.hex() for s in want]
+
+
+_QI_TINY = QiCurveSpec.from_dict({
+    "p0": [0, 0, 0], "v0": [1, 0, 0], "controls": [[1, 0, 0, 0], [0, 1, 0, 0]], "s_total": 5e-324,
+})
+_TINY_PATH = SampledCurve(None, (CurveSample(0.0, 0.0, 0.0, 0.0, 1.0), CurveSample(5e-324, 5e-324, 0.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_curve(NaturalEquation(0.5, 1.0), 5e-324, 2), "[0.0, 5e-324] is too short for 2"),
+    (lambda: sample_curve(NaturalEquation(0.5, 1.0), 1e-323, 1000),
+     "[0.0, 1e-323] is too short for 1000"),
+    (lambda: sample_qi(_QI_TINY, 2), "[0.0, 5e-324] is too short for 2"),
+    (lambda: lcg_analytic(NaturalEquation(0.5, 1.0), (0.0, 5e-324), 3),
+     "[0.0, 5e-324] is too short for 3"),
+    (lambda: ornament_svg(OrnamentSpec(_TINY_PATH, count=2)), "[0.0, 5e-324] is too short for 2"),
+    # the region's grid is uniform in log lambda: here [1.0, 1.0000000000000002]
+    (lambda: drawable_region(2.0, 1.0, (math.e, 2.718281828459046), 97),
+     "[1.0, 1.0000000000000002] is too short for 97"),
+])
+def test_every_grid_rejects_an_extent_too_short_for_its_stations(call, message):
+    # [0, 5e-324] has two distinct stations, but half its width rounds to 0,
+    # which the station sweep divides by; finer grids repeat stations
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message + " stations"
 
 
 @pytest.mark.parametrize("count", [1, 0, -3])
