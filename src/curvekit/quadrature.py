@@ -197,10 +197,9 @@ def _integrate_components(
     heap.sort(key=_LEFT_EDGE)  # the leaves in spatial order
     if leaf_edges is not None:
         leaf_edges += map(_LEFT_EDGE, heap[1:])
-    n = len(heap)
     values = map(math.fsum, zip(*(leaf[5] for leaf in heap)))
     errors = map(math.fsum, zip(*(leaf[6] for leaf in heap)))
-    return [IntegrationResult(v, e, n) for v, e in zip(values, errors)]
+    return [IntegrationResult(v, e, len(heap)) for v, e in zip(values, errors)]
 
 
 def _check_tol(tol: float) -> None:

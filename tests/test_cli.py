@@ -670,7 +670,8 @@ def test_subnormal_extent_exits_one_with_one_line(tmp_path, monkeypatch, capsys,
     monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
     code, out, err = run_in_process(SUBNORMAL_EXTENT[name], tmp_path, monkeypatch, capsys)
     assert (code, out) == (1, "")
-    assert re.fullmatch(r"error: \[0\.0, (5e-324|1e-323)\] is too short for \d+ stations\n", err), err
+    want = r"error: \[0\.0, (5e-324|1e-323)\] is too short for \d+ stations\n"
+    assert re.fullmatch(want, err), err
     assert os.listdir(tmp_path) == []
 
 

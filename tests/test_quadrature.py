@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 
 from curvekit.hermite import chord_angle, drawable_region
 from curvekit.analysis import lcg_analytic
-from curvekit.pseudospiral import CurveSample, NaturalEquation, SampledCurve, evaluate_point, sample_curve
+from curvekit.pseudospiral import (
+    CurveSample,
+    NaturalEquation,
+    SampledCurve,
+    evaluate_point,
+    sample_curve,
+)
 from curvekit.qi3d import QiCurveSpec, qi_point, sample_qi
-from curvekit.render import OrnamentSpec, ornament_svg
 from curvekit.quadrature import (
     IntegrationResult,
     MaxDepthExceeded,
@@ -37,6 +42,7 @@ from curvekit.quadrature import (
     _integrate_components,
     _stations,
 )
+from curvekit.render import OrnamentSpec, ornament_svg
 
 
 def simpson_oracle(f, a, b, panels=1_000_000):
@@ -213,7 +219,8 @@ def loop_cases(draw):
                   st.floats(-40.0, 40.0), st.floats(-10.0, 30.0)),
         min_size=1, max_size=3,
     ))
-    breaks = sorted(x for x in draw(st.lists(st.floats(a, b), max_size=3, unique=True)) if a < x < b)
+    inner = draw(st.lists(st.floats(a, b), max_size=3, unique=True))
+    breaks = sorted(x for x in inner if a < x < b)
     tol = 10.0 ** draw(st.floats(-13.0, -3.0))
     scale = draw(st.just(1.0) | st.floats(1e-3, 1e3))
     edges = draw(st.sampled_from([None, (), (7.0,)]))
@@ -234,11 +241,6 @@ def test_panel_loop_is_bit_identical_to_the_reference_loop(case):
     columns, a, b, tol, breaks, scale, edges = case
     args = (columns, a, b, tol, breaks, scale, edges)
     assert run_loop(_integrate_components, *args) == run_loop(reference_integrate_components, *args)
-
-
-def test_one_panel_integral_of_negative_zero_is_positive_zero():
-    (r,) = _integrate_components(lambda xs: ([-0.0] * len(xs),), 0.0, 1.0, 1e-12)
-    assert (r.value.hex(), r.error_estimate.hex(), r.subdivisions) == ("0x0.0p+0", "0x0.0p+0", 1)
 
 
 # ------------------------------------------------------------ basic values
@@ -562,11 +564,14 @@ def assert_grid_or_rejected(a, b, count, want):
 _QI_TINY = QiCurveSpec.from_dict({
     "p0": [0, 0, 0], "v0": [1, 0, 0], "controls": [[1, 0, 0, 0], [0, 1, 0, 0]], "s_total": 5e-324,
 })
-_TINY_PATH = SampledCurve(None, (CurveSample(0.0, 0.0, 0.0, 0.0, 1.0), CurveSample(5e-324, 5e-324, 0.0, 0.0, 1.0)))
+_TINY_PATH = SampledCurve(
+    None, (CurveSample(0.0, 0.0, 0.0, 0.0, 1.0), CurveSample(5e-324, 5e-324, 0.0, 0.0, 1.0))
+)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: sample_curve(NaturalEquation(0.5, 1.0), 5e-324, 2), "[0.0, 5e-324] is too short for 2"),
+    (lambda: sample_curve(NaturalEquation(0.5, 1.0), 5e-324, 2),
+     "[0.0, 5e-324] is too short for 2"),
     (lambda: sample_curve(NaturalEquation(0.5, 1.0), 1e-323, 1000),
      "[0.0, 1e-323] is too short for 1000"),
     (lambda: sample_qi(_QI_TINY, 2), "[0.0, 5e-324] is too short for 2"),
