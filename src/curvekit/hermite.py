@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from math import cos, exp, expm1, sin
+from operator import lt
 
 from ._fmt import Record
 from .pseudospiral import (
@@ -312,8 +313,13 @@ def drawable_region(
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
     hi = _reach(alpha, delta_theta, lam_bounds)
-    # bad bounds are reported before a bad count, a bad count before an empty region
+    # bad bounds are reported before a bad count, a bad count before a grid
+    # whose distinct logs exp rounds to one lambda, that before an empty region
     lams = [math.exp(v) for v in _stations(*map(math.log, lam_bounds), count)]
+    if not all(map(lt, lams, lams[1:])):
+        raise ValueError(
+            f"[{lam_bounds[0]!r}, {lam_bounds[1]!r}] is too short for {count} distinct lambdas"
+        )
     if hi is None:
         raise EmptyRegion(
             f"no lambda in [{lam_bounds[0]!r}, {lam_bounds[1]!r}] reaches "

@@ -323,7 +323,7 @@ def sample_curve(
     cos_r = math.cos(pose.angle)
     sin_r = math.sin(pose.angle)
     samples = []
-    for s, (x, y) in _accumulate(partial(_tangent, eq), stations, tol):
+    for s, x, y in zip(stations, *_accumulate(partial(_tangent, eq), stations, tol)):
         wx = pose.x + cos_r * x - sin_r * y
         wy = pose.y + sin_r * x + cos_r * y
         theta, kappa = _theta_kappa(eq, s)

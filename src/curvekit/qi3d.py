@@ -96,6 +96,8 @@ class UnitQuaternion:
         if not math.isfinite(n) or n == 0.0:
             raise ValueError("quaternion components must be finite and not all zero")
         scale = 1.0 if abs(n - 1.0) <= 1e-12 else n
+        if scale == 1.0 and type(self.w) is type(self.x) is type(self.y) is type(self.z) is float:
+            return  # float(v) / 1.0 is v: nothing to store
         for name, v in (("w", self.w), ("x", self.x), ("y", self.y), ("z", self.z)):
             object.__setattr__(self, name, float(v) / scale)
 
@@ -168,25 +170,26 @@ class QuaternionCurve:
         omegas = tuple(
             q_log(canon[i].inverse() * canon[i + 1]) for i in range(len(canon) - 1)
         )
+        n = len(canon) - 1
         object.__setattr__(self, "controls", tuple(canon))
         object.__setattr__(self, "_omegas", omegas)
+        # per-evaluation constants of _q_at: q_0, and C(n, j) for j < n
+        object.__setattr__(self, "_q0", canon[0].components())
+        object.__setattr__(self, "_binom", tuple(math.comb(n, j) for j in range(n)))
 
     @property
     def degree(self) -> int:
         return len(self.controls) - 1
 
 
-def _bernstein_row(n: int, t: float):
-    return [math.comb(n, j) * t**j * (1.0 - t) ** (n - j) for j in range(n + 1)]
-
-
 def _q_at(curve: QuaternionCurve, t: float):
     """q(t) as a (w, x, y, z) tuple, for a t in [0, 1] the caller has checked."""
-    bern = _bernstein_row(curve.degree, t)
-    q = curve.controls[0].components()
+    n = len(curve._omegas)
+    q = curve._q0
     acc = 1.0
     for i, (wx, wy, wz) in enumerate(curve._omegas):
-        acc -= bern[i]  # cumulative basis: sum of B_j for j > i
+        # cumulative basis: the sum of B_j for j > i, B_i = C(n, i) t^i (1 - t)^(n - i)
+        acc -= curve._binom[i] * t**i * (1.0 - t) ** (n - i)
         q = _qmul(q, _qexp(wx * acc, wy * acc, wz * acc))
     return q
 
@@ -294,5 +297,5 @@ def sample_qi(spec: QiCurveSpec, count: int, tol: float = 1e-12):
     px, py, pz = spec.p0
     return [
         (s, px + x, py + y, pz + z, *_station_tangent(spec, s))
-        for s, (x, y, z) in _accumulate(partial(_tangent, spec), stations, tol)
+        for s, x, y, z in zip(stations, *_accumulate(partial(_tangent, spec), stations, tol))
     ]

@@ -242,22 +242,16 @@ def _antiderivative(ck, half: float):
     return [sum(v if k & 1 else -v for k, v in enumerate(out, 1)), *out]
 
 
-def _clenshaw_pair(heads, tails, stations, mid: float, half: float):
-    """Yield (s, (x, y)) per station: the two lanes of _accumulate summed in
-    one Clenshaw loop. The shorter tail is padded with leading zeros, which
-    leave b1 = b2 = +0.0 and so each sum bit-identical to its own loop."""
-    hx, hy = heads
-    tx, ty = tails
-    pad = len(tx) - len(ty)
-    pairs = list(zip([0.0] * -pad + tx, [0.0] * pad + ty))
-    for s in stations:
-        t = (s - mid) / half
+def _clenshaw(head: float, tail, ts, out: list) -> None:
+    """Append head + sum_k c_k T_k(t) to out for each t in ts, where tail is
+    (c_n, ..., c_1): Clenshaw's recurrence, one lane at a time."""
+    append = out.append
+    for t in ts:
         t2 = t + t
-        bx1 = bx2 = by1 = by2 = 0.0
-        for rx, ry in pairs:
-            bx2, bx1 = bx1, t2 * bx1 - bx2 + rx
-            by2, by1 = by1, t2 * by1 - by2 + ry
-        yield s, (hx + t * bx1 - bx2, hy + t * by1 - by2)
+        b1 = b2 = 0.0
+        for r in tail:
+            b1, b2 = t2 * b1 - b2 + r, b1
+        append(head + t * b1 - b2)
 
 
 def _stations(a: float, b: float, count: int):
@@ -280,18 +274,18 @@ def _stations(a: float, b: float, count: int):
 
 
 def _accumulate(f, stations, tol: float):
-    """Yield (s, sums) per station: the integral of each column of f from
-    the first station to s, for increasing stations.
+    """One column per column of f: at each station s, the integral of that
+    column from the first station to s, for increasing stations.
 
     Dense output: [stations[0], stations[-1]] is bisected depth-first into
     pieces on which the Chebyshev interpolant of f at 33 Lobatto points has
     a tail within tol (see _chebyshev_piece). Each piece's interpolant is
     integrated exactly, and every station inside the piece is one Clenshaw
     sum of that antiderivative plus the end values of the earlier pieces,
-    added in piece order. For two columns (plane curves) both lanes run in
-    one Clenshaw loop (_clenshaw_pair), bit-identical to one loop per lane.
+    added in piece order. A piece maps its stations onto [-1, 1] once, for
+    all lanes, then sums each lane over them in one loop (_clenshaw).
     f is called once per piece, not per station; the error at s is about
-    tol * (s - stations[0]) times the size of f. The first station yields
+    tol * (s - stations[0]) times the size of f. The first station holds
     exact zeros. Raises MaxDepthExceeded when a piece can no longer be
     halved in floating point or _MAX_PANELS pieces have been sampled, and
     NonFiniteIntegrand on a nan or inf sample, and ValueError unless
@@ -299,7 +293,7 @@ def _accumulate(f, stations, tol: float):
     """
     _check_tol(tol)
     stations = list(stations)
-    offsets = None  # per lane: the integral up to the current piece
+    columns = offsets = None  # per lane: the sums so far, the integral up to the piece
     pending = [(stations[0], stations[-1])]  # pieces to the right, nearest last
     pieces = 0
     i = 1
@@ -318,31 +312,20 @@ def _accumulate(f, stations, tol: float):
             pending.append((mid, pb))
             pending.append((pa, mid))
             continue
-        if offsets is None:  # the first piece gives the lane count
+        if columns is None:  # the first piece gives the lane count
+            columns = [[0.0] for _ in ck]
             offsets = [0.0] * len(ck)
-            yield stations[0], tuple(offsets)
         half = 0.5 * (pb - pa)
+        j = bisect_right(stations, pb, i) if pending else len(stations)
+        ts = [(s - mid) / half for s in stations[i:j]]
         lanes = [_antiderivative(c, half) for c in ck]
         # per lane: the value term, and the Clenshaw coefficients from its
         # own highest degree down to 1
-        heads = [lane[0] + off for lane, off in zip(lanes, offsets)]
-        tails = [lane[:0:-1] for lane in lanes]
-        j = bisect_right(stations, pb, i) if pending else len(stations)
-        if len(lanes) == 2:
-            yield from _clenshaw_pair(heads, tails, stations[i:j], mid, half)
-        else:
-            for s in stations[i:j]:
-                t = (s - mid) / half
-                t2 = t + t
-                sums = []
-                for head, tail in zip(heads, tails):
-                    b1 = b2 = 0.0
-                    for r in tail:
-                        b1, b2 = t2 * b1 - b2 + r, b1
-                    sums.append(head + t * b1 - b2)
-                yield s, tuple(sums)
-        i = j
+        for lane, off, col in zip(lanes, offsets, columns):
+            _clenshaw(lane[0] + off, lane[:0:-1], ts, col)
         offsets = [off + sum(lane) for off, lane in zip(offsets, lanes)]
+        i = j
+    return columns
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-12) -> IntegrationResult:

@@ -675,6 +675,18 @@ def test_subnormal_extent_exits_one_with_one_line(tmp_path, monkeypatch, capsys,
     assert os.listdir(tmp_path) == []
 
 
+def test_region_grid_that_repeats_a_lambda_exits_1(tmp_path, monkeypatch, capsys):
+    # distinct logs exp to one lambda: this exited 0 with 97 rows of only
+    # two lambdas, 1 and 1.0000000000000002
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    args = ["region", "--alpha", "2", "--delta-theta", "1", "--lambda-min", "1",
+            "--lambda-max", "1.0000000000000002", "--out", "r.csv"]
+    code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: [1.0, 1.0000000000000002] is too short for 97 distinct lambdas\n"
+    assert os.listdir(tmp_path) == []
+
+
 # setting -> (its flag, values to draw); lambda_min stays below lambda_max
 PRECEDENCE = {
     "samples": ("--n", st.integers(2, 40)),

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from operator import lt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -585,13 +586,32 @@ def test_region_checks_bounds_then_count_then_reach():
         drawable_region(0.5, 1.0, (10.0, 20.0), count=2)
     with pytest.raises(ValueError, match="lam_bounds requires"):
         drawable_region(2.0, 1.0, (2.0, 1.0), count=1)  # bad bounds, bad count
+    with pytest.raises(ValueError, match="count must be at least 2"):
+        drawable_region(0.5, 1.0, (10.0, 10.000000000000002), count=1)  # bad count, repeats
+    with pytest.raises(ValueError, match="is too short for 3 distinct lambdas"):
+        drawable_region(0.5, 1.0, (10.0, 10.000000000000002), count=3)  # repeats, empty
+
+
+def test_region_rejects_a_grid_that_repeats_a_lambda():
+    # distinct logs can exp to one lambda: this wrote 97 rows of only two
+    # lambdas, 1 and 1.0000000000000002, with psi_min == psi_max
+    with pytest.raises(ValueError) as info:
+        drawable_region(2.0, 1.0, (1.0, 1.0000000000000002))
+    assert str(info.value) == "[1.0, 1.0000000000000002] is too short for 97 distinct lambdas"
+    # two lambdas still make a grid
+    assert len(drawable_region(2.0, 1.0, (1.0, 1.0000000000000002), 2).boundary_samples) == 2
+
+
+def _log_grid(lo, hi, count):
+    """count log-spaced points of [lo, hi], built without curvekit."""
+    llo, lhi = math.log(lo), math.log(hi)
+    return [math.exp(llo + (lhi - llo) * i / (count - 1)) for i in range(count)]
 
 
 def _cold_grid(alpha, dth, lo, hi, count):
-    """The region's lambda column, built without curvekit: count log-spaced
-    points of [lo, hi], those at or past the reach replaced by the reach."""
-    llo, lhi = math.log(lo), math.log(hi)
-    lams = [math.exp(llo + (lhi - llo) * i / (count - 1)) for i in range(count)]
+    """The region's lambda column: _log_grid, those at or past the reach
+    replaced by the reach."""
+    lams = _log_grid(lo, hi, count)
     if alpha < 1.0:
         reach = (1.0 - 1e-8) / dth / (1.0 - alpha)
         if reach < hi:
@@ -606,11 +626,19 @@ def _cold_grid(alpha, dth, lo, hi, count):
     count=st.integers(2, 200),
     ends=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2, unique=True),
 )
+@example(alpha=2.0, dth=1.0, count=97, ends=[0.0, 1e-16])  # lambdas 1 and 1.0000000000000002
 def test_region_sweep_matches_independent_chord_angles(alpha, dth, count, ends):
     # the sweep carries each grid point's panels to the next; every row must
     # still be the chord angle of its own lambda, on the cold grid
     lo, hi = (10.0**e for e in sorted(ends))
     assume(lo < hi)  # distinct exponents can still round to one power of 10
+    grid = _log_grid(lo, hi, count)
+    if not all(map(lt, grid, grid[1:])):
+        # a repeated log is _stations' rejection, a repeated exp the region's
+        want = f"is too short for {count} (stations|distinct lambdas)"
+        with pytest.raises(ValueError, match=want):
+            drawable_region(alpha, dth, (lo, hi), count)
+        return
     try:
         reg = drawable_region(alpha, dth, (lo, hi), count)
     except EmptyRegion:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -507,3 +508,113 @@ def test_unit_quaternion_rejects_a_norm_that_overflows(components):
 def test_unit_quaternion_normalizes_large_finite_norms():
     q = UnitQuaternion(3e153, 0.0, 4e153, 0.0)
     assert q.components() == pytest.approx((0.6, 0.0, 0.8, 0.0), abs=1e-15)
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("components", [
+    (1, 0, 0, 0),
+    (True, False, False, False),
+    (_Float(1.0), _Float(0.0), _Float(-0.0), _Float(0.0)),
+    (0.6, 0.0, _Float(0.8), 0),
+    (2, 0, 0, 0),
+])
+def test_unit_quaternion_stores_plain_floats(components):
+    # a unit norm of exact floats is kept as given; anything else is converted
+    q = UnitQuaternion(*components)
+    assert [type(v) for v in q.components()] == [float] * 4
+    assert q.components() == tuple(float(v) / max(1, abs(components[0])) for v in components)
+
+
+def test_unit_quaternion_keeps_negative_zero():
+    q = UnitQuaternion(-0.0, 1.0, -0.0, 0.0)
+    assert [v.hex() for v in q.components()] == ["-0x0.0p+0", "0x1.0000000000000p+0",
+                                                  "-0x0.0p+0", "0x0.0p+0"]
+    assert UnitQuaternion(_Float(-0.0), -1, 0, 0).w.hex() == "-0x0.0p+0"
+
+
+@pytest.mark.parametrize("w, kept", [
+    (1.0 + 2.0**-41, True),  # |norm - 1| = 4.5e-13
+    (1.0 - 2.0**-41, True),
+    (1.0 + 2.0**-39, False),  # 1.8e-12: renormalized
+    (1.0 - 2.0**-39, False),
+])
+def test_unit_quaternion_renormalizes_beyond_1e_12(w, kept):
+    for components in ((w, 0.0, 0.0, 0.0), (_Float(w), 0.0, 0.0, 0.0)):
+        q = UnitQuaternion(*components)
+        assert q.w.hex() == (w.hex() if kept else "0x1.0000000000000p+0")
+        assert type(q.w) is float
+
+
+def test_quaternion_curve_keeps_its_first_control_and_binomial_row():
+    controls = tuple(q_exp((0.1 * i, -0.2, 0.05 * i * i)) for i in range(5))
+    curve = QuaternionCurve(controls)
+    assert curve._q0 == curve.controls[0].components()
+    assert curve._binom == (1, 4, 6, 4)  # C(4, j) for j < 4: B_4 is never subtracted
+
+
+# float.hex of the first, middle and last sample_qi rows, 41 stations, at
+# degrees 1-4, taken before the station sweep returned columns and the
+# quaternion curve kept its binomial row. s and the tangents are the same
+# bits on every interpreter; the points come from the Chebyshev sweep, whose
+# sum() compensates on Python 3.12 and later (README "Numerics"), so they
+# are pinned on each side of that change.
+_PIN_CONTROLS = [[1, 0, 0, 0], [0.8, 0.6, 0, 0], [0.6, 0, -0.8, 0],
+                 [0.36, 0.48, 0.64, 0.48], [0, 0, 0.6, 0.8]]
+_PIN_FIRST = ('0x0.0p+0', '0x1.0000000000000p-1', '-0x1.0000000000000p+0',
+             '0x1.0000000000000p+1', '0x0.0p+0', '0x1.3333333333333p-1',
+             '0x1.999999999999ap-1')
+SAMPLE_QI_BITS = {  # degree -> rows, with the points of Python 3.10 and 3.11
+    1: (_PIN_FIRST,
+        ('0x1.d99999999999ap+0', '0x1.0000000000000p-1', '-0x1.b3388d471229cp-2',
+         '0x1.dccacb0559304p+1', '0x0.0p+0', '-0x1.0000000000000p-54', '0x1.0000000000000p+0'),
+        ('0x1.d99999999999ap+1', '0x1.0000000000000p-1', '-0x1.fffffffffffffp-1',
+         '0x1.5ccacb0559304p+2', '0x0.0p+0', '-0x1.3333333333334p-1', '0x1.9999999999999p-1')),
+    2: (_PIN_FIRST,
+        ('0x1.d99999999999ap+0', '0x1.a43fbb185df26p-3', '-0x1.579be4b5f7cd2p-1',
+         '0x1.ddf989e60e2eep+1', '-0x1.dc267bea4554ap-2', '-0x1.2d24d73be4ec9p-4',
+         '0x1.c3b742d9d763ep-1'),
+        ('0x1.d99999999999ap+1', '-0x1.39c1df27629ebp+0', '-0x1.57ad742a1858ep-2',
+         '0x1.23c820f9fea3ep+2', '-0x1.89374bc6a7ef9p-1', '0x1.3333333333335p-1',
+         '-0x1.cac083126e984p-3')),
+    3: (_PIN_FIRST,
+        ('0x1.d99999999999ap+0', '-0x1.53bdccf8420f0p-3', '-0x1.3a9e4f556edcep-1',
+         '0x1.c6fe86957d4e0p+1', '-0x1.a59c84022f01bp-1', '0x1.6949865b96e64p-2',
+         '0x1.c6ff68c6a3ffcp-2'),
+        ('0x1.d99999999999ap+1', '-0x1.081f5d18a6d1cp-2', '0x1.6843caf344cfep-1',
+         '0x1.bddac8c21587ap+1', '0x1.cc100e6afcce1p-1', '0x1.0c5eb313be22ap-2',
+         '0x1.6872b020c49bbp-2')),
+    4: (_PIN_FIRST,
+        ('0x1.d99999999999ap+0', '-0x1.60b6d3c85a328p-2', '-0x1.8269105c84110p-2',
+         '0x1.a08985e23ca4cp+1', '-0x1.208e9df7d7c20p-1', '0x1.a6f0b5b6d7be5p-1',
+         '0x1.24c1d9ff35800p-10'),
+        ('0x1.d99999999999ap+1', '0x1.e7a9682eb0440p-7', '0x1.27579c2381ceap+0',
+         '0x1.d8749b9d979f6p+1', '0x1.0000000000002p-53', '0x1.3333333333335p-1',
+         '0x1.9999999999998p-1')),
+}
+SAMPLE_QI_POINTS_312 = {  # degree -> (x, y, z) of the middle and last rows
+    1: (('0x1.0000000000000p-1', '-0x1.b3388d47122a2p-2', '0x1.dccacb0559303p+1'),
+        ('0x1.0000000000000p-1', '-0x1.0000000000000p+0', '0x1.5ccacb0559303p+2')),
+    2: (('0x1.a43fbb185df24p-3', '-0x1.579be4b5f7cd4p-1', '0x1.ddf989e60e2f0p+1'),
+        ('-0x1.39c1df27629ebp+0', '-0x1.57ad742a18594p-2', '0x1.23c820f9fea3ep+2')),
+    3: (('-0x1.53bdccf8420f0p-3', '-0x1.3a9e4f556edd1p-1', '0x1.c6fe86957d4e1p+1'),
+        ('-0x1.081f5d18a6d1cp-2', '0x1.6843caf344cfcp-1', '0x1.bddac8c21587ap+1')),
+    4: (('-0x1.60b6d3c85a324p-2', '-0x1.8269105c84112p-2', '0x1.a08985e23ca4cp+1'),
+        ('0x1.e7a9682eb0460p-7', '0x1.27579c2381ceap+0', '0x1.d8749b9d979f6p+1')),
+}
+
+
+@pytest.mark.parametrize("degree", sorted(SAMPLE_QI_BITS))
+def test_sample_qi_pinned_bits(degree):
+    spec = QiCurveSpec.from_dict({"p0": [0.5, -1, 2], "v0": [0, 0.6, 0.8],
+                                  "controls": _PIN_CONTROLS[: degree + 1], "s_total": 3.7})
+    rows = sample_qi(spec, 41)
+    got = tuple(tuple(v.hex() for v in rows[i]) for i in (0, 20, 40))
+    want = SAMPLE_QI_BITS[degree]
+    if sys.version_info >= (3, 12):
+        first, *rest = want
+        points = SAMPLE_QI_POINTS_312[degree]
+        want = (first, *((row[0], *xyz, *row[4:]) for row, xyz in zip(rest, points)))
+    assert got == want

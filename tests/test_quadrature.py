@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+from bisect import bisect_right
 from itertools import repeat
 from operator import add
 
@@ -37,7 +38,9 @@ from curvekit.quadrature import (
     _XGK,
     _accumulate,
     _check_tol,
-    _clenshaw_pair,
+    _antiderivative,
+    _chebyshev_piece,
+    _clenshaw,
     _eval_panel,
     _integrate_components,
     _stations,
@@ -456,34 +459,35 @@ def test_result_type_is_frozen():
 
 def test_station_sampler_is_exact_on_polynomials_and_smooth_integrands():
     stations = [2.0 * i / 12 for i in range(13)]
-    rows = list(
-        _accumulate(lambda xs: ([x**5 for x in xs], list(map(math.cos, xs))), stations, 1e-12)
+    ps, cs = _accumulate(
+        lambda xs: ([x**5 for x in xs], list(map(math.cos, xs))), stations, 1e-12
     )
-    assert [s for s, _ in rows] == stations
-    assert rows[0][1] == (0.0, 0.0)
-    for s, (p, c) in rows:
+    assert len(ps) == len(cs) == len(stations)
+    assert (ps[0], cs[0]) == (0.0, 0.0)
+    for s, p, c in zip(stations, ps, cs):
         assert abs(p - s**6 / 6.0) <= 1e-14 * max(1.0, s**6 / 6.0)
         assert abs(c - math.sin(s)) <= 1e-15
 
 
 def test_station_sampler_starts_at_the_first_station():
     # sums run from stations[0], not from 0
-    rows = list(_accumulate(lambda xs: (list(map(math.exp, xs)),), [1.0, 1.5, 3.0], 1e-12))
-    assert rows[0] == (1.0, (0.0,))
-    for s, (v,) in rows:
+    stations = [1.0, 1.5, 3.0]
+    (vs,) = _accumulate(lambda xs: (list(map(math.exp, xs)),), stations, 1e-12)
+    assert len(vs) == len(stations) and vs[0] == 0.0
+    for s, v in zip(stations, vs):
         assert abs(v - (math.exp(s) - math.e)) <= 1e-14 * math.exp(s)
 
 
 def test_station_sampler_raises_on_non_finite_samples():
     with pytest.raises(NonFiniteIntegrand):
-        list(_accumulate(lambda xs: ([1.0] * len(xs), [math.nan] * len(xs)), [0.0, 1.0], 1e-12))
+        _accumulate(lambda xs: ([1.0] * len(xs), [math.nan] * len(xs)), [0.0, 1.0], 1e-12)
 
 
 def test_station_sampler_stops_where_pieces_no_longer_halve():
     # noise fails every piece: the depth-first split reaches the float
     # resolution near 1 after about 52 halvings
     with pytest.raises(MaxDepthExceeded, match="further"):
-        list(_accumulate(lambda xs: (list(map(_noise, xs)),), [1.0, 1.5, 2.0], 1e-12))
+        _accumulate(lambda xs: (list(map(_noise, xs)),), [1.0, 1.5, 2.0], 1e-12)
 
 
 def test_station_sampler_gives_up_within_the_piece_budget():
@@ -498,7 +502,7 @@ def test_station_sampler_gives_up_within_the_piece_budget():
         return ([math.sin(1e6 * x) for x in xs],)
 
     with pytest.raises(MaxDepthExceeded, match="pieces"):
-        list(_accumulate(counted, [0.0, 1.0], 1e-12))
+        _accumulate(counted, [0.0, 1.0], 1e-12)
 
 
 def per_lane_clenshaw(head, tail, t):
@@ -523,15 +527,137 @@ _COEFFS = st.lists(st.floats(-1e3, 1e3), max_size=34)
 )
 @example(0.5, -0.25, [1.0, -2.0, 3.0, 0.5, -0.125], [7.0, -1e-3], [-1.0, 0.0, 0.3, 1.0])
 @example(-0.0, 0.0, [], [2.0, -0.0, 1e-300], [-0.0, 1.0])
-def test_fused_planar_lanes_are_bit_identical_to_per_lane_clenshaw(hx, hy, tx, ty, ts):
-    mid, half = 3.0, 0.5
-    stations = [mid + half * t for t in ts]
-    rows = list(_clenshaw_pair([hx, hy], [tx, ty], stations, mid, half))
-    assert [s for s, _ in rows] == stations
-    for s, (x, y) in rows:
+def test_clenshaw_columns_are_bit_identical_to_per_lane_clenshaw(hx, hy, tx, ty, ts):
+    # each lane appends one sum per t to its column, after what it holds
+    for head, tail in ((hx, tx), (hy, ty)):
+        column = [0.0]
+        _clenshaw(head, tail, ts, column)
+        want = [0.0, *(per_lane_clenshaw(head, tail, t) for t in ts)]
+        assert [v.hex() for v in column] == [v.hex() for v in want]
+
+
+def _clenshaw_pair(heads, tails, stations, mid: float, half: float):
+    """Yield (s, (x, y)) per station: the two lanes of _accumulate summed in
+    one Clenshaw loop. The shorter tail is padded with leading zeros, which
+    leave b1 = b2 = +0.0 and so each sum bit-identical to its own loop."""
+    hx, hy = heads
+    tx, ty = tails
+    pad = len(tx) - len(ty)
+    pairs = list(zip([0.0] * -pad + tx, [0.0] * pad + ty))
+    for s in stations:
         t = (s - mid) / half
-        assert x.hex() == per_lane_clenshaw(hx, tx, t).hex()
-        assert y.hex() == per_lane_clenshaw(hy, ty, t).hex()
+        t2 = t + t
+        bx1 = bx2 = by1 = by2 = 0.0
+        for rx, ry in pairs:
+            bx2, bx1 = bx1, t2 * bx1 - bx2 + rx
+            by2, by1 = by1, t2 * by1 - by2 + ry
+        yield s, (hx + t * bx1 - bx2, hy + t * by1 - by2)
+
+
+def _generator_accumulate(f, stations, tol: float):
+    """The station sweep as a generator of (s, sums) rows, with a fused loop
+    for two lanes: the reference the column sweep must match bit for bit."""
+    _check_tol(tol)
+    stations = list(stations)
+    offsets = None  # per lane: the integral up to the current piece
+    pending = [(stations[0], stations[-1])]  # pieces to the right, nearest last
+    pieces = 0
+    i = 1
+    while pending:
+        pa, pb = pending.pop()
+        pieces += 1
+        if pieces > _MAX_PANELS:
+            raise MaxDepthExceeded(
+                f"no convergence within {_MAX_PANELS} pieces near [{pa!r}, {pb!r}]"
+            )
+        mid = 0.5 * (pa + pb)
+        ck = _chebyshev_piece(f, pa, pb, tol)
+        if ck is None:
+            if not pa < mid < pb:
+                raise MaxDepthExceeded(f"cannot split [{pa!r}, {pb!r}] further")
+            pending.append((mid, pb))
+            pending.append((pa, mid))
+            continue
+        if offsets is None:  # the first piece gives the lane count
+            offsets = [0.0] * len(ck)
+            yield stations[0], tuple(offsets)
+        half = 0.5 * (pb - pa)
+        lanes = [_antiderivative(c, half) for c in ck]
+        # per lane: the value term, and the Clenshaw coefficients from its
+        # own highest degree down to 1
+        heads = [lane[0] + off for lane, off in zip(lanes, offsets)]
+        tails = [lane[:0:-1] for lane in lanes]
+        j = bisect_right(stations, pb, i) if pending else len(stations)
+        if len(lanes) == 2:
+            yield from _clenshaw_pair(heads, tails, stations[i:j], mid, half)
+        else:
+            for s in stations[i:j]:
+                t = (s - mid) / half
+                t2 = t + t
+                sums = []
+                for head, tail in zip(heads, tails):
+                    b1 = b2 = 0.0
+                    for r in tail:
+                        b1, b2 = t2 * b1 - b2 + r, b1
+                    sums.append(head + t * b1 - b2)
+                yield s, tuple(sums)
+        i = j
+        offsets = [off + sum(lane) for off, lane in zip(offsets, lanes)]
+
+
+# one lane of a test integrand: a name and its parameters
+_LANES = st.one_of(
+    st.tuples(st.just("poly"), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8)),
+    st.tuples(st.just("sin"), st.floats(-20.0, 20.0), st.floats(-3.0, 3.0)),
+    st.tuples(st.just("exp"), st.floats(-3.0, 3.0)),
+    st.tuples(st.just("nan_from"), st.floats(-10.0, 10.0)),
+    st.tuples(st.just("noise")),
+)
+
+
+def _lane_value(lane, x):
+    kind, *p = lane
+    if kind == "poly":
+        return sum(c * x**k for k, c in enumerate(p[0]))
+    if kind == "sin":
+        return math.sin(p[0] * x + p[1])
+    if kind == "exp":
+        return math.exp(p[0] * x)
+    if kind == "nan_from":
+        return math.nan if x >= p[0] else 1.0 / (1.0 + x * x)
+    return _noise(x)
+
+
+def _sweep_or_error(sweep):
+    try:
+        return sweep()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_LANES, min_size=1, max_size=3),
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30, unique=True).map(sorted),
+    st.sampled_from([1e-12, 1e-8, 1e-4, 0.0]),
+)
+@example([("sin", 3.0, 0.5), ("poly", [-0.0, 2.0])], [0.0, 0.5, 2.0, 7.0], 1e-12)
+@example([("exp", 1.0), ("nan_from", 1.0), ("sin", 1.0, 0.0)], [0.0, 2.0], 1e-12)
+@example([("noise",), ("poly", [1.0])], [1.0, 1.5, 2.0], 1e-12)
+def test_column_sweep_matches_the_generator_sweep(lanes, stations, tol):
+    # every station of every lane to the bit, or the same exception and message
+    def f(xs):
+        return tuple([_lane_value(lane, x) for x in xs] for lane in lanes)
+
+    def rows_as_columns():
+        rows = list(_generator_accumulate(f, stations, tol))
+        assert [s for s, _ in rows] == stations
+        return [[v.hex() for v in col] for col in zip(*(sums for _, sums in rows))]
+
+    def columns():
+        return [[v.hex() for v in col] for col in _accumulate(f, stations, tol)]
+
+    assert _sweep_or_error(columns) == _sweep_or_error(rows_as_columns)
 
 
 _ENDS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
