@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from ._fmt import Record
 from .pseudospiral import NaturalEquation, SampledCurve, _check_domain, _theta_kappa
@@ -137,6 +138,13 @@ def _extract_s_kappa(data):
     return [(float(s), float(k)) for s, k in data]
 
 
+def _finite_s_kappa(data):
+    pairs = _extract_s_kappa(data)
+    if not all(map(math.isfinite, chain.from_iterable(pairs))):
+        raise ValueError("samples must be finite")
+    return pairs
+
+
 def _slopes(s, f):
     """df/ds at every station: centered differences inside, one-sided at the ends."""
     n = len(s)
@@ -193,7 +201,7 @@ def check_monotone(data, tolerance: float | None = None) -> MonotonicityReport:
     by the first significant move from kappa[0] is reported with the
     samples that break it.
     """
-    pairs = _extract_s_kappa(data)
+    pairs = _finite_s_kappa(data)
     if len(pairs) < 2:
         raise ValueError("need at least two samples")
     kappas = [k for _, k in pairs]
@@ -233,7 +241,7 @@ def stress_marker(data) -> StressMarker:
     Slopes use centered differences at interior stations, one-sided at the
     ends. Ties within 1e-12 relative resolve to the smallest arc length.
     """
-    pairs = _extract_s_kappa(data)
+    pairs = _finite_s_kappa(data)
     if len(pairs) < 3:
         raise ValueError("need at least three samples")
     s = [p[0] for p in pairs]

@@ -48,6 +48,7 @@ from .pseudospiral import (
 from .qi3d import QiCurveSpec, sample_qi
 from .quadrature import MaxDepthExceeded, NonFiniteIntegrand
 from .render import (
+    _csv,
     OrnamentSpec,
     PlotSpec,
     curve_from_rows,
@@ -142,18 +143,17 @@ def _write_text(path: str, text: str, out_dir: str) -> str:
     return path
 
 
-def _parse_floats(text: str, expect: int, what: str):
-    parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
-    if len(parts) != expect:
-        raise ValueError(f"{what} needs {expect} comma-separated numbers")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_float_list(text: str, what: str):
-    values = tuple(float(p) for p in text.split(",") if p.strip())
-    if not values:
-        raise ValueError(f"{what} needs at least one number")
-    return values
+def _parse_floats(text: str, what: str, expect: int | None = None, sep: str = ","):
+    """The numbers of a flag's list: entries separated by sep or ';', blank
+    entries skipped; exactly expect of them when given, else at least one."""
+    parts = [p for p in text.replace(";", sep).split(sep) if p.strip()]
+    if not parts or expect and len(parts) != expect:
+        raise ValueError(f"{what} needs {expect or 'one or more'} numbers "
+                         f"separated by {sep!r}, got {text!r}")
+    try:
+        return tuple(map(float, parts))
+    except ValueError:
+        raise ValueError(f"{what} takes numbers separated by {sep!r}, got {text!r}") from None
 
 
 def _equation_from_args(args) -> NaturalEquation:
@@ -250,8 +250,8 @@ def _cmd_lcg(args, cfg: Config) -> int:
 
 def _cmd_fit(args, cfg: Config) -> int:
     problem = HermiteProblem(
-        p_start=_parse_floats(args.start, 2, "--start"),
-        p_end=_parse_floats(args.end, 2, "--end"),
+        p_start=_parse_floats(args.start, "--start", 2),
+        p_end=_parse_floats(args.end, "--end", 2),
         t_start=(math.cos(args.start_angle), math.sin(args.start_angle)),
         t_end=(math.cos(args.end_angle), math.sin(args.end_angle)),
         alpha=args.alpha,
@@ -272,10 +272,8 @@ def _cmd_fit(args, cfg: Config) -> int:
 def _cmd_region(args, cfg: Config) -> int:
     bounds = (cfg.lambda_min, cfg.lambda_max)
     region = drawable_region(args.alpha, args.delta_theta, bounds, args.points)
-    rows = ["lambda,psi"]
-    rows.extend(f"{fmt(lam)},{fmt(psi)}" for lam, psi in region.boundary_samples)
     return _wrote(
-        args.out, "\n".join(rows) + "\n", cfg,
+        args.out, _csv("lambda,psi", region.boundary_samples), cfg,
         f"alpha = {fmt(region.alpha)}  delta_theta = {fmt(region.delta_theta)}  "
         f"psi_min = {fmt(region.psi_min)}  psi_max = {fmt(region.psi_max)}  "
         f"samples = {len(region.boundary_samples)}",
@@ -291,12 +289,12 @@ def _cmd_qi(args, cfg: Config) -> int:
             raise ValueError("either --spec or --controls is required")
         spec = QiCurveSpec.from_dict({
             "controls": [
-                _parse_floats(part, 4, "--controls entry")
+                _parse_floats(part, "--controls entry", 4)
                 for part in args.controls.split(";")
                 if part.strip()
             ],
-            "p0": _parse_floats(args.p0, 3, "--p0"),
-            "v0": _parse_floats(args.v0, 3, "--v0"),
+            "p0": _parse_floats(args.p0, "--p0", 3),
+            "v0": _parse_floats(args.v0, "--v0", 3),
             "s_total": args.s_total,
         })
     rows = sample_qi(spec, cfg.samples)
@@ -315,7 +313,7 @@ def _cmd_ornament(args, cfg: Config) -> int:
         count=args.count,
         size_base=args.size_base,
         size_rule=args.size_rule,
-        rhythm=_parse_float_list(args.rhythm, "--rhythm"),
+        rhythm=_parse_floats(args.rhythm, "--rhythm"),
         palette=tuple(c.strip() for c in args.palette.split(",") if c.strip()),
     )
     return _wrote(args.out, ornament_svg(spec), cfg,
@@ -335,24 +333,19 @@ def _cmd_plot(args, cfg: Config) -> int:
     curves = [_load_curve_csv(p) for p in args.input or ()]
     if args.named is not None or args.alpha is not None:
         curves.append(_sampled_from_args(args, cfg))
-    widths = _parse_float_list(args.widths, "--widths")
+    widths = _parse_floats(args.widths, "--widths")
     annotations = []
     if args.annotate:
         annotations = [(i, stress_marker(c)) for i, c in enumerate(curves)]
     spec = PlotSpec(
         curves=tuple(curves),
-        size=_canvas_size(args.size),
+        size=_parse_floats(args.size, "--size", 2, sep="x"),
         stroke_widths=widths,
         annotations=tuple(annotations),
         axes=args.axes,
     )
     return _wrote(args.out, plot_svg(spec), cfg,
                   f"curves = {len(curves)}  paths = {len(curves) * len(widths)}")
-
-
-def _canvas_size(text: str):
-    w, _, h = text.partition("x")
-    return (float(w), float(h))
 
 
 # ---------------------------------------------------------------- parser

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
-from ._fmt import FIELD, fmt
+from ._fmt import FIELD
 from .pseudospiral import CurveSample, Pose, SampledCurve
 from .quadrature import _stations
 
@@ -53,14 +54,9 @@ class PlotSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
-        widths = tuple(float(w) for w in self.stroke_widths)
-        if not widths or any(w <= 0.0 for w in widths):
-            raise ValueError("stroke_widths must be nonempty and positive")
-        w, h = self.size
-        if not (w > 0 and h > 0):
-            raise ValueError("canvas dimensions must be positive")
-        object.__setattr__(self, "stroke_widths", widths)
+        object.__setattr__(self, "stroke_widths", _positive("stroke_widths", self.stroke_widths))
         object.__setattr__(self, "annotations", tuple(self.annotations))
+        _check_canvas(self)
 
 
 @dataclass(frozen=True)
@@ -89,16 +85,31 @@ class OrnamentSpec:
             raise ValueError(f"unknown size rule {self.size_rule!r}")
         if self.count < 1:
             raise EmptyInput("count must be at least 1")
-        if not self.size_base > 0.0:
-            raise ValueError("size_base must be positive")
-        rhythm = tuple(float(r) for r in self.rhythm)
+        if not 0.0 < self.size_base < math.inf:
+            raise ValueError("size_base must be positive and finite")
+        object.__setattr__(self, "rhythm", _positive("rhythm", self.rhythm))
         palette = tuple(str(c) for c in self.palette)
-        if not rhythm or any(r <= 0.0 for r in rhythm):
-            raise ValueError("rhythm must be nonempty and positive")
-        if not palette:
-            raise ValueError("palette must be nonempty")
-        object.__setattr__(self, "rhythm", rhythm)
+        if not palette or any(set(c) & set('"<>&') for c in palette):
+            raise ValueError("palette must be nonempty, with no '\"', '<', '>' or '&' in an entry")
         object.__setattr__(self, "palette", palette)
+        _check_canvas(self)
+
+
+def _positive(what, values):
+    """values as a tuple of floats, each positive and finite."""
+    values = tuple(map(float, values))
+    if not values or not all(0.0 < v < math.inf for v in values):
+        raise ValueError(f"{what} must be nonempty, positive and finite")
+    return values
+
+
+def _check_canvas(spec):
+    """Store size as two positive finite floats, margin as a finite float."""
+    w, h = _positive("canvas size", spec.size)
+    if not math.isfinite(spec.margin):
+        raise ValueError("margin must be finite")
+    object.__setattr__(spec, "size", (w, h))
+    object.__setattr__(spec, "margin", float(spec.margin))
 
 
 class _CanvasMap:
@@ -137,47 +148,46 @@ class _CanvasMap:
         return -theta  # y flip reverses angles
 
 
-def _svg_open(size):
+# element templates: every SVG number goes through FIELD, as CSV rows do
+_XY = f"{FIELD} {FIELD}"
+_PAIR = f"{FIELD},{FIELD}"
+_SVG_OPEN = (
+    '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+    f'width="{FIELD}" height="{FIELD}" viewBox="0 0 {FIELD} {FIELD}">'
+)
+_AXES = (
+    f'<path d="M 0 {FIELD} L {_XY} M {FIELD} 0 L {_XY}" '
+    'fill="none" stroke="#888888" stroke-width="1"/>'
+)
+_STROKE = f'<path d="%s" fill="none" stroke="#000000" stroke-width="{FIELD}"/>'
+_ARROW = (
+    f'<path d="M {_XY} L {_XY}" fill="none" stroke="%s" stroke-width="1.5"/>\n'
+    f'<polygon points="{_PAIR} {_PAIR} {_PAIR}" fill="%s"/>'
+)
+_CIRCLE = f'<circle cx="{FIELD}" cy="{FIELD}" r="{FIELD}" fill="%s"/>'
+
+
+def _svg(size, body):
+    """One SVG document: the canvas of the given size around body's lines."""
     w, h = size
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{fmt(w)}" height="{fmt(h)}" '
-        f'viewBox="0 0 {fmt(w)} {fmt(h)}">'
-    )
-
-
-_SEGMENT = f"L {FIELD} {FIELD}"
+    return "\n".join([_SVG_OPEN % (w, h, w, h), *body, "</svg>"]) + "\n"
 
 
 def _path_d(canvas_points):
-    parts = [f"M {fmt(canvas_points[0][0])} {fmt(canvas_points[0][1])}"]
-    parts.extend(map(_SEGMENT.__mod__, canvas_points[1:]))
-    return " ".join(parts)
+    return "M " + " L ".join(map(_XY.__mod__, canvas_points))
 
 
 def _arrow(tip, angle, length, color):
     """Arrow pointing at tip from direction angle (canvas radians)."""
-    ax = tip[0] - length * math.cos(angle)
-    ay = tip[1] - length * math.sin(angle)
+    x, y = tip
     head = 0.25 * length
-    left = (
-        tip[0] - head * math.cos(angle - 0.4),
-        tip[1] - head * math.sin(angle - 0.4),
+    return _ARROW % (
+        x - length * math.cos(angle), y - length * math.sin(angle), x, y, color,
+        x, y,
+        x - head * math.cos(angle - 0.4), y - head * math.sin(angle - 0.4),
+        x - head * math.cos(angle + 0.4), y - head * math.sin(angle + 0.4),
+        color,
     )
-    right = (
-        tip[0] - head * math.cos(angle + 0.4),
-        tip[1] - head * math.sin(angle + 0.4),
-    )
-    line = (
-        f'<path d="M {fmt(ax)} {fmt(ay)} L {fmt(tip[0])} {fmt(tip[1])}" '
-        f'fill="none" stroke="{color}" stroke-width="1.5"/>'
-    )
-    tri = (
-        f'<polygon points="{fmt(tip[0])},{fmt(tip[1])} '
-        f'{fmt(left[0])},{fmt(left[1])} {fmt(right[0])},{fmt(right[1])}" '
-        f'fill="{color}"/>'
-    )
-    return line + "\n" + tri
 
 
 def _interpolate(curve: SampledCurve, svals, s: float) -> CurveSample:
@@ -207,22 +217,14 @@ def plot_svg(spec: PlotSpec) -> str:
     world = [(p.x, p.y) for c in spec.curves for p in c.samples]
     cmap = _CanvasMap(world, spec.size, spec.margin)
 
-    lines = [_svg_open(spec.size)]
+    body = []
     if spec.axes:
         w, h = spec.size
         x0, y0 = cmap.point(0.0, 0.0)
-        lines.append(
-            f'<path d="M 0 {fmt(y0)} L {fmt(w)} {fmt(y0)} M {fmt(x0)} 0 '
-            f'L {fmt(x0)} {fmt(h)}" fill="none" stroke="#888888" stroke-width="1"/>'
-        )
+        body.append(_AXES % (y0, w, y0, x0, x0, h))
     for curve in spec.curves:
-        pts = [cmap.point(p.x, p.y) for p in curve.samples]
-        d = _path_d(pts)
-        for width in spec.stroke_widths:
-            lines.append(
-                f'<path d="{d}" fill="none" stroke="#000000" '
-                f'stroke-width="{fmt(width)}"/>'
-            )
+        d = _path_d([cmap.point(p.x, p.y) for p in curve.samples])
+        body.extend(_STROKE % (d, width) for width in spec.stroke_widths)
     svals = {i: [p.s for p in spec.curves[i].samples] for i, _ in spec.annotations}
     for index, marker in spec.annotations:
         curve = spec.curves[index]
@@ -231,10 +233,8 @@ def plot_svg(spec: PlotSpec) -> str:
             (marker.s_at_max_kappa_slope, "#3b5fc4", 0.25 * math.pi),
         ):
             p = _interpolate(curve, svals[index], s)
-            tip = cmap.point(p.x, p.y)
-            lines.append(_arrow(tip, tilt, 28.0, color))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            body.append(_arrow(cmap.point(p.x, p.y), tilt, 28.0, color))
+    return _svg(spec.size, body)
 
 
 def ornament_svg(spec: OrnamentSpec) -> str:
@@ -262,30 +262,29 @@ def ornament_svg(spec: OrnamentSpec) -> str:
 
     world = [(p.x, p.y) for p in path.samples]
     cmap = _CanvasMap(world, spec.size, spec.margin)
-    lines = [_svg_open(spec.size)]
     pts = [cmap.point(q.x, q.y) for q in path.samples]
-    lines.append(
-        f'<path d="{_path_d(pts)}" fill="none" stroke="#bbbbbb" stroke-width="1"/>'
-    )
+    body = [f'<path d="{_path_d(pts)}" fill="none" stroke="#bbbbbb" stroke-width="1"/>']
     for p, size, color in records:
         cx, cy = cmap.point(p.x, p.y)
         r = cmap.k * size
-        ang = cmap.angle(p.theta)
         if spec.primitive == "circle":
-            lines.append(
-                f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" fill="{color}"/>'
-            )
-        else:
-            corner_count = 4 if spec.primitive == "square" else 3
-            offset = math.pi / 4.0 if spec.primitive == "square" else 0.0
-            corners = []
-            for k in range(corner_count):
-                a = ang + offset + k * math.tau / corner_count
-                corners.append((cx + r * math.cos(a), cy + r * math.sin(a)))
-            point_str = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in corners)
-            lines.append(f'<polygon points="{point_str}" fill="{color}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            body.append(_CIRCLE % (cx, cy, r, color))
+            continue
+        corner_count = 4 if spec.primitive == "square" else 3
+        offset = math.pi / 4.0 if spec.primitive == "square" else 0.0
+        corners = []
+        for k in range(corner_count):
+            a = cmap.angle(p.theta) + offset + k * math.tau / corner_count
+            corners.append(_PAIR % (cx + r * math.cos(a), cy + r * math.sin(a)))
+        body.append(f'<polygon points="{" ".join(corners)}" fill="{color}"/>')
+    return _svg(spec.size, body)
+
+
+def _csv(header, rows) -> str:
+    """CSV text: the header, then each row through one printf template of
+    the header's width, LF newlines and a trailing newline."""
+    template = ",".join([FIELD] * (header.count(",") + 1))
+    return "\n".join([header, *map(template.__mod__, rows)]) + "\n"
 
 
 def export_csv(data) -> str:
@@ -293,9 +292,8 @@ def export_csv(data) -> str:
 
     A SampledCurve writes the 2D header s,x,y,theta,kappa; an iterable of
     7-field records writes the 3D header s,x,y,z,tx,ty,tz. Floats are
-    formatted for exact round-trips; newlines are LF. Each row is one
-    printf template of the header's width, with the same bytes as joining
-    fmt of every field; a 2D sample is such a row already.
+    formatted for exact round-trips; newlines are LF. A 2D sample is a
+    row of the template already.
     """
     if isinstance(data, SampledCurve):
         rows = data.samples
@@ -303,15 +301,11 @@ def export_csv(data) -> str:
     else:
         rows = [tuple(map(float, row)) for row in data]
         header = _HEADER_3D
-        for row in rows:
-            if len(row) != 7:
-                raise ValueError("3D records need exactly 7 fields")
+        if any(len(row) != 7 for row in rows):
+            raise ValueError("3D records need exactly 7 fields")
     if not rows:
         raise EmptyInput("no samples to export")
-    template = ",".join([FIELD] * len(rows[0]))
-    out = [header]
-    out.extend(map(template.__mod__, rows))
-    return "\n".join(out) + "\n"
+    return _csv(header, rows)
 
 
 def parse_csv(text: str):
@@ -332,9 +326,12 @@ def parse_csv(text: str):
 
 
 def curve_from_rows(rows) -> SampledCurve:
-    """Rebuild a SampledCurve from parsed 2D CSV rows."""
+    """Rebuild a SampledCurve from parsed 2D CSV rows, which must be
+    finite (float() reads nan and inf)."""
     samples = tuple(map(CurveSample._make, rows))
     if not samples:
         raise EmptyInput("no rows")
+    if not all(map(math.isfinite, chain.from_iterable(samples))):
+        raise ValueError("samples must be finite")
     first = samples[0]
     return SampledCurve(None, samples, Pose(first.x, first.y, first.theta))

@@ -144,6 +144,19 @@ def test_lcg_from_samples_names_the_first_faulty_sample(pairs, message):
         lcg_from_samples(pairs)
 
 
+@pytest.mark.parametrize("check", [check_monotone, stress_marker])
+@pytest.mark.parametrize("bad", [(2, 1, math.nan), (2, 1, math.inf), (0, 0, -math.inf),
+                                 (3, 0, math.nan)])
+def test_profile_checks_reject_non_finite_samples(check, bad):
+    # nan made check_monotone call the profile "decreasing", inf "constant",
+    # and stress_marker stop with a StopIteration
+    pairs = [[0.1 * i, 1.0 / (1 + i)] for i in range(5)]
+    i, j, value = bad
+    pairs[i][j] = value
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        check(pairs)
+
+
 def test_too_few_points_degenerate():
     with pytest.raises(DegenerateLcg):
         lcg_from_functions(lambda s: math.exp(-s), lambda s: -math.exp(-s), [0.5])

@@ -687,6 +687,57 @@ def test_region_grid_that_repeats_a_lambda_exits_1(tmp_path, monkeypatch, capsys
     assert os.listdir(tmp_path) == []
 
 
+def rejects(args, tmp_path, monkeypatch, capsys):
+    """The error line of a run that exits 1 with one line and no new file."""
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(os.listdir(tmp_path)) == before
+    return err
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+@pytest.mark.parametrize("args", [
+    ["plot", "--in", "k.csv", "--annotate", "--out", "o.svg"],  # a StopIteration traceback
+    ["check", "--in", "k.csv"],  # exit 0, "decreasing" for nan and "constant" for inf
+    ["plot", "--in", "k.csv", "--out", "o.svg"],  # wrote nan into the SVG
+    ["ornament", "--in", "k.csv", "--count", "3", "--out", "o.svg"],
+], ids=["plot-annotate", "check", "plot", "ornament"])
+def test_non_finite_in_rows_exit_1(tmp_path, monkeypatch, capsys, args, kappa):
+    rows = [f"{0.1 * i!r},{0.1 * i!r},0,0,{1.0 / (1 + i)!r}" for i in range(5)]
+    rows[2] = rows[2].rsplit(",", 1)[0] + "," + kappa
+    (tmp_path / "k.csv").write_text("\n".join(["s,x,y,theta,kappa", *rows]) + "\n")
+    err = rejects(args, tmp_path, monkeypatch, capsys)
+    assert err == "error: samples must be finite\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["plot", "--widths", "nan"],
+    ["plot", "--widths", "1,inf"],
+    ["plot", "--size", "infx600"],  # wrote 1,002 infs
+    ["ornament", "--rhythm", "nan"],
+    ["ornament", "--rhythm", "1,inf"],
+    ["ornament", "--size-base", "inf"],
+    ["ornament", "--palette", '"/><script>'],  # the file did not parse as XML
+    ["ornament", "--palette", "#000000,&"],
+], ids=["widths-nan", "widths-inf", "size-inf", "rhythm-nan", "rhythm-inf", "size-base-inf",
+        "palette-markup", "palette-ampersand"])
+def test_non_finite_or_unsafe_drawing_flags_exit_1(tmp_path, monkeypatch, capsys, args):
+    family = ["--alpha", "0.5", "--lambda", "1", "--out", "o.svg"]
+    err = rejects([*args, *family], tmp_path, monkeypatch, capsys)
+    assert "finite" in err or "palette" in err
+
+
+@pytest.mark.parametrize("size", ["800", "x600", "800x600x1", "800,600", "wx600"])
+def test_bad_size_names_the_flag(tmp_path, monkeypatch, capsys, size):
+    # "800" said "could not convert string to float: ''"
+    args = ["plot", "--alpha", "0.5", "--lambda", "1", "--size", size, "--out", "o.svg"]
+    err = rejects(args, tmp_path, monkeypatch, capsys)
+    assert err.startswith("error: --size ") and repr(size) in err
+
+
 # setting -> (its flag, values to draw); lambda_min stays below lambda_max
 PRECEDENCE = {
     "samples": ("--n", st.integers(2, 40)),

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvekit._fmt import FIELD, fmt
-from curvekit.analysis import stress_marker
+from curvekit.analysis import StressMarker, stress_marker
 from curvekit.pseudospiral import (
     CurveSample,
     NaturalEquation,
@@ -18,7 +18,11 @@ from curvekit.pseudospiral import (
     named_curve,
     sample_curve,
 )
+from curvekit.quadrature import _stations
 from curvekit.render import (
+    _CanvasMap,
+    _csv,
+    _interpolate,
     _path_d,
     EmptyInput,
     OrnamentSpec,
@@ -387,3 +391,206 @@ def test_row_templates_match_per_field_fmt(row7, row4):
 @example(2**53 + 1)
 def test_printf_field_equals_fmt(x):
     assert FIELD % x == fmt(x)
+
+
+@pytest.mark.parametrize("make, bad", [
+    (PlotSpec, {"size": (math.inf, 600)}),  # wrote 1,002 infs
+    (PlotSpec, {"size": (800, math.nan)}),
+    (PlotSpec, {"margin": math.nan}),
+    (PlotSpec, {"stroke_widths": (1.0, math.nan)}),
+    (PlotSpec, {"stroke_widths": (math.inf,)}),
+    (OrnamentSpec, {"rhythm": (math.nan,)}),
+    (OrnamentSpec, {"rhythm": (1.0, math.inf)}),
+    (OrnamentSpec, {"size_base": math.inf}),
+    (OrnamentSpec, {"size_base": math.nan}),
+    (OrnamentSpec, {"size": (800, math.inf)}),
+    (OrnamentSpec, {"margin": -math.inf}),
+])
+def test_specs_reject_non_finite_numbers(make, bad):
+    first = "path" if make is OrnamentSpec else "curves"
+    value = euler_path(10) if make is OrnamentSpec else (euler_path(10),)
+    with pytest.raises(ValueError, match="finite"):
+        make(**{first: value}, **bad)
+
+
+@pytest.mark.parametrize("entry", ['"', '"/><script>', "<b", "a>", "&amp;"])
+def test_ornament_palette_rejects_markup(entry):
+    # '"/><script>' closed the fill attribute: the file no longer parsed
+    with pytest.raises(ValueError, match="palette"):
+        OrnamentSpec(path=euler_path(10), palette=("#000000", entry))
+    svg = ornament_svg(OrnamentSpec(path=euler_path(10), palette=("#000000", "red")))
+    ET.fromstring(svg)
+
+
+@pytest.mark.parametrize("column", range(5))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_curve_from_rows_rejects_non_finite_values(column, value):
+    rows = [[0.1 * i, 0.1 * i, 0.0, 0.0, 1.0 / (1 + i)] for i in range(4)]
+    rows[2][column] = value
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        curve_from_rows(map(tuple, rows))
+
+
+# ------------------------------------------------------------ the fmt emitters they replaced
+# Copies of the f-string emitters that formatted each SVG and region CSV
+# number with fmt: the printf templates must write the same bytes.
+
+
+def _fmt_svg_open(size):
+    w, h = size
+    return (
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{fmt(w)}" height="{fmt(h)}" '
+        f'viewBox="0 0 {fmt(w)} {fmt(h)}">'
+    )
+
+
+def _fmt_path_d(canvas_points):
+    parts = [f"M {fmt(canvas_points[0][0])} {fmt(canvas_points[0][1])}"]
+    parts.extend(f"L {fmt(x)} {fmt(y)}" for x, y in canvas_points[1:])
+    return " ".join(parts)
+
+
+def _fmt_arrow(tip, angle, length, color):
+    ax = tip[0] - length * math.cos(angle)
+    ay = tip[1] - length * math.sin(angle)
+    head = 0.25 * length
+    left = (tip[0] - head * math.cos(angle - 0.4), tip[1] - head * math.sin(angle - 0.4))
+    right = (tip[0] - head * math.cos(angle + 0.4), tip[1] - head * math.sin(angle + 0.4))
+    line = (
+        f'<path d="M {fmt(ax)} {fmt(ay)} L {fmt(tip[0])} {fmt(tip[1])}" '
+        f'fill="none" stroke="{color}" stroke-width="1.5"/>'
+    )
+    tri = (
+        f'<polygon points="{fmt(tip[0])},{fmt(tip[1])} '
+        f'{fmt(left[0])},{fmt(left[1])} {fmt(right[0])},{fmt(right[1])}" '
+        f'fill="{color}"/>'
+    )
+    return line + "\n" + tri
+
+
+def _fmt_plot_svg(spec, size):
+    world = [(p.x, p.y) for c in spec.curves for p in c.samples]
+    cmap = _CanvasMap(world, size, spec.margin)
+    lines = [_fmt_svg_open(size)]
+    if spec.axes:
+        w, h = size
+        x0, y0 = cmap.point(0.0, 0.0)
+        lines.append(
+            f'<path d="M 0 {fmt(y0)} L {fmt(w)} {fmt(y0)} M {fmt(x0)} 0 '
+            f'L {fmt(x0)} {fmt(h)}" fill="none" stroke="#888888" stroke-width="1"/>'
+        )
+    for curve in spec.curves:
+        d = _fmt_path_d([cmap.point(p.x, p.y) for p in curve.samples])
+        for width in spec.stroke_widths:
+            lines.append(
+                f'<path d="{d}" fill="none" stroke="#000000" '
+                f'stroke-width="{fmt(width)}"/>'
+            )
+    for index, marker in spec.annotations:
+        curve = spec.curves[index]
+        svals = [p.s for p in curve.samples]
+        for s, color, tilt in (
+            (marker.s_at_max_kappa, "#c43b3b", 0.75 * math.pi),
+            (marker.s_at_max_kappa_slope, "#3b5fc4", 0.25 * math.pi),
+        ):
+            p = _interpolate(curve, svals, s)
+            lines.append(_fmt_arrow(cmap.point(p.x, p.y), tilt, 28.0, color))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _fmt_ornament_svg(spec, size):
+    path = spec.path
+    s0, s1 = path.samples[0].s, path.samples[-1].s
+    stations = [s0] if spec.count == 1 else _stations(s0, s1, spec.count)
+    svals = [p.s for p in path.samples]
+    records = []
+    for j, s in enumerate(stations):
+        p = _interpolate(path, svals, s)
+        r = spec.size_base * spec.rhythm[j % len(spec.rhythm)]
+        if spec.size_rule == "proportional_to_radius_of_curvature":
+            if p.kappa == 0.0:
+                raise ValueError("proportional size rule needs nonzero curvature along the path")
+            r *= 1.0 / abs(p.kappa)
+        records.append((p, r, spec.palette[j % len(spec.palette)]))
+    cmap = _CanvasMap([(p.x, p.y) for p in path.samples], size, spec.margin)
+    d = _fmt_path_d([cmap.point(q.x, q.y) for q in path.samples])
+    lines = [_fmt_svg_open(size), f'<path d="{d}" fill="none" stroke="#bbbbbb" stroke-width="1"/>']
+    for p, r, color in records:
+        cx, cy = cmap.point(p.x, p.y)
+        r = cmap.k * r
+        ang = cmap.angle(p.theta)
+        if spec.primitive == "circle":
+            lines.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" fill="{color}"/>')
+            continue
+        n = 4 if spec.primitive == "square" else 3
+        offset = math.pi / 4.0 if spec.primitive == "square" else 0.0
+        corners = []
+        for k in range(n):
+            a = ang + offset + k * math.tau / n
+            corners.append(f"{fmt(cx + r * math.cos(a))},{fmt(cy + r * math.sin(a))}")
+        lines.append(f'<polygon points="{" ".join(corners)}" fill="{color}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(emit, *args):
+    try:
+        return emit(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+_COORD = st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308])
+_SIZE = st.tuples(st.integers(1, 2000) | st.floats(1.0, 2000.0),
+                  st.integers(1, 2000) | st.floats(1.0, 2000.0))
+
+
+@st.composite
+def _curves(draw):
+    ends = draw(st.lists(st.floats(5e-324, 10.0), min_size=1, max_size=7, unique=True))
+    rows = [(s, draw(_COORD), draw(_COORD), draw(_COORD), draw(_COORD))
+            for s in [0.0, *sorted(ends)]]
+    return SampledCurve(None, tuple(map(CurveSample._make, rows)), Pose())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_curves(), min_size=1, max_size=3),
+    _SIZE,
+    st.floats(0.0, 60.0) | st.integers(0, 60),
+    st.lists(st.floats(1e-3, 10.0) | st.integers(1, 5), min_size=1, max_size=3),
+    st.lists(st.tuples(st.floats(-1.0, 11.0), st.floats(-1.0, 11.0)), max_size=3),
+    st.booleans(),
+)
+@example([straight_path(4)], (800, 600), 40.0, [1], [(1.5, -0.0)], True)
+def test_plot_svg_writes_the_fmt_emitter_bytes(curves, size, margin, widths, marks, axes):
+    annotations = [(i % len(curves), StressMarker(a, 1.0, b)) for i, (a, b) in enumerate(marks)]
+    spec = PlotSpec(curves, size, margin, widths, annotations, axes)
+    assert _outcome(plot_svg, spec) == _outcome(_fmt_plot_svg, spec, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _curves(),
+    st.sampled_from(["circle", "square", "triangle"]),
+    st.integers(1, 12),
+    st.floats(1e-3, 5.0) | st.integers(1, 3),
+    st.sampled_from(["constant", "proportional_to_radius_of_curvature"]),
+    st.lists(st.floats(0.1, 3.0) | st.integers(1, 3), min_size=1, max_size=3),
+    _SIZE,
+    st.floats(0.0, 60.0),
+)
+def test_ornament_svg_writes_the_fmt_emitter_bytes(path, primitive, count, size_base, rule,
+                                                  rhythm, size, margin):
+    spec = OrnamentSpec(path, primitive, count, size_base, rule, rhythm, ("#a0a0a0", "red"),
+                        size, margin)
+    assert _outcome(ornament_svg, spec) == _outcome(_fmt_ornament_svg, spec, size)
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=5))
+@example([(-0.0, 5e-324), (1e-6, -2.2250738585072014e-308)])
+def test_region_csv_writes_the_fmt_rows(rows):
+    want = "\n".join(["lambda,psi", *(f"{fmt(lam)},{fmt(psi)}" for lam, psi in rows)]) + "\n"
+    assert _csv("lambda,psi", rows) == want
