@@ -124,10 +124,11 @@ def lcg_analytic(eq: NaturalEquation, s_range, count: int) -> LcgReport:
     _check_domain(eq, stations[-1])
     # dkappa/ds = -lam kappa^(alpha + 1): one closed form for every alpha,
     # through the log1p form of _theta_kappa, which does not cancel for
-    # tiny alpha
+    # tiny alpha. The stations increase strictly, so they key one column.
+    kappa = dict(zip(stations, _theta_kappa(eq, stations)[1])).__getitem__
     return lcg_from_functions(
-        lambda s: _theta_kappa(eq, s)[1],
-        lambda s: -eq.lam * _theta_kappa(eq, s)[1] ** (eq.alpha + 1.0),
+        kappa,
+        lambda s: -eq.lam * kappa(s) ** (eq.alpha + 1.0),
         stations,
     )
 

@@ -128,39 +128,45 @@ def _check_domain(eq: NaturalEquation, s: float) -> None:
         )
 
 
-def _theta_kappa(eq: NaturalEquation, s: float):
-    """(theta(s), kappa(s)) for an s the caller has checked (see _check_domain)."""
+def _theta_kappa(eq: NaturalEquation, ss):
+    """Columns (thetas, kappas) at the arc lengths ss, which the caller has
+    checked (see _check_domain). The branch and its constants are taken once
+    per column."""
     lam = eq.lam
     a = eq.alpha
     if a == 0.0:
-        return -math.expm1(-lam * s) / lam, math.exp(-lam * s)
+        xs = [-lam * s for s in ss]
+        return [-math.expm1(x) / lam for x in xs], list(map(math.exp, xs))
     # log1p keeps lam*a*s below an ulp of 1 when a is tiny
-    log_k = math.log1p(lam * a * s)
-    kappa = math.exp(-log_k / a)
+    la = lam * a
+    log_ks = list(map(math.log1p, [la * s for s in ss]))
+    kappas = [math.exp(-lk / a) for lk in log_ks]
     if a == 1.0:
-        return log_k / lam, kappa
+        return [lk / lam for lk in log_ks], kappas
     # d/ds [((1 + lam*a*s)^((a-1)/a) - 1) / (lam*(a-1))] = (1 + lam*a*s)^(-1/a),
     # written with expm1/log1p so it does not cancel when lam*s, a or
     # |a - 1| is small
-    return math.expm1((a - 1.0) / a * log_k) / (lam * (a - 1.0)), kappa
+    c = (a - 1.0) / a
+    d = lam * (a - 1.0)
+    return [math.expm1(c * lk) / d for lk in log_ks], kappas
 
 
 def curvature(eq: NaturalEquation, s: float) -> float:
     """kappa(s) of the natural equation."""
     _check_domain(eq, s)
-    return _theta_kappa(eq, s)[1]
+    return _theta_kappa(eq, (s,))[1][0]
 
 
 def turning_angle(eq: NaturalEquation, s: float) -> float:
     """theta(s) = integral of kappa from 0 to s, in closed form per branch."""
     _check_domain(eq, s)
-    return _theta_kappa(eq, s)[0]
+    return _theta_kappa(eq, (s,))[0][0]
 
 
 def _tangent(eq: NaturalEquation, ts):
     """Unit tangent columns (cos theta, sin theta) at the nodes ts: the
     integrand of the point. Unchecked: its callers check the end s of [0, s]."""
-    thetas = [_theta_kappa(eq, t)[0] for t in ts]
+    thetas = _theta_kappa(eq, ts)[0]
     return list(map(math.cos, thetas)), list(map(math.sin, thetas))
 
 
@@ -322,10 +328,15 @@ def sample_curve(
     _check_domain(eq, stations[-1])
     cos_r = math.cos(pose.angle)
     sin_r = math.sin(pose.angle)
-    samples = []
-    for s, x, y in zip(stations, *_accumulate(partial(_tangent, eq), stations, tol)):
-        wx = pose.x + cos_r * x - sin_r * y
-        wy = pose.y + sin_r * x + cos_r * y
-        theta, kappa = _theta_kappa(eq, s)
-        samples.append(CurveSample(s, wx, wy, pose.angle + theta, kappa))
-    return SampledCurve(eq, tuple(samples), pose)
+    px, py, p0 = pose.x, pose.y, pose.angle
+    thetas, kappas = _theta_kappa(eq, stations)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    row = tuple.__new__
+    samples = tuple([
+        row(CurveSample, (s, px + cos_r * x - sin_r * y, py + sin_r * x + cos_r * y,
+                          p0 + theta, kappa))
+        for s, x, y, theta, kappa in zip(
+            stations, *_accumulate(partial(_tangent, eq), stations, tol), thetas, kappas
+        )
+    ])
+    return SampledCurve(eq, samples, pose)

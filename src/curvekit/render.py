@@ -267,6 +267,11 @@ def ornament_svg(spec: OrnamentSpec) -> str:
     for p, size, color in records:
         cx, cy = cmap.point(p.x, p.y)
         r = cmap.k * size
+        if not math.isfinite(r):
+            raise ValueError(
+                f"primitive radius {r!r} on the canvas is not finite: size_base * rhythm "
+                "is too large for this path"
+            )
         if spec.primitive == "circle":
             body.append(_CIRCLE % (cx, cy, r, color))
             continue

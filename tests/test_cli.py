@@ -730,6 +730,17 @@ def test_non_finite_or_unsafe_drawing_flags_exit_1(tmp_path, monkeypatch, capsys
     assert "finite" in err or "palette" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--count", "1", "--size-base", "1e308"],
+    ["--rhythm", "1e308", "--size-base", "1e308"],
+], ids=["size-base", "rhythm"])
+def test_ornament_radius_overflow_exits_1(tmp_path, monkeypatch, capsys, args):
+    # both exited 0 and wrote r="inf"
+    argv = ["ornament", "--alpha", "0.5", "--lambda", "1", *args, "--out", "o.svg"]
+    err = rejects(argv, tmp_path, monkeypatch, capsys)
+    assert err.startswith("error: primitive radius inf ") and "size_base" in err
+
+
 @pytest.mark.parametrize("size", ["800", "x600", "800x600x1", "800,600", "wx600"])
 def test_bad_size_names_the_flag(tmp_path, monkeypatch, capsys, size):
     # "800" said "could not convert string to float: ''"

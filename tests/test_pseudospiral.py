@@ -4,7 +4,9 @@ import cmath
 import math
 import random
 import re
+import sys
 from decimal import Decimal, localcontext
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from curvekit.pseudospiral import (
     sample_curve,
     turning_angle,
 )
+from curvekit.quadrature import _accumulate, _stations
 
 
 def kasa_circle_fit(points):
@@ -573,20 +576,21 @@ def reference_kappa(lam, a, s):
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
-        st.sampled_from([0.0, 1.0, 1e-11, 0.999, -1.0]),
+        st.sampled_from([0.0, 1.0, 1e-11, 0.999, -1.0, 1e-13, 1.0 - 1e-13]),
         st.floats(-5.0, 5.0, allow_nan=False),
     ),
     st.floats(1e-3, 1e3),
-    st.floats(0.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
 )
-def test_theta_kappa_is_bit_identical_to_the_separate_closed_forms(alpha, lam, frac):
+def test_theta_kappa_is_bit_identical_to_the_separate_closed_forms(alpha, lam, fracs):
     eq = NaturalEquation(alpha, lam)
-    s = frac * min(50.0 / lam, ps._DOMAIN_GUARD * eq.s_max_domain)
-    theta, kappa = ps._theta_kappa(eq, s)
-    assert theta.hex() == reference_theta(eq.lam, eq.alpha, s).hex()
-    assert kappa.hex() == reference_kappa(eq.lam, eq.alpha, s).hex()
-    assert turning_angle(eq, s) == theta
-    assert curvature(eq, s) == kappa
+    ss = [f * min(50.0 / lam, ps._DOMAIN_GUARD * eq.s_max_domain) for f in fracs]
+    thetas, kappas = ps._theta_kappa(eq, ss)
+    for s, theta, kappa in zip(ss, thetas, kappas, strict=True):
+        assert theta.hex() == reference_theta(eq.lam, eq.alpha, s).hex()
+        assert kappa.hex() == reference_kappa(eq.lam, eq.alpha, s).hex()
+        assert turning_angle(eq, s) == theta
+        assert curvature(eq, s) == kappa
 
 
 # float.hex of evaluate_point, taken before one-panel integrals returned at
@@ -624,8 +628,145 @@ def test_tangent_columns_equal_the_per_node_tangent(alpha, lam, fracs):
     ts = [f * min(50.0 / lam, ps._DOMAIN_GUARD * eq.s_max_domain) for f in fracs]
     xs, ys = ps._tangent(eq, ts)
     for t, x, y in zip(ts, xs, ys, strict=True):
-        theta = ps._theta_kappa(eq, t)[0]
+        theta = ps._theta_kappa(eq, [t])[0][0]
         assert (x.hex(), y.hex()) == (math.cos(theta).hex(), math.sin(theta).hex())
+
+
+def old_theta_kappa(eq, s):
+    """The per-station closed forms that sample_curve used before it took
+    them by column, kept verbatim as the reference."""
+    lam = eq.lam
+    a = eq.alpha
+    if a == 0.0:
+        return -math.expm1(-lam * s) / lam, math.exp(-lam * s)
+    log_k = math.log1p(lam * a * s)
+    kappa = math.exp(-log_k / a)
+    if a == 1.0:
+        return log_k / lam, kappa
+    return math.expm1((a - 1.0) / a * log_k) / (lam * (a - 1.0)), kappa
+
+
+def old_tangent(eq, ts):
+    thetas = [old_theta_kappa(eq, t)[0] for t in ts]
+    return list(map(math.cos, thetas)), list(map(math.sin, thetas))
+
+
+def old_sample_curve(eq, s_end, count, pose=Pose(), tol=1e-12):
+    """sample_curve's per-station loop before the rows were built by column."""
+    stations = _stations(0.0, s_end, count)
+    if not s_end > 0.0:
+        raise ValueError("s_end must be positive")
+    ps._check_domain(eq, s_end)
+    ps._check_domain(eq, stations[-1])
+    cos_r = math.cos(pose.angle)
+    sin_r = math.sin(pose.angle)
+    samples = []
+    for s, x, y in zip(stations, *_accumulate(partial(old_tangent, eq), stations, tol)):
+        wx = pose.x + cos_r * x - sin_r * y
+        wy = pose.y + sin_r * x + cos_r * y
+        theta, kappa = old_theta_kappa(eq, s)
+        samples.append(CurveSample(s, wx, wy, pose.angle + theta, kappa))
+    return SampledCurve(eq, tuple(samples), pose)
+
+
+def _rows_or_error(sample, *args):
+    try:
+        curve = sample(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert all(type(row) is CurveSample for row in curve.samples)
+    return curve.equation, curve.pose, [tuple(v.hex() for v in row) for row in curve.samples]
+
+
+_POSE_PART = st.floats(-10.0, 10.0) | st.just(-0.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 1e-13, 1.0 - 1e-13, 1e-11, 0.999, -1.0, -3.0, 2.0, 10.0]),
+        st.floats(-5.0, 10.0),
+    ),
+    st.floats(1e-2, 1e2),
+    st.floats(0.0, 1.0),
+    st.integers(2, 2000),
+    st.builds(Pose, _POSE_PART, _POSE_PART, st.floats(-7.0, 7.0) | st.just(-0.0)),
+)
+@example(-1.0, 0.5, 1.0, 6, Pose(-0.0, -0.0, 0.3))  # the last station passes the domain end
+@example(-3.0, 2.0, 1.0, 2000, Pose(-0.0, 1.0, -2.5))  # alpha < 0 up to the domain end
+@example(1e-13, 3.0, 0.7, 37, Pose(-0.0, -0.0, 1.0))  # snaps to the exponential branch
+@example(1.0 - 1e-13, 3.0, 0.7, 37, Pose(-0.0, 2.0, -0.0))  # snaps to the log spiral
+@example(0.5, 1.0, 0.0, 2, Pose())  # s_end = 0
+def test_sample_curve_rows_are_bit_identical_to_the_per_station_loop(alpha, lam, frac, count,
+                                                                    pose):
+    eq = NaturalEquation(alpha, lam)
+    s_end = frac * min(50.0 / lam, ps._DOMAIN_GUARD * eq.s_max_domain)
+    assert (_rows_or_error(sample_curve, eq, s_end, count, pose)
+            == _rows_or_error(old_sample_curve, eq, s_end, count, pose))
+
+
+# float.hex of the first, middle and last sample_curve rows (41 stations,
+# lambda = 0.3, s_end = 3, pose (0.5, -1, 0.25)), taken before the rows were
+# built by column; the first row is the pose for every alpha. s, theta and kappa are the same bits on every interpreter; x and y
+# come from the Chebyshev sweep, whose sum() compensates on Python 3.12 and
+# later (README "Numerics"), so they are pinned on each side of that change.
+_CURVE_FIRST = ("0x0.0p+0", "0x1.0000000000000p-1", "-0x1.0000000000000p+0",
+                "0x1.0000000000000p-2", "0x1.0000000000000p+0")
+SAMPLE_CURVE_BITS = {  # alpha -> rows, with the points of Python 3.10 and 3.11
+    -1.0: (
+        ("0x1.8000000000000p+0", "0x1.6493fbd1c7442p+0", "0x1.9846cb34068e8p-4",
+         "0x1.699999999999ap+0", "0x1.199999999999ap-1"),
+        ("0x1.8000000000000p+1", "0x1.2ed029f3210b9p+0", "0x1.91c8de1af552ap+0",
+         "0x1.e666666666667p+0", "0x1.999999999999ep-4"),
+    ),
+    0.0: (
+        ("0x1.8000000000000p+0", "0x1.606f56788cd13p+0", "0x1.af52b443cab40p-4",
+         "0x1.7539569340791p+0", "0x1.4677327472ea9p-1"),
+        ("0x1.8000000000000p+1", "0x1.e28b08fed619fp-1", "0x1.80b2106b0bcd9p+0",
+         "0x1.1d326affc7cc9p+1", "0x1.a053cc0086e1fp-2"),
+    ),
+    0.5: (
+        ("0x1.8000000000000p+0", "0x1.5ed2e09557746p+0", "0x1.b80882283eb28p-4",
+         "0x1.797829cbc14e6p+0", "0x1.5530f08a2eb36p-1"),
+        ("0x1.8000000000000p+1", "0x1.be14292362193p-1", "0x1.79a5dc772b536p+0",
+         "0x1.28d3dcb08d3dcp+1", "0x1.e70a0b9132d5bp-2"),
+    ),
+    1.0: (
+        ("0x1.8000000000000p+0", "0x1.5d6b2e1559610p+0", "0x1.bf85024a8fc48p-4",
+         "0x1.7d114c258b104p+0", "0x1.611a7b9611a7cp-1"),
+        ("0x1.8000000000000p+1", "0x1.a16e3d0359e4bp-1", "0x1.737597c178b97p+0",
+         "0x1.31db8f7b339a1p+1", "0x1.0d79435e50d7ap-1"),
+    ),
+    2.0: (
+        ("0x1.8000000000000p+0", "0x1.5b10318e0fef9p+0", "0x1.cbd966aa6fd00p-4",
+         "0x1.82e7ce6c3b7cap+0", "0x1.73719f807e933p-1"),
+        ("0x1.8000000000000p+1", "0x1.768923e15751bp-1", "0x1.6917a05c535adp+0",
+         "0x1.3f48814772a47p+1", "0x1.31fa808c55b44p-1"),
+    ),
+}
+SAMPLE_CURVE_POINTS_312 = {  # alpha -> (x, y) of the middle and last rows
+    -1.0: (("0x1.6493fbd1c7444p+0", "0x1.9846cb34068c0p-4"),
+           ("0x1.2ed029f3210bcp+0", "0x1.91c8de1af5524p+0")),
+    0.0: (("0x1.606f56788cd13p+0", "0x1.af52b443cab60p-4"),
+          ("0x1.e28b08fed61a1p-1", "0x1.80b2106b0bcdap+0")),
+    0.5: (("0x1.5ed2e09557746p+0", "0x1.b80882283eb38p-4"),
+          ("0x1.be14292362190p-1", "0x1.79a5dc772b53cp+0")),
+    1.0: (("0x1.5d6b2e155960fp+0", "0x1.bf85024a8fbf0p-4"),
+          ("0x1.a16e3d0359e4bp-1", "0x1.737597c178b8fp+0")),
+    2.0: (("0x1.5b10318e0fefap+0", "0x1.cbd966aa6fce8p-4"),
+          ("0x1.768923e15751fp-1", "0x1.6917a05c535a9p+0")),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(SAMPLE_CURVE_BITS))
+def test_sample_curve_pinned_bits(alpha):
+    curve = sample_curve(NaturalEquation(alpha, 0.3), 3.0, 41, Pose(0.5, -1.0, 0.25))
+    got = tuple(tuple(v.hex() for v in curve.samples[i]) for i in (0, 20, 40))
+    rows = SAMPLE_CURVE_BITS[alpha]
+    if sys.version_info >= (3, 12):
+        rows = tuple((row[0], *xy, *row[3:])
+                     for row, xy in zip(rows, SAMPLE_CURVE_POINTS_312[alpha], strict=True))
+    assert got == (_CURVE_FIRST, *rows)
 
 
 @pytest.mark.parametrize(

@@ -413,6 +413,15 @@ def test_specs_reject_non_finite_numbers(make, bad):
         make(**{first: value}, **bad)
 
 
+@pytest.mark.parametrize("size_base, rhythm", [(1e308, (1.0,)), (1e308, (1e308,))])
+def test_ornament_rejects_a_radius_that_overflows(size_base, rhythm):
+    # both wrote r="inf": the canvas scale times size_base, and size_base * rhythm
+    path = sample_curve(NaturalEquation(0.5, 1.0), 5.0, 64)
+    spec = OrnamentSpec(path=path, count=1, size_base=size_base, rhythm=rhythm)
+    with pytest.raises(ValueError, match=r"^primitive radius inf .*size_base \* rhythm"):
+        ornament_svg(spec)
+
+
 @pytest.mark.parametrize("entry", ['"', '"/><script>', "<b", "a>", "&amp;"])
 def test_ornament_palette_rejects_markup(entry):
     # '"/><script>' closed the fill attribute: the file no longer parsed
@@ -582,11 +591,25 @@ def test_plot_svg_writes_the_fmt_emitter_bytes(curves, size, margin, widths, mar
     _SIZE,
     st.floats(0.0, 60.0),
 )
+@example(  # a subnormal extent: the canvas scale overflows
+    SampledCurve(None, (CurveSample(0.0, 0.0, 0.0, 0.0, 0.0),
+                        CurveSample(1.0, 0.0, 5e-324, 0.0, 0.0)), Pose()),
+    "circle", 1, 1.0, "constant", [1.0], (1, 1), 0.0)
+@example(  # a subnormal curvature: the proportional size overflows
+    SampledCurve(None, (CurveSample(0.0, 0.0, 0.0, 0.0, 5e-324),
+                        CurveSample(1.0, 1.0, 0.0, 0.0, 5e-324)), Pose()),
+    "triangle", 2, 1.0, "proportional_to_radius_of_curvature", [1.0], (800, 600), 40.0)
 def test_ornament_svg_writes_the_fmt_emitter_bytes(path, primitive, count, size_base, rule,
                                                   rhythm, size, margin):
     spec = OrnamentSpec(path, primitive, count, size_base, rule, rhythm, ("#a0a0a0", "red"),
                         size, margin)
-    assert _outcome(ornament_svg, spec) == _outcome(_fmt_ornament_svg, spec, size)
+    want = _outcome(_fmt_ornament_svg, spec, size)
+    if "inf" in want or "nan" in want:
+        # the fmt emitter wrote a radius that overflowed, and with it inf or
+        # nan corners or path points; ornament_svg refuses it instead
+        assert _outcome(ornament_svg, spec).startswith("ValueError('primitive radius inf ")
+    else:
+        assert _outcome(ornament_svg, spec) == want
 
 
 @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=5))
