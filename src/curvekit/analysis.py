@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import lt
 
 from ._fmt import Record
 from .pseudospiral import NaturalEquation, SampledCurve, _check_domain, _theta_kappa
@@ -139,10 +140,17 @@ def _extract_s_kappa(data):
     return [(float(s), float(k)) for s, k in data]
 
 
+def _check_increasing(s):
+    # the finite differences divide by the gaps between arc lengths
+    if not all(map(lt, s, s[1:])):
+        raise ValueError("sample arc lengths must increase strictly")
+
+
 def _finite_s_kappa(data):
     pairs = _extract_s_kappa(data)
     if not all(map(math.isfinite, chain.from_iterable(pairs))):
         raise ValueError("samples must be finite")
+    _check_increasing([p[0] for p in pairs])
     return pairs
 
 
@@ -172,6 +180,7 @@ def lcg_from_samples(data, drop_tolerance: float | None = None) -> LcgReport:
         if k <= 0.0:
             raise ValueError("kappa must be positive at every sample")
     s = [p[0] for p in pairs]
+    _check_increasing(s)
     rho = [1.0 / p[1] for p in pairs]
     if drop_tolerance is None:
         drop_tolerance = 1e-12 * max(rho) / (s[-1] - s[0])

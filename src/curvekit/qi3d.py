@@ -215,8 +215,11 @@ class QiCurveSpec:
         v0 = tuple(float(c) for c in self.v0)
         if len(p0) != 3 or not all(math.isfinite(c) for c in p0):
             raise ValueError("p0 must be a finite 3-vector")
-        n = math.sqrt(sum(c * c for c in v0))
-        if len(v0) != 3 or not math.isfinite(n) or abs(n - 1.0) > 1e-6:
+        # |c| <= 2 also rejects nan, and keeps fsum's partial sums finite
+        if len(v0) != 3 or not all(abs(c) <= 2.0 for c in v0):
+            raise ValueError("v0 must be a unit 3-vector")
+        n = math.sqrt(math.fsum(c * c for c in v0))
+        if abs(n - 1.0) > 1e-6:
             raise ValueError("v0 must be a unit 3-vector")
         if not (math.isfinite(self.s_total) and self.s_total > 0.0):
             raise ValueError("s_total must be positive and finite")

@@ -19,7 +19,7 @@ import heapq
 import math
 from bisect import bisect_right
 from itertools import repeat
-from operator import add, itemgetter, lt, mul
+from operator import add, itemgetter, lt, mul, sub
 from typing import NamedTuple
 
 __all__ = [
@@ -70,7 +70,14 @@ _LEFT_EDGE = itemgetter(2)  # of a heap entry
 # c_k = sum_j _DCT[k][j] f(x_j) are the interpolant's coefficients
 # (a DCT-I, with the end samples and the end coefficients halved).
 _CHEB_N = 32
-_COS = tuple(math.cos(math.pi * r / _CHEB_N) for r in range(2 * _CHEB_N))
+_HALF_N = _CHEB_N // 2
+# cos(pi r / N) as sin(pi (N/2 - m) / N), m = min(r, 2N - r): sin is odd, so
+# _COS[N - r] = -_COS[r] exactly and cos(pi / 2) is 0, and the fold below
+# regroups the table's products exactly
+_COS = tuple(
+    math.sin(math.pi * (_HALF_N - min(r, 2 * _CHEB_N - r)) / _CHEB_N)
+    for r in range(2 * _CHEB_N)
+)
 _LOBATTO = _COS[: _CHEB_N + 1]
 _DCT = tuple(
     tuple(
@@ -82,6 +89,9 @@ _DCT = tuple(
     )
     for k in range(_CHEB_N + 1)
 )
+# _DCT[k][N - j] = (-1)^k _DCT[k][j], so row k acts on f_j + f_(N-j) (and
+# f_(N/2)) for even k and on f_j - f_(N-j) for odd k, j < N/2
+_DCT_FOLD = tuple(row[: _HALF_N + (k % 2 == 0)] for k, row in enumerate(_DCT))
 
 
 class MaxDepthExceeded(ArithmeticError):
@@ -117,7 +127,7 @@ def _eval_panel(f, a: float, b: float):
     for c, col in enumerate(f(nodes)):
         y, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = col
         # pair sums f(xm - dx) + f(xm + dx), added left to right in the fixed
-        # Kronrod order: sum() of floats is compensated on 3.12+
+        # Kronrod order, which rounds the same way on every interpreter
         p2, p4, p6 = l2 + r2, l4 + r4, l6 + r6
         kron = (_WGK_CENTER * y + k1 * (l1 + r1) + k2 * p2 + k3 * (l3 + r3) + k4 * p4
                 + k5 * (l5 + r5) + k6 * p6 + k7 * (l7 + r7))
@@ -211,7 +221,8 @@ def _check_tol(tol: float) -> None:
 def _chebyshev_piece(f, a: float, b: float, tol: float):
     """Chebyshev coefficients of each column f returns on [a, b], called
     once on the Lobatto points, or None when some component's last three
-    coefficients exceed tol * max(1, max |c_k|)."""
+    coefficients exceed tol * max(1, max |c_k|). Each coefficient is one
+    folded row (_DCT_FOLD) summed with fsum, so it is correctly rounded."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = [mid + half * x for x in _LOBATTO]
@@ -223,7 +234,11 @@ def _chebyshev_piece(f, a: float, b: float, tol: float):
             raise NonFiniteIntegrand(
                 f"integrand component {c} is not finite on [{a!r}, {b!r}]"
             )
-        ck = [sum(map(mul, row, col)) for row in _DCT]
+        head, tail = col[:_HALF_N], col[:_HALF_N:-1]  # f_j and f_(N-j), j < N/2
+        plus = [*map(add, head, tail), col[_HALF_N]]
+        minus = list(map(sub, head, tail))
+        ck = [math.fsum(map(mul, row, minus if k & 1 else plus))
+              for k, row in enumerate(_DCT_FOLD)]
         if max(map(abs, ck[-3:])) > tol * max(1.0, max(map(abs, ck))):
             return None
         coeffs.append(ck)
@@ -239,7 +254,7 @@ def _antiderivative(ck, half: float):
     drop = _EPS * half * max(1.0, max(map(abs, ck)))
     while out and abs(out[-1]) <= drop:
         drop -= abs(out.pop())
-    return [sum(v if k & 1 else -v for k, v in enumerate(out, 1)), *out]
+    return [math.fsum(v if k & 1 else -v for k, v in enumerate(out, 1)), *out]
 
 
 def _clenshaw(head: float, tail, ts, out: list) -> None:
@@ -323,7 +338,7 @@ def _accumulate(f, stations, tol: float):
         # own highest degree down to 1
         for lane, off, col in zip(lanes, offsets, columns):
             _clenshaw(lane[0] + off, lane[:0:-1], ts, col)
-        offsets = [off + sum(lane) for off, lane in zip(offsets, lanes)]
+        offsets = [off + math.fsum(lane) for off, lane in zip(offsets, lanes)]
         i = j
     return columns
 

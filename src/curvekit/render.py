@@ -133,6 +133,10 @@ class _CanvasMap:
         if span_y > 0.0:
             candidates.append(avail_y / span_y)
         self.k = min(candidates) if candidates else 1.0
+        if not math.isfinite(self.k):  # a subnormal extent: avail / span overflows
+            raise ValueError(
+                f"path extent {span_x!r} x {span_y!r} is too small to scale onto the canvas"
+            )
         self.cx = 0.5 * (x_lo + x_hi)
         self.cy = 0.5 * (y_lo + y_hi)
         self.ox = 0.5 * w

@@ -157,6 +157,17 @@ def test_profile_checks_reject_non_finite_samples(check, bad):
         check(pairs)
 
 
+@pytest.mark.parametrize("check", [lcg_from_samples, check_monotone, stress_marker])
+@pytest.mark.parametrize("pairs", [
+    [(0.0, 1.0), (0.0, 0.9), (1.0, 0.5)],  # lcg and stress: ZeroDivisionError in _slopes
+    [(0.0, 1.0), (0.5, 0.9), (0.5, 0.7), (1.0, 0.5)],
+    [(0.0, 1.0), (1.0, 0.9), (0.5, 0.5)],
+])
+def test_profile_checks_reject_arc_lengths_that_do_not_increase(check, pairs):
+    with pytest.raises(ValueError, match="^sample arc lengths must increase strictly$"):
+        check(pairs)
+
+
 def test_too_few_points_degenerate():
     with pytest.raises(DegenerateLcg):
         lcg_from_functions(lambda s: math.exp(-s), lambda s: -math.exp(-s), [0.5])

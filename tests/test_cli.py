@@ -741,6 +741,14 @@ def test_ornament_radius_overflow_exits_1(tmp_path, monkeypatch, capsys, args):
     assert err.startswith("error: primitive radius inf ") and "size_base" in err
 
 
+@pytest.mark.parametrize("command", ["plot", "ornament"])
+def test_a_subnormal_path_extent_exits_1(tmp_path, monkeypatch, capsys, command):
+    # plot exited 0 and wrote d="M nan nan L nan -inf"; ornament blamed size_base * rhythm
+    (tmp_path / "t.csv").write_text("s,x,y,theta,kappa\n0,0,0,0,1\n1,0,5e-324,0,0.5\n")
+    err = rejects([command, "--in", "t.csv", "--out", "o.svg"], tmp_path, monkeypatch, capsys)
+    assert err == "error: path extent 0.0 x 5e-324 is too small to scale onto the canvas\n"
+
+
 @pytest.mark.parametrize("size", ["800", "x600", "800x600x1", "800,600", "wx600"])
 def test_bad_size_names_the_flag(tmp_path, monkeypatch, capsys, size):
     # "800" said "could not convert string to float: ''"

@@ -242,7 +242,7 @@ def test_chord_integrand_columns_are_bit_identical_to_per_node_expressions(
 
 
 # float.hex of results taken before the panel and integrand were unrolled;
-# identical on Python 3.10, 3.11 and 3.12
+# identical on Python 3.10 to 3.13
 CHORD_ANGLE_BITS = {  # chord_angle(alpha, 0.3, 1.2)
     -1.0: "0x1.5383f4d3352e4p-1",
     0.0: "0x1.4a89df4314c23p-1",
@@ -274,7 +274,7 @@ def test_fit_g1_pinned_bits(alpha):
 # float.hex of drawable_region on the README problem (delta_theta = 1.2),
 # taken before one-panel integrals returned at once: alpha -> (row count,
 # {row index: (lambda, psi)}) for every 16th row and the last; identical on
-# Python 3.10, 3.11 and 3.12
+# Python 3.10 to 3.13
 REGION_BITS = {
     -1.0: (46, {
         0: ("0x1.0c6f7a0b5ed8fp-20", "0x1.333337539cc09p-1"),

@@ -4,7 +4,6 @@ import cmath
 import math
 import random
 import re
-import sys
 from decimal import Decimal, localcontext
 from functools import partial
 
@@ -594,7 +593,7 @@ def test_theta_kappa_is_bit_identical_to_the_separate_closed_forms(alpha, lam, f
 
 
 # float.hex of evaluate_point, taken before one-panel integrals returned at
-# once: (alpha, lambda, s) -> (x, y); identical on Python 3.10, 3.11 and 3.12
+# once: (alpha, lambda, s) -> (x, y); identical on Python 3.10 to 3.13
 POINT_BITS = {
     (0.5, 1.0, 0.3): ("0x1.2f7b600de869cp-2", "0x1.4d82ead301156p-5"),
     (0.5, 1.0, 2.0): ("0x1.91ea4467c3db8p+0", "0x1.1c37c92d43db4p+0"),
@@ -706,55 +705,42 @@ def test_sample_curve_rows_are_bit_identical_to_the_per_station_loop(alpha, lam,
 
 
 # float.hex of the first, middle and last sample_curve rows (41 stations,
-# lambda = 0.3, s_end = 3, pose (0.5, -1, 0.25)), taken before the rows were
-# built by column; the first row is the pose for every alpha. s, theta and kappa are the same bits on every interpreter; x and y
-# come from the Chebyshev sweep, whose sum() compensates on Python 3.12 and
-# later (README "Numerics"), so they are pinned on each side of that change.
+# lambda = 0.3, s_end = 3, pose (0.5, -1, 0.25)); the first row is the pose
+# for every alpha. The points come from the Chebyshev sweep, whose sums are
+# correctly rounded (fsum), so every row is the same bits on every interpreter.
 _CURVE_FIRST = ("0x0.0p+0", "0x1.0000000000000p-1", "-0x1.0000000000000p+0",
                 "0x1.0000000000000p-2", "0x1.0000000000000p+0")
-SAMPLE_CURVE_BITS = {  # alpha -> rows, with the points of Python 3.10 and 3.11
+SAMPLE_CURVE_BITS = {  # alpha -> the middle and last rows
     -1.0: (
-        ("0x1.8000000000000p+0", "0x1.6493fbd1c7442p+0", "0x1.9846cb34068e8p-4",
+        ("0x1.8000000000000p+0", "0x1.6493fbd1c7443p+0", "0x1.9846cb34068c8p-4",
          "0x1.699999999999ap+0", "0x1.199999999999ap-1"),
-        ("0x1.8000000000000p+1", "0x1.2ed029f3210b9p+0", "0x1.91c8de1af552ap+0",
+        ("0x1.8000000000000p+1", "0x1.2ed029f3210bcp+0", "0x1.91c8de1af5524p+0",
          "0x1.e666666666667p+0", "0x1.999999999999ep-4"),
     ),
     0.0: (
-        ("0x1.8000000000000p+0", "0x1.606f56788cd13p+0", "0x1.af52b443cab40p-4",
+        ("0x1.8000000000000p+0", "0x1.606f56788cd13p+0", "0x1.af52b443cab68p-4",
          "0x1.7539569340791p+0", "0x1.4677327472ea9p-1"),
-        ("0x1.8000000000000p+1", "0x1.e28b08fed619fp-1", "0x1.80b2106b0bcd9p+0",
+        ("0x1.8000000000000p+1", "0x1.e28b08fed61a0p-1", "0x1.80b2106b0bcdcp+0",
          "0x1.1d326affc7cc9p+1", "0x1.a053cc0086e1fp-2"),
     ),
     0.5: (
-        ("0x1.8000000000000p+0", "0x1.5ed2e09557746p+0", "0x1.b80882283eb28p-4",
+        ("0x1.8000000000000p+0", "0x1.5ed2e09557746p+0", "0x1.b80882283eb48p-4",
          "0x1.797829cbc14e6p+0", "0x1.5530f08a2eb36p-1"),
-        ("0x1.8000000000000p+1", "0x1.be14292362193p-1", "0x1.79a5dc772b536p+0",
+        ("0x1.8000000000000p+1", "0x1.be14292362195p-1", "0x1.79a5dc772b53ap+0",
          "0x1.28d3dcb08d3dcp+1", "0x1.e70a0b9132d5bp-2"),
     ),
     1.0: (
-        ("0x1.8000000000000p+0", "0x1.5d6b2e1559610p+0", "0x1.bf85024a8fc48p-4",
+        ("0x1.8000000000000p+0", "0x1.5d6b2e155960fp+0", "0x1.bf85024a8fbf8p-4",
          "0x1.7d114c258b104p+0", "0x1.611a7b9611a7cp-1"),
-        ("0x1.8000000000000p+1", "0x1.a16e3d0359e4bp-1", "0x1.737597c178b97p+0",
+        ("0x1.8000000000000p+1", "0x1.a16e3d0359e4ap-1", "0x1.737597c178b91p+0",
          "0x1.31db8f7b339a1p+1", "0x1.0d79435e50d7ap-1"),
     ),
     2.0: (
-        ("0x1.8000000000000p+0", "0x1.5b10318e0fef9p+0", "0x1.cbd966aa6fd00p-4",
+        ("0x1.8000000000000p+0", "0x1.5b10318e0fefap+0", "0x1.cbd966aa6fce8p-4",
          "0x1.82e7ce6c3b7cap+0", "0x1.73719f807e933p-1"),
-        ("0x1.8000000000000p+1", "0x1.768923e15751bp-1", "0x1.6917a05c535adp+0",
+        ("0x1.8000000000000p+1", "0x1.768923e15751dp-1", "0x1.6917a05c535a9p+0",
          "0x1.3f48814772a47p+1", "0x1.31fa808c55b44p-1"),
     ),
-}
-SAMPLE_CURVE_POINTS_312 = {  # alpha -> (x, y) of the middle and last rows
-    -1.0: (("0x1.6493fbd1c7444p+0", "0x1.9846cb34068c0p-4"),
-           ("0x1.2ed029f3210bcp+0", "0x1.91c8de1af5524p+0")),
-    0.0: (("0x1.606f56788cd13p+0", "0x1.af52b443cab60p-4"),
-          ("0x1.e28b08fed61a1p-1", "0x1.80b2106b0bcdap+0")),
-    0.5: (("0x1.5ed2e09557746p+0", "0x1.b80882283eb38p-4"),
-          ("0x1.be14292362190p-1", "0x1.79a5dc772b53cp+0")),
-    1.0: (("0x1.5d6b2e155960fp+0", "0x1.bf85024a8fbf0p-4"),
-          ("0x1.a16e3d0359e4bp-1", "0x1.737597c178b8fp+0")),
-    2.0: (("0x1.5b10318e0fefap+0", "0x1.cbd966aa6fce8p-4"),
-          ("0x1.768923e15751fp-1", "0x1.6917a05c535a9p+0")),
 }
 
 
@@ -762,11 +748,7 @@ SAMPLE_CURVE_POINTS_312 = {  # alpha -> (x, y) of the middle and last rows
 def test_sample_curve_pinned_bits(alpha):
     curve = sample_curve(NaturalEquation(alpha, 0.3), 3.0, 41, Pose(0.5, -1.0, 0.25))
     got = tuple(tuple(v.hex() for v in curve.samples[i]) for i in (0, 20, 40))
-    rows = SAMPLE_CURVE_BITS[alpha]
-    if sys.version_info >= (3, 12):
-        rows = tuple((row[0], *xy, *row[3:])
-                     for row, xy in zip(rows, SAMPLE_CURVE_POINTS_312[alpha], strict=True))
-    assert got == (_CURVE_FIRST, *rows)
+    assert got == (_CURVE_FIRST, *SAMPLE_CURVE_BITS[alpha])
 
 
 @pytest.mark.parametrize(

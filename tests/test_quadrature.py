@@ -4,6 +4,7 @@ import heapq
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import repeat
 from operator import add
 
@@ -28,6 +29,7 @@ from curvekit.quadrature import (
     NonFiniteIntegrand,
     integrate,
     integrate_vector2,
+    _DCT,
     _ERR_FLOOR,
     _MAX_DEPTH,
     _MAX_PANELS,
@@ -505,6 +507,35 @@ def test_station_sampler_gives_up_within_the_piece_budget():
         _accumulate(counted, [0.0, 1.0], 1e-12)
 
 
+# one sample: any scale from subnormal to 1e300 (fsum's partial sums stay
+# finite), and +-0
+_SAMPLES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_SAMPLES, min_size=33, max_size=33))
+@example([0.0] * 16 + [1.0] + [0.0] * 16)  # f_(N/2) alone: even rows only
+@example([float(j) for j in range(33)])
+@example([(-1.0) ** j * 5e-324 * (j + 1) for j in range(33)])
+@example([-0.0] * 33)
+def test_folded_coefficients_are_the_dct_rows_to_a_few_ulps(col):
+    # c_k = sum_j _DCT[k][j] f_j, evaluated exactly; the fold regroups that
+    # sum on the row's symmetry in j -> N - j and rounds each pair, product
+    # and the fsum once, so c_k is within 2 ulps of sum_j |_DCT[k][j] f_j|
+    # (each subnormal product may also lose half of 2^-1074)
+    (got,) = _chebyshev_piece(lambda xs: (col,), -1.0, 1.0, 1e308)
+    assert len(got) == len(_DCT)
+    for row, c in zip(_DCT, got):
+        terms = [Fraction(d) * Fraction(f) for d, f in zip(row, col)]
+        bound = Fraction(1, 2**51) * sum(map(abs, terms)) + Fraction(33, 2**1075)
+        assert abs(Fraction(c) - sum(terms)) <= bound
+
+
 def per_lane_clenshaw(head, tail, t):
     """head + sum_k c_k T_k(t), tail = (c_n, ..., c_1), by Clenshaw's
     recurrence on this one lane."""
@@ -602,7 +633,7 @@ def _generator_accumulate(f, stations, tol: float):
                     sums.append(head + t * b1 - b2)
                 yield s, tuple(sums)
         i = j
-        offsets = [off + sum(lane) for off, lane in zip(offsets, lanes)]
+        offsets = [off + math.fsum(lane) for off, lane in zip(offsets, lanes)]
 
 
 # one lane of a test integrand: a name and its parameters

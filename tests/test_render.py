@@ -20,7 +20,6 @@ from curvekit.pseudospiral import (
 )
 from curvekit.quadrature import _stations
 from curvekit.render import (
-    _CanvasMap,
     _csv,
     _interpolate,
     _path_d,
@@ -422,6 +421,21 @@ def test_ornament_rejects_a_radius_that_overflows(size_base, rhythm):
         ornament_svg(spec)
 
 
+# a path whose extent is one least subnormal: the canvas scale overflows
+_TINY_Y = SampledCurve(None, (CurveSample(0.0, 0.0, 0.0, 0.0, 1.0),
+                              CurveSample(1.0, 0.0, 5e-324, 0.0, 0.5)), Pose())
+
+
+@pytest.mark.parametrize("emit", [
+    lambda path: plot_svg(PlotSpec((path,))),  # wrote d="M nan nan L nan -inf"
+    lambda path: ornament_svg(OrnamentSpec(path, count=2)),  # blamed size_base * rhythm
+], ids=["plot", "ornament"])
+def test_a_subnormal_path_extent_is_rejected(emit):
+    with pytest.raises(ValueError) as info:
+        emit(_TINY_Y)
+    assert str(info.value) == "path extent 0.0 x 5e-324 is too small to scale onto the canvas"
+
+
 @pytest.mark.parametrize("entry", ['"', '"/><script>', "<b", "a>", "&amp;"])
 def test_ornament_palette_rejects_markup(entry):
     # '"/><script>' closed the fill attribute: the file no longer parsed
@@ -442,7 +456,39 @@ def test_curve_from_rows_rejects_non_finite_values(column, value):
 
 # ------------------------------------------------------------ the fmt emitters they replaced
 # Copies of the f-string emitters that formatted each SVG and region CSV
-# number with fmt: the printf templates must write the same bytes.
+# number with fmt, and of the canvas map they used, which did not check its
+# scale: the printf templates must write the same bytes.
+
+
+class _FmtCanvasMap:
+    def __init__(self, points, size, margin):
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        x_lo, x_hi = min(xs), max(xs)
+        y_lo, y_hi = min(ys), max(ys)
+        w, h = size
+        span_x = x_hi - x_lo
+        span_y = y_hi - y_lo
+        avail_x = w - 2.0 * margin
+        avail_y = h - 2.0 * margin
+        if avail_x <= 0.0 or avail_y <= 0.0:
+            raise ValueError("margin leaves no drawable area")
+        candidates = []
+        if span_x > 0.0:
+            candidates.append(avail_x / span_x)
+        if span_y > 0.0:
+            candidates.append(avail_y / span_y)
+        self.k = min(candidates) if candidates else 1.0
+        self.cx = 0.5 * (x_lo + x_hi)
+        self.cy = 0.5 * (y_lo + y_hi)
+        self.ox = 0.5 * w
+        self.oy = 0.5 * h
+
+    def point(self, x, y):
+        return (self.ox + self.k * (x - self.cx), self.oy - self.k * (y - self.cy))
+
+    def angle(self, theta):
+        return -theta
 
 
 def _fmt_svg_open(size):
@@ -480,7 +526,7 @@ def _fmt_arrow(tip, angle, length, color):
 
 def _fmt_plot_svg(spec, size):
     world = [(p.x, p.y) for c in spec.curves for p in c.samples]
-    cmap = _CanvasMap(world, size, spec.margin)
+    cmap = _FmtCanvasMap(world, size, spec.margin)
     lines = [_fmt_svg_open(size)]
     if spec.axes:
         w, h = size
@@ -523,7 +569,7 @@ def _fmt_ornament_svg(spec, size):
                 raise ValueError("proportional size rule needs nonzero curvature along the path")
             r *= 1.0 / abs(p.kappa)
         records.append((p, r, spec.palette[j % len(spec.palette)]))
-    cmap = _CanvasMap([(p.x, p.y) for p in path.samples], size, spec.margin)
+    cmap = _FmtCanvasMap([(p.x, p.y) for p in path.samples], size, spec.margin)
     d = _fmt_path_d([cmap.point(q.x, q.y) for q in path.samples])
     lines = [_fmt_svg_open(size), f'<path d="{d}" fill="none" stroke="#bbbbbb" stroke-width="1"/>']
     for p, r, color in records:
@@ -574,10 +620,18 @@ def _curves(draw):
     st.booleans(),
 )
 @example([straight_path(4)], (800, 600), 40.0, [1], [(1.5, -0.0)], True)
+@example([_TINY_Y], (800, 600), 40.0, [1], [], False)  # the canvas scale overflows
 def test_plot_svg_writes_the_fmt_emitter_bytes(curves, size, margin, widths, marks, axes):
     annotations = [(i % len(curves), StressMarker(a, 1.0, b)) for i, (a, b) in enumerate(marks)]
     spec = PlotSpec(curves, size, margin, widths, annotations, axes)
-    assert _outcome(plot_svg, spec) == _outcome(_fmt_plot_svg, spec, size)
+    want = _outcome(_fmt_plot_svg, spec, size)
+    got = _outcome(plot_svg, spec)
+    if got.startswith("ValueError('path extent "):
+        # a subnormal extent: the fmt emitter's canvas scale overflowed, and
+        # it wrote inf or nan points
+        assert "inf" in want or "nan" in want
+    else:
+        assert got == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -605,9 +659,10 @@ def test_ornament_svg_writes_the_fmt_emitter_bytes(path, primitive, count, size_
                         size, margin)
     want = _outcome(_fmt_ornament_svg, spec, size)
     if "inf" in want or "nan" in want:
-        # the fmt emitter wrote a radius that overflowed, and with it inf or
-        # nan corners or path points; ornament_svg refuses it instead
-        assert _outcome(ornament_svg, spec).startswith("ValueError('primitive radius inf ")
+        # the fmt emitter wrote a canvas scale or a radius that overflowed, and
+        # with it inf or nan corners or path points; ornament_svg refuses it
+        assert _outcome(ornament_svg, spec).startswith(
+            ("ValueError('path extent ", "ValueError('primitive radius inf "))
     else:
         assert _outcome(ornament_svg, spec) == want
 
