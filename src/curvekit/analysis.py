@@ -155,11 +155,19 @@ def _finite_s_kappa(data):
 
 
 def _slopes(s, f):
-    """df/ds at every station: centered differences inside, one-sided at the ends."""
+    """df/ds at every station: centered differences inside, one-sided at the ends.
+
+    Raises ValueError naming the gap when a slope is not finite: a gap too
+    small for the change of f across it (a subnormal one) overflows."""
     n = len(s)
     out = [(f[1] - f[0]) / (s[1] - s[0])]
     out.extend((f[i + 1] - f[i - 1]) / (s[i + 1] - s[i - 1]) for i in range(1, n - 1))
     out.append((f[n - 1] - f[n - 2]) / (s[n - 1] - s[n - 2]))
+    if not all(map(math.isfinite, out)):
+        i = next(i for i, v in enumerate(out) if not math.isfinite(v))
+        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+        raise ValueError(f"the slope over the arc-length gap [{s[lo]!r}, {s[hi]!r}] "
+                         "is not finite")
     return out
 
 

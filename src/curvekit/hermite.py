@@ -415,8 +415,12 @@ def fit_g1(
             psi_target=psi_target,
         )
 
+    chords = {}  # lambda -> (x, y, log_scale) at each root-finding step
+
     def g(lam):
-        return chord_angle(problem.alpha, lam, delta_theta, quad_tol) - psi_target
+        # chord_angle without its reach check: lam lies inside [lo, hi]
+        x, y, _ = chords[lam] = _chord_components(problem.alpha, lam, delta_theta, quad_tol)
+        return math.atan2(y, x) - psi_target
 
     psi_lo = chord_angle(problem.alpha, lo, delta_theta, quad_tol)
     psi_hi = chord_angle(problem.alpha, hi, delta_theta, quad_tol)
@@ -431,7 +435,9 @@ def fit_g1(
         )
     lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, psi_hi - psi_target, tol)
     s_total = arc_length_for_turning(problem.alpha, lam, delta_theta)
-    ex, ey, log_ref = _chord_components(problem.alpha, lam, delta_theta, quad_tol)
+    # the returned lambda is a root-finding step, or else a bracket end
+    ex, ey, log_ref = chords.get(lam) or _chord_components(
+        problem.alpha, lam, delta_theta, quad_tol)
     # scale maps the normalized endpoint onto the chord; computed in log
     # space because the normalized endpoint can be enormous at large lambda
     scale = chord * math.exp(-log_ref) / math.hypot(ex, ey)

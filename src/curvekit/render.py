@@ -225,6 +225,9 @@ def plot_svg(spec: PlotSpec) -> str:
     if spec.axes:
         w, h = spec.size
         x0, y0 = cmap.point(0.0, 0.0)
+        if not (math.isfinite(x0) and math.isfinite(y0)):
+            raise ValueError(f"the world origin maps to ({x0!r}, {y0!r}) on the canvas: "
+                             "the path is too small for its distance from the origin")
         body.append(_AXES % (y0, w, y0, x0, x0, h))
     for curve in spec.curves:
         d = _path_d([cmap.point(p.x, p.y) for p in curve.samples])

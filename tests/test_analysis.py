@@ -168,6 +168,18 @@ def test_profile_checks_reject_arc_lengths_that_do_not_increase(check, pairs):
         check(pairs)
 
 
+@pytest.mark.parametrize("check", [lcg_from_samples, stress_marker])
+@pytest.mark.parametrize("pairs, gap", [
+    ([(0.0, 1.0), (5e-324, 0.9), (1.0, 0.5)], r"\[0\.0, 5e-324\]"),  # lcg gave a nan slope
+    ([(0.0, 1.0), (1.0, 0.9), (2.0, 1e-300), (2.0000000000000004, 1e300)],
+     r"\[2\.0, 2\.0000000000000004\]"),
+])
+def test_slopes_that_overflow_name_their_gap(check, pairs, gap):
+    # increasing arc lengths whose gap is too small for the change across it
+    with pytest.raises(ValueError, match=f"^the slope over the arc-length gap {gap} is not finite"):
+        check(pairs)
+
+
 def test_too_few_points_degenerate():
     with pytest.raises(DegenerateLcg):
         lcg_from_functions(lambda s: math.exp(-s), lambda s: -math.exp(-s), [0.5])

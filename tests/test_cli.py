@@ -749,6 +749,24 @@ def test_a_subnormal_path_extent_exits_1(tmp_path, monkeypatch, capsys, command)
     assert err == "error: path extent 0.0 x 5e-324 is too small to scale onto the canvas\n"
 
 
+_GAP_ROWS = "s,x,y,theta,kappa\n0,0,0,0,1\n5e-324,0.1,0,0,0.9\n1,0.2,0,0,0.5\n"
+_GAP_ERROR = "error: the slope over the arc-length gap [0.0, 5e-324] is not finite\n"
+
+
+@pytest.mark.parametrize("args, rows, want", [
+    (["lcg", "--in", "t.csv", "--json"], _GAP_ROWS, _GAP_ERROR),  # exit 0, "slope": null
+    (["plot", "--in", "t.csv", "--annotate", "--out", "o.svg"], _GAP_ROWS, _GAP_ERROR),
+    # exit 0, and the y axis drawn as "M -inf 0 L -inf 600"
+    (["plot", "--in", "t.csv", "--axes", "--out", "o.svg"],
+     "s,x,y,theta,kappa\n0,500,0,0,1\n1,500,1e-304,0,0.5\n",
+     "error: the world origin maps to (-inf, 560.0) on the canvas: "
+     "the path is too small for its distance from the origin\n"),
+], ids=["lcg-slope", "plot-annotate-slope", "plot-axes"])
+def test_an_overflowing_slope_or_axis_exits_1(tmp_path, monkeypatch, capsys, args, rows, want):
+    (tmp_path / "t.csv").write_text(rows)
+    assert rejects(args, tmp_path, monkeypatch, capsys) == want
+
+
 @pytest.mark.parametrize("size", ["800", "x600", "800x600x1", "800,600", "wx600"])
 def test_bad_size_names_the_flag(tmp_path, monkeypatch, capsys, size):
     # "800" said "could not convert string to float: ''"

@@ -241,80 +241,6 @@ def test_chord_integrand_columns_are_bit_identical_to_per_node_expressions(
     assert [[v.hex() for v in col] for col in got] == [[v.hex() for v in col] for col in want]
 
 
-# float.hex of results taken before the panel and integrand were unrolled;
-# identical on Python 3.10 to 3.13
-CHORD_ANGLE_BITS = {  # chord_angle(alpha, 0.3, 1.2)
-    -1.0: "0x1.5383f4d3352e4p-1",
-    0.0: "0x1.4a89df4314c23p-1",
-    0.5: "0x1.47ff0305b6dacp-1",
-    1.0: "0x1.460ba7cf1c6cfp-1",
-    2.0: "0x1.43340e8c00cfap-1",
-}
-FIT_BITS = {  # lambda, residual and scale of fit_g1 on the README problem
-    -1.0: ("0x1.aa95fd169d87ap-2", "0x1.df08000000000p-38", "0x1.cf3bad17a3181p-2"),
-    0.0: ("0x1.75b9fff5e9115p-1", "0x1.4000000000000p-51", "0x1.7c8a8d5d61781p-2"),
-    1.0: ("0x1.bf5e17d8bf55ep+0", "0x1.a6d5000000000p-37", "0x1.083d25e8b13a1p-2"),
-    2.0: ("0x1.e153a54de1683p+6", "0x1.8000000000000p-52", "0x1.862ca3e1abb59p-7"),
-}
-
-
-@pytest.mark.parametrize("alpha", sorted(CHORD_ANGLE_BITS))
-def test_chord_angle_pinned_bits(alpha):
-    assert chord_angle(alpha, 0.3, 1.2).hex() == CHORD_ANGLE_BITS[alpha]
-
-
-@pytest.mark.parametrize("alpha", sorted(FIT_BITS))
-def test_fit_g1_pinned_bits(alpha):
-    t_end = (math.cos(1.2), math.sin(1.2))
-    seg = fit_g1(HermiteProblem((0.0, 0.0), (0.7, 0.72), (1.0, 0.0), t_end, alpha))
-    got = (seg.equation.lam.hex(), seg.residual.hex(), seg.transform.scale.hex())
-    assert got == FIT_BITS[alpha]
-
-
-# float.hex of drawable_region on the README problem (delta_theta = 1.2),
-# taken before one-panel integrals returned at once: alpha -> (row count,
-# {row index: (lambda, psi)}) for every 16th row and the last; identical on
-# Python 3.10 to 3.13
-REGION_BITS = {
-    -1.0: (46, {
-        0: ("0x1.0c6f7a0b5ed8fp-20", "0x1.333337539cc09p-1"),
-        16: ("0x1.a36e2eb1c4326p-14", "0x1.3334cfe8fbba0p-1"),
-        32: ("0x1.47ae147ae1478p-7", "0x1.33d65c01335e1p-1"),
-        45: ("0x1.aaaaaa6315791p-2", "0x1.9c2a67e06912fp-1"),
-    }),
-    0.0: (49, {
-        0: ("0x1.0c6f7a0b5ed8fp-20", "0x1.333337539c96fp-1"),
-        16: ("0x1.a36e2eb1c4326p-14", "0x1.3334cfe2a4b73p-1"),
-        32: ("0x1.47ae147ae1478p-7", "0x1.33d55ebf8d749p-1"),
-        48: ("0x1.aaaaaa6315791p-1", "0x1.2388258eb3626p+0"),
-    }),
-    0.5: (51, {
-        0: ("0x1.0c6f7a0b5ed8fp-20", "0x1.333337539c822p-1"),
-        16: ("0x1.a36e2eb1c4326p-14", "0x1.3334cfdf794c1p-1"),
-        32: ("0x1.47ae147ae1478p-7", "0x1.33d4e17f1f23fp-1"),
-        48: ("0x1.0000000000000p+0", "0x1.907af10f39319p-1"),
-        50: ("0x1.aaaaaa6315791p+0", "0x1.33332fb74fe1bp+0"),
-    }),
-    2.0: (97, {
-        0: ("0x1.0c6f7a0b5ed8fp-20", "0x1.333337539c43ep-1"),
-        16: ("0x1.a36e2eb1c4326p-14", "0x1.3334cfd5f764cp-1"),
-        32: ("0x1.47ae147ae1478p-7", "0x1.33d36f1dcb06dp-1"),
-        48: ("0x1.0000000000000p+0", "0x1.5a7a266d1975dp-1"),
-        64: ("0x1.8fffffffffff7p+6", "0x1.990f25593c846p-1"),
-        80: ("0x1.3880000000005p+13", "0x1.9ab1cb83919c2p-1"),
-        96: ("0x1.e847ffffffffcp+19", "0x1.9ab60c665bbd6p-1"),
-    }),
-}
-
-
-@pytest.mark.parametrize("alpha", sorted(REGION_BITS))
-def test_region_pinned_bits(alpha):
-    rows = drawable_region(alpha, 1.2).boundary_samples
-    count, picked = REGION_BITS[alpha]
-    assert len(rows) == count
-    assert {i: (rows[i][0].hex(), rows[i][1].hex()) for i in picked} == picked
-
-
 # ------------------------------------------------------------ problem type
 
 

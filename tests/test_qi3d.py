@@ -270,20 +270,6 @@ def test_circle_tangent_turns_with_arclength():
         assert t == pytest.approx((math.cos(s), math.sin(s), 0.0), abs=1e-12)
 
 
-# float.hex of qi_point on the README circle (unit v0), taken before
-# one-panel integrals returned at once; identical on Python 3.10 to 3.13
-QI_POINT_BITS = {
-    1.0: ('0x1.aed548f090ceep-1', '0x1.d6bafe095f2e7p-2', '0x0.0p+0'),
-    2.5: ('0x1.326af0dcfcab2p-1', '0x1.cd17bf7c2c5bep+0', '0x0.0p+0'),
-    6.283185307179586: ('-0x1.8bc8ca46132f6p-51', '-0x1.8000000000000p-51', '0x0.0p+0'),
-}
-
-
-@pytest.mark.parametrize("s", sorted(QI_POINT_BITS))
-def test_qi_point_pinned_bits(s):
-    assert tuple(v.hex() for v in qi_point(circle_spec(), s)) == QI_POINT_BITS[s]
-
-
 def test_frame_tangent_matches_finite_difference():
     spec = circle_spec()
     h = 1e-6
@@ -552,52 +538,3 @@ def test_quaternion_curve_keeps_its_first_control_and_binomial_row():
     curve = QuaternionCurve(controls)
     assert curve._q0 == curve.controls[0].components()
     assert curve._binom == (1, 4, 6, 4)  # C(4, j) for j < 4: B_4 is never subtracted
-
-
-# float.hex of the first, middle and last sample_qi rows, 41 stations, at
-# degrees 1-4. The points come from the Chebyshev sweep, whose sums are
-# correctly rounded (fsum), so every row is the same bits on every interpreter.
-_PIN_CONTROLS = [[1, 0, 0, 0], [0.8, 0.6, 0, 0], [0.6, 0, -0.8, 0],
-                 [0.36, 0.48, 0.64, 0.48], [0, 0, 0.6, 0.8]]
-_PIN_FIRST = ('0x0.0p+0', '0x1.0000000000000p-1', '-0x1.0000000000000p+0',
-             '0x1.0000000000000p+1', '0x0.0p+0', '0x1.3333333333333p-1',
-             '0x1.999999999999ap-1')
-SAMPLE_QI_BITS = {  # degree -> rows
-    1: (_PIN_FIRST,
-        ('0x1.d99999999999ap+0', '0x1.0000000000000p-1', '-0x1.b3388d47122a0p-2',
-         '0x1.dccacb0559303p+1', '0x0.0p+0', '-0x1.0000000000000p-54',
-         '0x1.0000000000000p+0'),
-        ('0x1.d99999999999ap+1', '0x1.0000000000000p-1', '-0x1.0000000000000p+0',
-         '0x1.5ccacb0559303p+2', '0x0.0p+0', '-0x1.3333333333334p-1',
-         '0x1.9999999999999p-1')),
-    2: (_PIN_FIRST,
-        ('0x1.d99999999999ap+0', '0x1.a43fbb185df2ap-3', '-0x1.579be4b5f7cd4p-1',
-         '0x1.ddf989e60e2f0p+1', '-0x1.dc267bea4554ap-2', '-0x1.2d24d73be4ec9p-4',
-         '0x1.c3b742d9d763ep-1'),
-        ('0x1.d99999999999ap+1', '-0x1.39c1df27629eap+0', '-0x1.57ad742a18592p-2',
-         '0x1.23c820f9fea3ep+2', '-0x1.89374bc6a7ef9p-1', '0x1.3333333333335p-1',
-         '-0x1.cac083126e984p-3')),
-    3: (_PIN_FIRST,
-        ('0x1.d99999999999ap+0', '-0x1.53bdccf8420f0p-3', '-0x1.3a9e4f556edd2p-1',
-         '0x1.c6fe86957d4e2p+1', '-0x1.a59c84022f01bp-1', '0x1.6949865b96e64p-2',
-         '0x1.c6ff68c6a3ffcp-2'),
-        ('0x1.d99999999999ap+1', '-0x1.081f5d18a6d1cp-2', '0x1.6843caf344cf8p-1',
-         '0x1.bddac8c21587ap+1', '0x1.cc100e6afcce1p-1', '0x1.0c5eb313be22ap-2',
-         '0x1.6872b020c49bbp-2')),
-    4: (_PIN_FIRST,
-        ('0x1.d99999999999ap+0', '-0x1.60b6d3c85a320p-2', '-0x1.8269105c84116p-2',
-         '0x1.a08985e23ca4cp+1', '-0x1.208e9df7d7c20p-1', '0x1.a6f0b5b6d7be5p-1',
-         '0x1.24c1d9ff35800p-10'),
-        ('0x1.d99999999999ap+1', '0x1.e7a9682eb0420p-7', '0x1.27579c2381ce8p+0',
-         '0x1.d8749b9d979f6p+1', '0x1.0000000000002p-53', '0x1.3333333333335p-1',
-         '0x1.9999999999998p-1')),
-}
-
-
-@pytest.mark.parametrize("degree", sorted(SAMPLE_QI_BITS))
-def test_sample_qi_pinned_bits(degree):
-    spec = QiCurveSpec.from_dict({"p0": [0.5, -1, 2], "v0": [0, 0.6, 0.8],
-                                  "controls": _PIN_CONTROLS[: degree + 1], "s_total": 3.7})
-    rows = sample_qi(spec, 41)
-    got = tuple(tuple(v.hex() for v in rows[i]) for i in (0, 20, 40))
-    assert got == SAMPLE_QI_BITS[degree]

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvekit._fmt import FIELD, fmt
-from curvekit.analysis import StressMarker, stress_marker
+from curvekit.analysis import stress_marker
 from curvekit.pseudospiral import (
     CurveSample,
     NaturalEquation,
@@ -18,10 +18,8 @@ from curvekit.pseudospiral import (
     named_curve,
     sample_curve,
 )
-from curvekit.quadrature import _stations
 from curvekit.render import (
     _csv,
-    _interpolate,
     _path_d,
     EmptyInput,
     OrnamentSpec,
@@ -436,6 +434,16 @@ def test_a_subnormal_path_extent_is_rejected(emit):
     assert str(info.value) == "path extent 0.0 x 5e-324 is too small to scale onto the canvas"
 
 
+def test_axes_whose_origin_overflows_the_canvas_are_rejected():
+    # a path of height 1e-304 at x = 500: the y axis went to x = -inf, and
+    # the SVG held "M -inf 0 L -inf 600"
+    far = SampledCurve(None, (CurveSample(0.0, 500.0, 0.0, 0.0, 1.0),
+                              CurveSample(1.0, 500.0, 1e-304, 0.0, 0.5)), Pose())
+    with pytest.raises(ValueError, match=r"^the world origin maps to \(-inf, 560\.0\) "):
+        plot_svg(PlotSpec((far,), axes=True))
+    assert "inf" not in plot_svg(PlotSpec((far,)))
+
+
 @pytest.mark.parametrize("entry", ['"', '"/><script>', "<b", "a>", "&amp;"])
 def test_ornament_palette_rejects_markup(entry):
     # '"/><script>' closed the fill attribute: the file no longer parsed
@@ -452,219 +460,6 @@ def test_curve_from_rows_rejects_non_finite_values(column, value):
     rows[2][column] = value
     with pytest.raises(ValueError, match="^samples must be finite$"):
         curve_from_rows(map(tuple, rows))
-
-
-# ------------------------------------------------------------ the fmt emitters they replaced
-# Copies of the f-string emitters that formatted each SVG and region CSV
-# number with fmt, and of the canvas map they used, which did not check its
-# scale: the printf templates must write the same bytes.
-
-
-class _FmtCanvasMap:
-    def __init__(self, points, size, margin):
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-        w, h = size
-        span_x = x_hi - x_lo
-        span_y = y_hi - y_lo
-        avail_x = w - 2.0 * margin
-        avail_y = h - 2.0 * margin
-        if avail_x <= 0.0 or avail_y <= 0.0:
-            raise ValueError("margin leaves no drawable area")
-        candidates = []
-        if span_x > 0.0:
-            candidates.append(avail_x / span_x)
-        if span_y > 0.0:
-            candidates.append(avail_y / span_y)
-        self.k = min(candidates) if candidates else 1.0
-        self.cx = 0.5 * (x_lo + x_hi)
-        self.cy = 0.5 * (y_lo + y_hi)
-        self.ox = 0.5 * w
-        self.oy = 0.5 * h
-
-    def point(self, x, y):
-        return (self.ox + self.k * (x - self.cx), self.oy - self.k * (y - self.cy))
-
-    def angle(self, theta):
-        return -theta
-
-
-def _fmt_svg_open(size):
-    w, h = size
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{fmt(w)}" height="{fmt(h)}" '
-        f'viewBox="0 0 {fmt(w)} {fmt(h)}">'
-    )
-
-
-def _fmt_path_d(canvas_points):
-    parts = [f"M {fmt(canvas_points[0][0])} {fmt(canvas_points[0][1])}"]
-    parts.extend(f"L {fmt(x)} {fmt(y)}" for x, y in canvas_points[1:])
-    return " ".join(parts)
-
-
-def _fmt_arrow(tip, angle, length, color):
-    ax = tip[0] - length * math.cos(angle)
-    ay = tip[1] - length * math.sin(angle)
-    head = 0.25 * length
-    left = (tip[0] - head * math.cos(angle - 0.4), tip[1] - head * math.sin(angle - 0.4))
-    right = (tip[0] - head * math.cos(angle + 0.4), tip[1] - head * math.sin(angle + 0.4))
-    line = (
-        f'<path d="M {fmt(ax)} {fmt(ay)} L {fmt(tip[0])} {fmt(tip[1])}" '
-        f'fill="none" stroke="{color}" stroke-width="1.5"/>'
-    )
-    tri = (
-        f'<polygon points="{fmt(tip[0])},{fmt(tip[1])} '
-        f'{fmt(left[0])},{fmt(left[1])} {fmt(right[0])},{fmt(right[1])}" '
-        f'fill="{color}"/>'
-    )
-    return line + "\n" + tri
-
-
-def _fmt_plot_svg(spec, size):
-    world = [(p.x, p.y) for c in spec.curves for p in c.samples]
-    cmap = _FmtCanvasMap(world, size, spec.margin)
-    lines = [_fmt_svg_open(size)]
-    if spec.axes:
-        w, h = size
-        x0, y0 = cmap.point(0.0, 0.0)
-        lines.append(
-            f'<path d="M 0 {fmt(y0)} L {fmt(w)} {fmt(y0)} M {fmt(x0)} 0 '
-            f'L {fmt(x0)} {fmt(h)}" fill="none" stroke="#888888" stroke-width="1"/>'
-        )
-    for curve in spec.curves:
-        d = _fmt_path_d([cmap.point(p.x, p.y) for p in curve.samples])
-        for width in spec.stroke_widths:
-            lines.append(
-                f'<path d="{d}" fill="none" stroke="#000000" '
-                f'stroke-width="{fmt(width)}"/>'
-            )
-    for index, marker in spec.annotations:
-        curve = spec.curves[index]
-        svals = [p.s for p in curve.samples]
-        for s, color, tilt in (
-            (marker.s_at_max_kappa, "#c43b3b", 0.75 * math.pi),
-            (marker.s_at_max_kappa_slope, "#3b5fc4", 0.25 * math.pi),
-        ):
-            p = _interpolate(curve, svals, s)
-            lines.append(_fmt_arrow(cmap.point(p.x, p.y), tilt, 28.0, color))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_ornament_svg(spec, size):
-    path = spec.path
-    s0, s1 = path.samples[0].s, path.samples[-1].s
-    stations = [s0] if spec.count == 1 else _stations(s0, s1, spec.count)
-    svals = [p.s for p in path.samples]
-    records = []
-    for j, s in enumerate(stations):
-        p = _interpolate(path, svals, s)
-        r = spec.size_base * spec.rhythm[j % len(spec.rhythm)]
-        if spec.size_rule == "proportional_to_radius_of_curvature":
-            if p.kappa == 0.0:
-                raise ValueError("proportional size rule needs nonzero curvature along the path")
-            r *= 1.0 / abs(p.kappa)
-        records.append((p, r, spec.palette[j % len(spec.palette)]))
-    cmap = _FmtCanvasMap([(p.x, p.y) for p in path.samples], size, spec.margin)
-    d = _fmt_path_d([cmap.point(q.x, q.y) for q in path.samples])
-    lines = [_fmt_svg_open(size), f'<path d="{d}" fill="none" stroke="#bbbbbb" stroke-width="1"/>']
-    for p, r, color in records:
-        cx, cy = cmap.point(p.x, p.y)
-        r = cmap.k * r
-        ang = cmap.angle(p.theta)
-        if spec.primitive == "circle":
-            lines.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" fill="{color}"/>')
-            continue
-        n = 4 if spec.primitive == "square" else 3
-        offset = math.pi / 4.0 if spec.primitive == "square" else 0.0
-        corners = []
-        for k in range(n):
-            a = ang + offset + k * math.tau / n
-            corners.append(f"{fmt(cx + r * math.cos(a))},{fmt(cy + r * math.sin(a))}")
-        lines.append(f'<polygon points="{" ".join(corners)}" fill="{color}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def _outcome(emit, *args):
-    try:
-        return emit(*args)
-    except ValueError as exc:
-        return repr(exc)
-
-
-_COORD = st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308])
-_SIZE = st.tuples(st.integers(1, 2000) | st.floats(1.0, 2000.0),
-                  st.integers(1, 2000) | st.floats(1.0, 2000.0))
-
-
-@st.composite
-def _curves(draw):
-    ends = draw(st.lists(st.floats(5e-324, 10.0), min_size=1, max_size=7, unique=True))
-    rows = [(s, draw(_COORD), draw(_COORD), draw(_COORD), draw(_COORD))
-            for s in [0.0, *sorted(ends)]]
-    return SampledCurve(None, tuple(map(CurveSample._make, rows)), Pose())
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(_curves(), min_size=1, max_size=3),
-    _SIZE,
-    st.floats(0.0, 60.0) | st.integers(0, 60),
-    st.lists(st.floats(1e-3, 10.0) | st.integers(1, 5), min_size=1, max_size=3),
-    st.lists(st.tuples(st.floats(-1.0, 11.0), st.floats(-1.0, 11.0)), max_size=3),
-    st.booleans(),
-)
-@example([straight_path(4)], (800, 600), 40.0, [1], [(1.5, -0.0)], True)
-@example([_TINY_Y], (800, 600), 40.0, [1], [], False)  # the canvas scale overflows
-def test_plot_svg_writes_the_fmt_emitter_bytes(curves, size, margin, widths, marks, axes):
-    annotations = [(i % len(curves), StressMarker(a, 1.0, b)) for i, (a, b) in enumerate(marks)]
-    spec = PlotSpec(curves, size, margin, widths, annotations, axes)
-    want = _outcome(_fmt_plot_svg, spec, size)
-    got = _outcome(plot_svg, spec)
-    if got.startswith("ValueError('path extent "):
-        # a subnormal extent: the fmt emitter's canvas scale overflowed, and
-        # it wrote inf or nan points
-        assert "inf" in want or "nan" in want
-    else:
-        assert got == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    _curves(),
-    st.sampled_from(["circle", "square", "triangle"]),
-    st.integers(1, 12),
-    st.floats(1e-3, 5.0) | st.integers(1, 3),
-    st.sampled_from(["constant", "proportional_to_radius_of_curvature"]),
-    st.lists(st.floats(0.1, 3.0) | st.integers(1, 3), min_size=1, max_size=3),
-    _SIZE,
-    st.floats(0.0, 60.0),
-)
-@example(  # a subnormal extent: the canvas scale overflows
-    SampledCurve(None, (CurveSample(0.0, 0.0, 0.0, 0.0, 0.0),
-                        CurveSample(1.0, 0.0, 5e-324, 0.0, 0.0)), Pose()),
-    "circle", 1, 1.0, "constant", [1.0], (1, 1), 0.0)
-@example(  # a subnormal curvature: the proportional size overflows
-    SampledCurve(None, (CurveSample(0.0, 0.0, 0.0, 0.0, 5e-324),
-                        CurveSample(1.0, 1.0, 0.0, 0.0, 5e-324)), Pose()),
-    "triangle", 2, 1.0, "proportional_to_radius_of_curvature", [1.0], (800, 600), 40.0)
-def test_ornament_svg_writes_the_fmt_emitter_bytes(path, primitive, count, size_base, rule,
-                                                  rhythm, size, margin):
-    spec = OrnamentSpec(path, primitive, count, size_base, rule, rhythm, ("#a0a0a0", "red"),
-                        size, margin)
-    want = _outcome(_fmt_ornament_svg, spec, size)
-    if "inf" in want or "nan" in want:
-        # the fmt emitter wrote a canvas scale or a radius that overflowed, and
-        # with it inf or nan corners or path points; ornament_svg refuses it
-        assert _outcome(ornament_svg, spec).startswith(
-            ("ValueError('path extent ", "ValueError('primitive radius inf "))
-    else:
-        assert _outcome(ornament_svg, spec) == want
 
 
 @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=5))
