@@ -10,6 +10,7 @@ code under test wherever pytest was started and whether or not the package
 is installed.
 """
 
+import json
 import os
 from pathlib import Path
 
@@ -24,3 +25,9 @@ def _children_import_checkout_src(monkeypatch):
     inherited = os.environ.get("PYTHONPATH")
     path = str(SRC) + (os.pathsep + inherited if inherited else "")
     monkeypatch.setenv("PYTHONPATH", path)
+
+
+@pytest.fixture(scope="session")
+def ledger():
+    """The committed output ledger (``tests/ledger.json``), entry name -> value."""
+    return json.loads(Path(__file__).with_name("ledger.json").read_text(encoding="utf-8"))

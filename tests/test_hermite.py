@@ -241,6 +241,34 @@ def test_chord_integrand_columns_are_bit_identical_to_per_node_expressions(
     assert [[v.hex() for v in col] for col in got] == [[v.hex() for v in col] for col in want]
 
 
+# The pinned bits live in tests/ledger.json; these check its entries for
+# the README problem (delta_theta = 1.2) one input at a time.
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0, 2.0])
+def test_chord_angle_pinned_bits(alpha, ledger):
+    assert chord_angle(alpha, 0.3, 1.2).hex() == ledger[f"chord_angle({alpha}, 0.3, 1.2)"]
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 2.0])
+def test_fit_g1_pinned_bits(alpha, ledger):
+    t_end = (math.cos(1.2), math.sin(1.2))
+    seg = fit_g1(HermiteProblem((0.0, 0.0), (0.7, 0.72), (1.0, 0.0), t_end, alpha))
+    t = seg.transform
+    got = [v.hex() for v in (seg.equation.lam, seg.residual, t.scale, seg.s_total, t.rotation)]
+    name = f"fit_g1 README problem alpha {alpha}: lam, residual, scale, s_total, rotation"
+    assert got == ledger[name]
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 2.0])
+def test_region_pinned_bits(alpha, ledger):
+    rows = drawable_region(alpha, 1.2).boundary_samples
+    picked = list(range(0, len(rows) - 1, 16)) + [len(rows) - 1]  # every 16th row and the last
+    name = f"drawable_region({alpha}, 1.2) rows {picked}"
+    assert name in ledger, f"{len(rows)} rows is not the pinned count"
+    assert [v.hex() for i in picked for v in rows[i]] == ledger[name]
+
+
 # ------------------------------------------------------------ problem type
 
 

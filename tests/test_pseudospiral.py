@@ -590,6 +590,21 @@ def test_theta_kappa_is_bit_identical_to_the_separate_closed_forms(alpha, lam, f
         assert curvature(eq, s) == kappa
 
 
+@pytest.mark.parametrize("key", [(0.5, 1.0, 0.3), (0.5, 1.0, 2.0), (0.5, 1.0, 10.0),
+                                 (2.0, 3.0, 0.1), (2.0, 3.0, 1.0), (2.0, 3.0, 5.0)])
+def test_evaluate_point_pinned_bits(key, ledger):
+    alpha, lam, s = key
+    x, y = evaluate_point(NaturalEquation(alpha, lam), s)
+    assert [x.hex(), y.hex()] == ledger[f"evaluate_point({alpha}, {lam}, {s})"]
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0, 2.0])
+def test_sample_curve_pinned_bits(alpha, ledger):
+    curve = sample_curve(NaturalEquation(alpha, 0.3), 3.0, 41, Pose(0.5, -1.0, 0.25))
+    got = [v.hex() for i in (0, 20, 40) for v in curve.samples[i]]
+    assert got == ledger[f"sample_curve({alpha}, 0.3) 41 stations to 3, posed, rows 0, 20, 40"]
+
+
 def test_sample_curve_bad_count_wins_over_bad_s_end():
     with pytest.raises(ValueError, match="count must be at least 2"):
         sample_curve(NaturalEquation(0.5, 1.0), -1.0, 1)

@@ -270,6 +270,11 @@ def test_circle_tangent_turns_with_arclength():
         assert t == pytest.approx((math.cos(s), math.sin(s), 0.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [1.0, 2.5, math.tau])
+def test_qi_point_pinned_bits(s, ledger):
+    assert [v.hex() for v in qi_point(circle_spec(), s)] == ledger[f"qi_point(circle, {s})"]
+
+
 def test_frame_tangent_matches_finite_difference():
     spec = circle_spec()
     h = 1e-6
@@ -538,3 +543,14 @@ def test_quaternion_curve_keeps_its_first_control_and_binomial_row():
     curve = QuaternionCurve(controls)
     assert curve._q0 == curve.controls[0].components()
     assert curve._binom == (1, 4, 6, 4)  # C(4, j) for j < 4: B_4 is never subtracted
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_sample_qi_pinned_bits(degree, ledger):
+    controls = [[1, 0, 0, 0], [0.8, 0.6, 0, 0], [0.6, 0, -0.8, 0],
+                [0.36, 0.48, 0.64, 0.48], [0, 0, 0.6, 0.8]]
+    spec = QiCurveSpec.from_dict({"p0": [0.5, -1, 2], "v0": [0, 0.6, 0.8],
+                                  "controls": controls[: degree + 1], "s_total": 3.7})
+    rows = sample_qi(spec, 41)
+    got = [v.hex() for i in (0, 20, 40) for v in rows[i]]
+    assert got == ledger[f"sample_qi(pinned degree {degree}, 41) rows 0, 20, 40"]
