@@ -111,7 +111,13 @@ class Config:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reports usage errors with status 2; the contract wants 1."""
+    """argparse reports usage errors with status 2; the contract wants 1.
+
+    Usage and help wrap at a fixed 78 columns (what COLUMNS=80 gives), not
+    at the terminal's width, so their bytes are the same everywhere."""
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=78)
 
     def error(self, message):
         self.print_usage(sys.stderr)

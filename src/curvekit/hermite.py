@@ -4,9 +4,10 @@ Every problem normalizes to: start at the origin, start tangent along +x,
 total turning delta_theta in (0, pi) (mirrored first if the signed turning
 is negative). With the shape parameter alpha fixed, the one remaining
 degree of freedom is lambda, and the chord angle psi(lambda) measured from
-the start tangent is matched to the target by one bracketed root-find in
-log lambda. psi is monotone in lambda, so the bracket over the reachable
-lambda range holds exactly one solution.
+the start tangent is matched to the target by one bracketed root-find
+(Chandrupatla's method) in log lambda, or for alpha < 1 in
+log(lambda / (1 - lambda/lambda*)). psi is monotone in lambda, so the
+bracket over the reachable lambda range holds exactly one solution.
 """
 
 from __future__ import annotations
@@ -348,30 +349,50 @@ def drawable_region(
     return DrawableRegion(alpha, delta_theta, min(values), max(values), samples)
 
 
-def _solve_log(g, a, g_a, b, g_b, tol):
-    """Root of g between a and b, where g(a) = g_a and g(b) = g_b differ in sign.
+def _solve_log(g, a, g_a, b, g_b, tol, k):
+    """Root of g between a < b, where g(a) = g_a and g(b) = g_b differ in sign.
 
-    Illinois false position in log lambda: halving the g of an end kept for
-    another step keeps convergence superlinear. Returns the best
-    (lam, |g(lam)|) seen when |g| <= tol, the bracket stops shrinking or the
-    iteration cap is hit."""
+    Chandrupatla's method (Adv. Eng. Software 28(3):145-149, 1997): an inverse
+    quadratic step through the last three points when its xi/phi test finds
+    the interpolant monotone there, a bisection otherwise. It runs in
+    x = log(lambda / (1 - k lambda)), so lambda = 1/(e^-x + k), where k is
+    1/lambda* for a member of limited turning (alpha < 1) and 0 otherwise,
+    making x plain log lambda. For alpha < 1 psi varies smoothly in
+    log(1 - lambda/lambda*), so x spreads out the bracket end at the reach,
+    where in log lambda psi is steepest and the steps crawl toward a root
+    there. Returns the best (lam, |g(lam)|) seen when |g| <= tol, the
+    bracket stops shrinking or the iteration cap is hit."""
+    lo, hi = a, b
+    xa, xb = (math.log(lam) - math.log1p(-k * lam) for lam in (a, b))
     best_lam, best_g = (a, g_a) if abs(g_a) <= abs(g_b) else (b, g_b)
+    t = 0.5
     for _ in range(_MAX_ITER):
         if abs(best_g) <= tol:
             break
-        la, lb = math.log(a), math.log(b)
-        # exp of the interpolated log can round outside the bracket
-        c = min(max(math.exp(lb - g_b * (lb - la) / (g_b - g_a)), min(a, b)), max(a, b))
-        if c == a or c == b:
+        x = xa + t * (xb - xa)
+        # the inverse map can round outside the bracket
+        lam = min(max(1.0 / (exp(-x) + k), lo), hi)
+        if lam == a or lam == b:
             break
-        g_c = g(c)
-        if abs(g_c) < abs(best_g):
-            best_lam, best_g = c, g_c
-        if (g_c < 0.0) != (g_b < 0.0):
-            a, g_a = b, g_b
+        g_t = g(lam)
+        if abs(g_t) < abs(best_g):
+            best_lam, best_g = lam, g_t
+        # a is the new point and b the other bracket end; c is the point
+        # just dropped from the bracket
+        if (g_t < 0.0) == (g_a < 0.0):
+            xc, g_c = xa, g_a
         else:
-            g_a *= 0.5
-        b, g_b = c, g_c
+            xc, g_c = xb, g_b
+            xb, g_b, b = xa, g_a, a
+        xa, g_a, a = x, g_t, lam
+        xi = (xa - xb) / (xc - xb)
+        phi = (g_a - g_b) / (g_c - g_b)
+        # the test fails wherever a divisor of the quadratic step is zero
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = (g_a / (g_b - g_a) * g_c / (g_b - g_c)
+                 + (xc - xa) / (xb - xa) * g_a / (g_c - g_a) * g_b / (g_c - g_b))
+        else:
+            t = 0.5
     return best_lam, abs(best_g)
 
 
@@ -384,9 +405,11 @@ def fit_g1(
 
     psi(lambda) is monotone, so one bracketed root-find solves for the target
     chord angle, between lam_bounds[0] and the largest usable lambda:
-    lam_bounds[1], or for alpha < 1 at most (1 - 1e-8) / (delta_theta (1 - alpha)).
-    The residual is the remaining chord-angle mismatch in radians; it
-    exceeds tol only when the root-find stalls."""
+    lam_bounds[1], or for alpha < 1 at most (1 - 1e-8) lambda*, where
+    lambda* = 1/(delta_theta (1 - alpha)). The root-find (see _solve_log)
+    stops at the first step within tol, so the residual, the remaining
+    chord-angle mismatch in radians, is often just under tol; it exceeds
+    tol only when the root-find stalls."""
     _check_tol(tol)
     quad_tol = min(1e-12, tol * 1e-2)
     cx = problem.p_end[0] - problem.p_start[0]
@@ -433,7 +456,8 @@ def fit_g1(
             psi_min=psi_min,
             psi_max=psi_max,
         )
-    lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, psi_hi - psi_target, tol)
+    k = max(0.0, delta_theta * (1.0 - problem.alpha))  # 1/lambda* for alpha < 1
+    lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, psi_hi - psi_target, tol, k)
     s_total = arc_length_for_turning(problem.alpha, lam, delta_theta)
     # the returned lambda is a root-finding step, or else a bracket end
     ex, ey, log_ref = chords.get(lam) or _chord_components(

@@ -75,6 +75,16 @@ def test_help_exits_zero_everywhere(tmp_path):
         assert "--" in r.stdout
 
 
+def test_usage_and_help_do_not_depend_on_the_terminal_width(tmp_path):
+    # argparse wraps at COLUMNS by default; the parser wraps at a fixed 78
+    for args in (["curve", "--bogus"], ["fit", "--help"]):
+        narrow, wide = (run_cli(args, tmp_path, {"COLUMNS": c}) for c in ("40", "200"))
+        assert (narrow.returncode, narrow.stdout, narrow.stderr) == (
+            wide.returncode, wide.stdout, wide.stderr), args
+    assert narrow.stdout.splitlines()[0] == (
+        "usage: curvekit fit [-h] --start START --end END --start-angle START_ANGLE")
+
+
 def test_unknown_subcommand_exits_one(tmp_path):
     r = run_cli(["frobnicate"], tmp_path)
     assert r.returncode == 1

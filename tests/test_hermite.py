@@ -454,22 +454,31 @@ def test_fit_alternate_lambdas_sorted():
     st.booleans(),
 )
 def test_fit_recovers_member_geometry(alpha, dth, u, rotation, mirror):
-    # lambda log-uniform up to 100 and, for alpha < 1, just short of lambda*.
+    # lambda log-uniform up to 100 and, for alpha < 1, just short of lambda*,
+    # so the target lies inside the region and the residual meets tol.
     # The fitted lambda is not compared, since it is ill-conditioned where psi
     # flattens: the fitted member, placed by its similarity, must end on the
-    # problem's end point with its end tangent. Its end comes from the
-    # log-radius chord integral (checked against the arc-length route above):
-    # sample_curve's closed-form turning angle cancels badly for alpha near 0
-    # or 1 at small lambda.
+    # problem's end point, at its chord angle to tol, with its end tangent.
+    # Its end comes from the log-radius chord integral (checked against the
+    # arc-length route above): sample_curve's closed-form turning angle
+    # cancels badly for alpha near 0 or 1 at small lambda.
     lam_star = math.inf if alpha >= 1.0 else 1.0 / (dth * (1.0 - alpha))
     lo, hi = 1e-4, min(100.0, (1.0 - 1e-6) * lam_star)
     lam = math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
+    # just below alpha = 1, near the reach, the normalized chord can exceed
+    # e^700, beyond any double scale (test_fit_scale_underflow_is_no_solution)
+    assume(_chord_integrand(alpha, lam, dth)[3] < 650.0)
     problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth),
                                rotation=rotation, chord=2.0, mirror=mirror)
-    seg = fit_g1(problem)
+    seg = fit_g1(problem, tol=1e-10)
+    assert seg.residual <= 1e-10
     x, y, log_scale = _chord_components(alpha, seg.equation.lam, dth, 1e-13)
     ex, ey = seg.transform.apply_point(x * math.exp(log_scale), y * math.exp(log_scale))
     assert math.hypot(ex - problem.p_end[0], ey - problem.p_end[1]) <= 1e-8 * 2.0
+    # tol, plus the quadrature error of the fit's psi and of this one
+    r = math.hypot(x, y)
+    psi_err = math.atan2(ey, ex) - math.atan2(problem.p_end[1], problem.p_end[0])
+    assert abs(math.remainder(psi_err, math.tau)) <= 1e-10 + 2e-12 * max(1.0, r) / r
     end_angle = math.atan2(problem.t_end[1], problem.t_end[0])
     assert abs(math.remainder(seg.transform.apply_angle(dth) - end_angle, math.tau)) <= 1e-8
 

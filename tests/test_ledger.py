@@ -190,15 +190,12 @@ def _cli_run(commands):
 
 
 def cli_entries():
-    saved = {k: os.environ.pop(k, None) for k in (cli.ENV_OUT_DIR, "COLUMNS")}
-    os.environ["COLUMNS"] = "80"  # argparse wraps its usage line to the terminal
+    saved = os.environ.pop(cli.ENV_OUT_DIR, None)
     try:
         return {f"cli {name}": _cli_run(commands) for name, commands in CLI_RUNS.items()}
     finally:
-        for key, value in saved.items():
-            os.environ.pop(key, None)
-            if value is not None:
-                os.environ[key] = value
+        if saved is not None:
+            os.environ[cli.ENV_OUT_DIR] = saved
 
 
 # ---------------------------------------------------------------- the library
