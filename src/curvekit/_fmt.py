@@ -7,15 +7,13 @@ import math
 from dataclasses import fields
 
 
-_SPEC = ".17g"
-# printf form of the same spec, for one-template rows: FIELD % x == fmt(x)
-# for every float and int (signed zeros, inf, nan and subnormals included)
-FIELD = "%" + _SPEC
+# one number at 17 significant digits, also the field of one-template rows
+FIELD = "%.17g"
 
 
 def fmt(x: float) -> str:
     """Format a float at 17 significant digits (round-trip exact for doubles)."""
-    return format(float(x), _SPEC)
+    return FIELD % x
 
 
 class Record:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import lt
 
 from ._fmt import Record
-from .pseudospiral import NaturalEquation, SampledCurve, _check_domain, _theta_kappa
+from .pseudospiral import (NaturalEquation, SampledCurve, _check_domain, _check_increasing,
+                           _theta_kappa)
 from .quadrature import _stations
 
 __all__ = [
@@ -138,12 +138,6 @@ def _extract_s_kappa(data):
     if isinstance(data, SampledCurve):
         return [(p.s, p.kappa) for p in data.samples]
     return [(float(s), float(k)) for s, k in data]
-
-
-def _check_increasing(s):
-    # the finite differences divide by the gaps between arc lengths
-    if not all(map(lt, s, s[1:])):
-        raise ValueError("sample arc lengths must increase strictly")
 
 
 def _finite_s_kappa(data):

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, fields
@@ -114,7 +115,14 @@ class _Parser(argparse.ArgumentParser):
     """argparse reports usage errors with status 2; the contract wants 1.
 
     Usage and help wrap at a fixed 78 columns (what COLUMNS=80 gives), not
-    at the terminal's width, so their bytes are the same everywhere."""
+    at the terminal's width, so their bytes are the same everywhere. A token
+    that starts with '-' and then a digit, '.' and a digit, inf or nan is a
+    value, not a flag, so '--end -0.5,0.7' and '--alpha -1e-3' need no '=':
+    argparse's own test takes only plain negative numbers such as -1 or -.5."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def _get_formatter(self):
         return self.formatter_class(prog=self.prog, width=78)

@@ -84,20 +84,11 @@ def turning_limit(alpha: float, lam: float) -> float:
 
     alpha >= 1 turns without bound; below that the bound is
     1/(lam*(1-alpha)), attained at the domain end for alpha < 0 and only
-    approached for 0 <= alpha < 1. lam, and lam * |alpha - 1| off alpha = 1,
-    must be normal doubles (see _check_lam).
+    approached for 0 <= alpha < 1. The module's one member check: lam > 0,
+    finite alpha, normal lam and lam * |alpha - 1| (off alpha = 1), else ValueError.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    _check_lam(alpha, lam)
-    if alpha >= 1.0:
-        return math.inf
-    return 1.0 / (lam * (1.0 - alpha))
-
-
-def _check_lam(alpha: float, lam: float) -> None:
-    """Raise ValueError unless lam and, off alpha = 1, lam * |alpha - 1| are
-    normal doubles: the turning limit and the chord integrand divide by them."""
     if lam < sys.float_info.min or (
         alpha != 1.0 and lam * abs(alpha - 1.0) < sys.float_info.min
     ):
@@ -105,13 +96,18 @@ def _check_lam(alpha: float, lam: float) -> None:
             f"lam = {lam!r} is too small for alpha = {alpha!r}: "
             "lam or lam * (alpha - 1) underflows"
         )
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if alpha >= 1.0:
+        return math.inf
+    return 1.0 / (lam * (1.0 - alpha))
 
 
 def _check_reachable(alpha: float, lam: float, theta: float) -> None:
     """Raise TurningUnreachable unless the member turns by theta: for
     alpha < 1, unless 1 + theta*lam*(alpha-1) > 0, rounded exactly as the
     closed forms below evaluate it (no log or power of a nonpositive number)."""
-    limit = turning_limit(alpha, lam)  # also rejects lam <= 0
+    limit = turning_limit(alpha, lam)  # also checks the member
     if alpha < 1.0 and not 1.0 + theta * lam * (alpha - 1.0) > 0.0:
         raise TurningUnreachable(
             f"turning {theta!r} unreachable for alpha = {alpha!r}, lam = {lam!r}: "
@@ -127,8 +123,6 @@ def arc_length_for_turning(alpha: float, lam: float, theta: float) -> float:
     """
     if not theta >= 0.0:
         raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return 0.0
     _check_reachable(alpha, lam, theta)
     try:
         if alpha == 1.0:
@@ -193,7 +187,7 @@ def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12
 
     The segment starts at the origin with tangent +x and turns by exactly
     delta_theta. Raises TurningUnreachable when that much turning is beyond
-    the member's limit, and ValueError when lam underflows (see turning_limit).
+    the member's limit, and ValueError on a member turning_limit rejects.
     """
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
@@ -287,7 +281,7 @@ def _reach(alpha: float, delta_theta: float, lam_bounds):
         raise ValueError("lam_bounds requires 0 < lo < hi")
     if hi == math.inf:
         raise ValueError("lam_bounds must be finite")
-    _check_lam(alpha, lo)  # every lambda searched or tabulated is at least lo
+    turning_limit(alpha, lo)  # checks lo: every lambda searched or tabulated is at least lo
     if alpha < 1.0:
         hi = min(hi, (1.0 - _REACH_MARGIN) / delta_theta / (1.0 - alpha))
     return hi if lo < hi else None
@@ -462,9 +456,13 @@ def fit_g1(
     # the returned lambda is a root-finding step, or else a bracket end
     ex, ey, log_ref = chords.get(lam) or _chord_components(
         problem.alpha, lam, delta_theta, quad_tol)
+    norm = math.hypot(ex, ey)
+    if norm == 0.0:  # a turning of a few subnormals: an empty chord integral
+        raise DegenerateInput(f"turning {delta_theta!r} is too small to fit: the "
+                              f"normalized chord underflows at lambda = {lam!r}")
     # scale maps the normalized endpoint onto the chord; computed in log
     # space because the normalized endpoint can be enormous at large lambda
-    scale = chord * math.exp(-log_ref) / math.hypot(ex, ey)
+    scale = chord * math.exp(-log_ref) / norm
     if not scale > 0.0:
         raise NoSolution(
             f"the fitted member's scale underflows double precision: at alpha = "

@@ -182,8 +182,6 @@ def evaluate_point(eq: NaturalEquation, s: float, tol: float = 1e-12):
     """
     _check_domain(eq, s)
     _check_tol(tol)
-    if s == 0.0:
-        return (0.0, 0.0)
     breaks = []
     cut = max(1.0 / eq.lam, s * 2.0**-52)
     while cut < s:
@@ -237,6 +235,12 @@ class Similarity(Record):
         return self.rotation + (-theta if self.mirror else theta)
 
 
+def _check_increasing(s) -> None:
+    # finite differences and slopes divide by the gaps between arc lengths
+    if not all(map(lt, s, s[1:])):
+        raise ValueError("sample arc lengths must increase strictly")
+
+
 class CurveSample(NamedTuple):
     """One station of a sampled curve: arc length, point, tangent, curvature.
 
@@ -273,8 +277,7 @@ class SampledCurve:
         s = [p.s for p in pts]
         if s[0] != 0.0:
             raise ValueError("samples must start at s = 0")
-        if not all(map(lt, s, s[1:])):
-            raise ValueError("sample arc lengths must increase strictly")
+        _check_increasing(s)
         object.__setattr__(self, "samples", pts)
 
     @property

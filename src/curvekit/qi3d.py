@@ -276,8 +276,6 @@ def qi_point(spec: QiCurveSpec, s: float, tol: float = 1e-12):
     contract that sample_qi and the planar samplers also state."""
     _check_arc(spec, s)
     _check_tol(tol)
-    if s == 0.0:
-        return spec.p0
     rx, ry, rz = _integrate_components(partial(_tangent, spec), 0.0, s, tol, scale=max(1.0, s))
     return (spec.p0[0] + rx.value, spec.p0[1] + ry.value, spec.p0[2] + rz.value)
 

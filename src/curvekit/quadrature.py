@@ -331,7 +331,7 @@ def _accumulate(f, stations, tol: float):
             columns = [[0.0] for _ in ck]
             offsets = [0.0] * len(ck)
         half = 0.5 * (pb - pa)
-        j = bisect_right(stations, pb, i) if pending else len(stations)
+        j = bisect_right(stations, pb, i)
         ts = [(s - mid) / half for s in stations[i:j]]
         lanes = [_antiderivative(c, half) for c in ck]
         # per lane: the value term, and the Clenshaw coefficients from its

@@ -180,6 +180,13 @@ def test_slopes_that_overflow_name_their_gap(check, pairs, gap):
         check(pairs)
 
 
+def test_a_reversed_range_and_a_single_sample_are_named():
+    with pytest.raises(ValueError, match="^s_range must satisfy 0 <= s0 < s1$"):
+        lcg_analytic(NaturalEquation(0.5, 1.0), (1.0, 0.5), 5)
+    with pytest.raises(ValueError, match="^need at least two samples$"):
+        check_monotone([(0.0, 1.0)])
+
+
 def test_too_few_points_degenerate():
     with pytest.raises(DegenerateLcg):
         lcg_from_functions(lambda s: math.exp(-s), lambda s: -math.exp(-s), [0.5])

@@ -10,10 +10,11 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvekit import cli
@@ -850,3 +851,150 @@ def test_flag_then_file_then_builtin(drawn):
         with mock.patch.object(cli, "fit_g1", recording):
             run(*README_FIT, "--alpha", "2", *flags("tol"))
         assert seen == [want["tol"]]
+
+
+def test_fit_with_no_lambda_reaching_the_turning_exits_4_with_one_line(
+        tmp_path, monkeypatch, capsys):
+    # alpha = 0 turns by 2 only below lambda* = 1/2, under lambda_min = 1
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    (tmp_path / "ck.cfg").write_text("lambda_min = 1\n")
+    args = ["--config", "ck.cfg", "fit", "--start", "0,0", "--end", "0.7,0.72",
+            "--start-angle", "0", "--end-angle", "2", "--alpha", "0", "--out", "o.json"]
+    code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
+    assert (code, out) == (4, "")
+    assert err == ("no solution: turning 2.0 is unreachable for every lambda in "
+                   "[1.0, 1000000.0] at alpha = 0.0\n")
+    assert sorted(os.listdir(tmp_path)) == ["ck.cfg"]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_region_with_a_non_finite_alpha_exits_1(tmp_path, monkeypatch, capsys, alpha):
+    # nan and inf said "integration bounds must be finite"
+    args = ["region", "--alpha", alpha, "--delta-theta", "1", "--out", "r.csv"]
+    assert rejects(args, tmp_path, monkeypatch, capsys) == "error: alpha must be finite\n"
+
+
+def joined(args):
+    """args with each '--flag value' pair written as '--flag=value'."""
+    out = []
+    for arg in args:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize("args, code", [
+    (["fit", "--start", "0,0", "--end", "-0.5,0.7", "--start-angle", "0",
+      "--end-angle", "2.5", "--alpha", "1", "--out", "f.json"], 0),
+    (["qi", "--p0", "-1,0,0", "--controls", "1,0,0,0;0.8,0.6,0,0", "--n", "5",
+      "--out", "q.csv"], 0),
+    (["curve", "--alpha", "-1e-3", "--lambda", "1", "--n", "5", "--out", "c.csv"], 0),
+    (["curve", "--alpha", "-inf", "--lambda", "1", "--out", "c.csv"], 1),
+], ids=["fit-end", "qi-p0", "curve-alpha", "curve-alpha-inf"])
+def test_a_negative_value_may_follow_its_flag(tmp_path, monkeypatch, capsys, args, code):
+    # each exited 1 with "expected one argument": argparse took the value
+    # for a flag unless it was a plain negative number such as -1 or -.5
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    runs = []
+    for name, argv in (("spaced", args), ("joined", joined(args))):
+        (tmp_path / name).mkdir()
+        got = run_in_process(argv, tmp_path / name, monkeypatch, capsys)
+        runs.append((*got, {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    if code == 0:
+        assert runs[0][3]
+    else:
+        assert runs[0][2] == "error: alpha and lam must be finite\n"
+
+
+# ------------------------------------------------------------ robustness property
+
+EDGE_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e308, -1e308, math.inf,
+                -math.inf, math.nan, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 1e-12)
+_FAMILY = {"--alpha": "0.5", "--lambda": "1", "--s-end": "1"}
+# subcommand -> (fixed flags, {numeric flag: its usual value}); an argv sets
+# one to three of them to an edge number, as the value or one entry of its list
+NUMERIC_FLAGS = {
+    "curve": (["--n=9", "--out=o.csv", "--svg=o.svg", "--axes"], _FAMILY),
+    "lcg": (["--n=9", "--out=o.json"], _FAMILY),
+    "fit": (["--out=o.json", "--svg=o.svg"],
+            {"--start": "0,0", "--end": "0.7,0.72", "--start-angle": "0", "--end-angle": "1.2",
+             "--alpha": "2", "--tol": "1e-10"}),
+    "region": (["--points=5", "--out=o.csv"],
+               {"--alpha": "2", "--delta-theta": "1", "--lambda-min": "1e-6",
+                "--lambda-max": "1e6"}),
+    "qi": (["--n=9", "--out=o.csv"],
+           {"--controls": "1,0,0,0;0.8,0.6,0,0", "--p0": "0,0,0", "--v0": "1,0,0",
+            "--s-total": "1"}),
+    "ornament": (["--count=3", "--n=9", "--out=o.svg"],
+                 {**_FAMILY, "--size-base": "0.05", "--rhythm": "1,2"}),
+    "check": (["--n=9"], _FAMILY),
+    "plot": (["--n=9", "--annotate", "--axes", "--out=o.svg"],
+             {**_FAMILY, "--widths": "1,2", "--size": "800x600"}),
+}
+
+
+def numeric_argv(command, changed):
+    fixed, values = NUMERIC_FLAGS[command]
+    return [command, *fixed, *(f"{flag}={changed.get(flag, value)}"
+                               for flag, value in values.items())]
+
+
+@st.composite
+def numeric_argvs(draw):
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    values = dict(NUMERIC_FLAGS[command][1])
+    slots = [(flag, k) for flag, value in values.items()
+             for k in range(len(re.split("[,;x]", value)))]
+    for (flag, k), number in draw(st.lists(
+            st.tuples(st.sampled_from(slots), st.sampled_from(EDGE_NUMBERS)),
+            min_size=1, max_size=3)):
+        entries = re.split("([,;x])", values[flag])  # the numbers at even indices
+        entries[2 * k] = repr(number)
+        values[flag] = "".join(entries)
+    return numeric_argv(command, values)
+
+
+def run_in_fresh_directory(argv):
+    """(exit code, stdout, stderr, {file name: bytes}) of cli.main(argv),
+    run in a new empty working directory."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+        files = {name: (Path(tmp) / name).read_bytes() for name in sorted(os.listdir(tmp))}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@settings(max_examples=200, deadline=None)
+@given(numeric_argvs())
+# each broke the contract once: tracebacks, r="inf", infs in the SVG, the wrong error
+@example(numeric_argv("curve", {"--s-end": "5e-324"}))
+@example(numeric_argv("fit", {"--end": "0.7,5e-324", "--start-angle": "5e-324",
+                              "--end-angle": "0.0"}))
+@example(numeric_argv("ornament", {"--size-base": "1e+308"}))
+@example(numeric_argv("plot", {"--size": "infx600"}))
+@example(numeric_argv("plot", {"--widths": "1,inf"}))
+@example(numeric_argv("region", {"--alpha": "nan"}))
+def test_extreme_numbers_keep_the_cli_contract(argv):
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CURVEKIT_OUT_DIR", None)
+        first = run_in_fresh_directory(argv)
+        assert run_in_fresh_directory(argv) == first, argv
+    code, _, err, files = first
+    assert 0 <= code <= 4 and "Traceback" not in err, (argv, err)
+    if code:
+        assert not files, (argv, sorted(files))
+        # fit's exit 4 adds the drawable region when the turning is reachable
+        lines = 2 if argv[0] == "fit" and code == 4 and "\ndrawable region: " in err else 1
+        assert err.endswith("\n") and err.count("\n") == lines, (argv, err)
+    for name, data in files.items():
+        assert not re.search(rb"nan|inf", data, re.IGNORECASE), (argv, name)

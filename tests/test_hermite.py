@@ -78,6 +78,20 @@ def test_a_lambda_whose_products_underflow_is_a_value_error(alpha):
             call()
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_alpha_is_a_value_error(alpha):
+    # turning_limit(nan, 1) and arc_length_for_turning returned nan, and
+    # chord_angle and drawable_region said "integration bounds must be finite"
+    for call in (
+        lambda: turning_limit(alpha, 1.0),
+        lambda: arc_length_for_turning(alpha, 1.0, 1.0),
+        lambda: chord_angle(alpha, 1.0, 1.0),
+        lambda: drawable_region(alpha, 1.0),
+    ):
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            call()
+
+
 @pytest.mark.parametrize("alpha", [-3.0, 0.0, 0.5, 1.0, 2.0, 10.0])
 def test_the_smallest_normal_products_are_accepted(alpha):
     lam = sys.float_info.min
@@ -116,13 +130,25 @@ def test_arc_length_inverts_turning_angle():
 
 
 def test_arc_length_zero_and_errors():
-    assert arc_length_for_turning(0.5, 1.0, 0.0) == 0.0
+    for alpha in (-3.0, 0.0, 0.5, 1.0, 2.0):  # +0.0 from the closed form on both branches
+        s = arc_length_for_turning(alpha, 1.0, 0.0)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
     with pytest.raises(TurningUnreachable):
         arc_length_for_turning(0.0, 2.0, 0.5)
     with pytest.raises(TurningUnreachable):
         arc_length_for_turning(0.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         arc_length_for_turning(0.5, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, 5e-324])
+def test_zero_turning_checks_the_member_as_any_turning_does(lam):
+    # theta = 0 returned 0.0 whatever lam was
+    with pytest.raises(ValueError) as positive:
+        arc_length_for_turning(0.5, lam, 0.5)
+    with pytest.raises(ValueError) as zero:
+        arc_length_for_turning(0.5, lam, 0.0)
+    assert str(zero.value) == str(positive.value)
 
 
 def test_arc_length_overflow_returns_inf():
@@ -393,6 +419,16 @@ def test_fit_aligned_tangent_cases_are_degenerate():
         fit_g1(HermiteProblem((0, 0), (2, 0), (1, 0), (-1, 0), 1.0))
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.0, 2.0])
+def test_fit_with_a_subnormal_turning_is_degenerate(alpha):
+    # the chord angle is 0 at every lambda, so a straight chord is "reached"
+    # at a bracket end whose chord integral is empty: a ZeroDivisionError
+    problem = HermiteProblem((0.0, 0.0), (0.7, 5e-324), (1.0, 5e-324), (1.0, 0.0), alpha)
+    with pytest.raises(DegenerateInput, match="^turning 5e-324 is too small to fit: the "
+                       r"normalized chord underflows at lambda = 1e-06$"):
+        fit_g1(problem)
+
+
 def test_fit_no_solution_reports_region():
     # a chord angle at a quarter of the turning sits below every member's
     # reach (the circle already bisects at half)
@@ -415,6 +451,17 @@ def test_fit_no_solution_near_upper_edge_for_limited_members():
     # while alpha=1 solves the same configuration
     seg = fit_g1(problem_from_psi(1.0, math.pi / 2.0, 1.4))
     assert seg.residual < 1e-10
+
+
+def test_fit_with_no_lambda_reaching_the_turning_has_no_solution():
+    # alpha = 0 turns by 2 only below lambda* = 1/2, under the whole bracket
+    problem = problem_from_psi(0.0, 2.0, 1.0)
+    with pytest.raises(NoSolution) as info:
+        fit_g1(problem, lam_bounds=(1.0, 1e6))
+    assert str(info.value) == (f"turning {abs(problem.delta_theta())!r} is unreachable "
+                               "for every lambda in [1.0, 1000000.0] at alpha = 0.0")
+    assert (info.value.psi_min, info.value.psi_max) == (None, None)
+    assert info.value.psi_target == pytest.approx(1.0)
 
 
 def test_fit_scale_underflow_is_no_solution():

@@ -239,6 +239,13 @@ def test_point_small_s_taylor():
         assert y == pytest.approx(s * s / 2.0, rel=1e-2)
 
 
+@pytest.mark.parametrize("alpha", [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 10.0])
+def test_point_at_zero_arc_length_is_the_positive_origin(alpha):
+    # one G7/K15 panel of zero width: its sums are exact +0.0
+    point = evaluate_point(NaturalEquation(alpha, 0.7), 0.0)
+    assert [v.hex() for v in point] == ["0x0.0p+0"] * 2
+
+
 def test_point_log_spiral_closed_form():
     # alpha=1, lam=1: P(theta) = (e^{(lam+i)theta} - 1) / (lam+i), theta=log(1+s)
     # frozen via 50-digit evaluation at s=5
@@ -483,6 +490,12 @@ def test_similarity_apply_point():
     x, y = sim.apply_point(1.0, 0.0)
     assert x == pytest.approx(1.0, abs=1e-15)
     assert y == pytest.approx(3.0, abs=1e-15)
+
+
+def test_similarity_rejects_a_scale_that_is_not_positive():
+    for scale in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^scale must be positive$"):
+            Similarity(scale=scale)
 
 
 def test_similarity_mirror_flips_before_rotation():

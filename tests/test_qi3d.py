@@ -357,6 +357,28 @@ def test_spec_validation_and_serialization():
     assert p == pytest.approx(q, abs=1e-15)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"controls": [[1, 0, 0]], "p0": [0, 0, 0], "v0": [1, 0, 0], "s_total": 1},
+     "every control must be 4 numbers w, x, y, z"),
+    ({"controls": [[1, 0, 0, 0]], "p0": 5, "v0": [1, 0, 0], "s_total": 1},
+     "malformed spec: 'int' object is not iterable"),
+], ids=["three-numbers", "scalar-p0"])
+def test_from_dict_names_a_malformed_value(data, message):
+    with pytest.raises(ValueError) as info:
+        QiCurveSpec.from_dict(data)
+    assert str(info.value) == message
+
+
+def test_point_at_zero_is_the_first_sampled_row():
+    # qi_point returned p0 itself, signed zeros and all, where sample_qi's
+    # first row is p0 + 0.0
+    spec = QiCurveSpec((-0.0, 0.0, -0.0), (1.0, 0.0, 0.0),
+                       QuaternionCurve((IDENTITY, UnitQuaternion(0.8, 0.6, 0.0, 0.0))), 2.0)
+    got = qi_point(spec, 0.0)
+    want = sample_qi(spec, 5)[0][1:4]
+    assert [v.hex() for v in got] == [v.hex() for v in want] == ["0x0.0p+0"] * 3
+
+
 def test_arc_bounds_checked():
     spec = circle_spec()
     with pytest.raises(ValueError):

@@ -382,12 +382,13 @@ def test_row_templates_match_per_field_fmt(row7, row4):
     assert _path_d(pts) == " ".join(want)
 
 
-@given(st.one_of(st.floats(), st.integers(-(2**70), 2**70)))
+@given(st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.booleans()))
 @example(-0.0)
 @example(5e-324)
 @example(2**53 + 1)
 def test_printf_field_equals_fmt(x):
-    assert FIELD % x == fmt(x)
+    # fmt is the template itself; both spell format(float(x), ".17g")
+    assert FIELD % x == fmt(x) == format(float(x), ".17g")
 
 
 @pytest.mark.parametrize("make, bad", [
@@ -460,6 +461,11 @@ def test_curve_from_rows_rejects_non_finite_values(column, value):
     rows[2][column] = value
     with pytest.raises(ValueError, match="^samples must be finite$"):
         curve_from_rows(map(tuple, rows))
+
+
+def test_curve_from_no_rows_is_empty_input():
+    with pytest.raises(EmptyInput, match="^no rows$"):
+        curve_from_rows([])
 
 
 @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=5))
