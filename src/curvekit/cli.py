@@ -95,7 +95,7 @@ class Config:
 
     def _apply_file(self, path: str) -> None:
         """Each key names a field; its value converts with the type of the
-        field's default."""
+        field's default. Every error names the file and line."""
         types = {f.name: type(f.default) for f in fields(self)}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -108,7 +108,10 @@ class Config:
                 key = key.strip()
                 if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                setattr(self, key, types[key](value.strip()))
+                try:
+                    setattr(self, key, types[key](value.strip()))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -84,11 +84,14 @@ def turning_limit(alpha: float, lam: float) -> float:
 
     alpha >= 1 turns without bound; below that the bound is
     1/(lam*(1-alpha)), attained at the domain end for alpha < 0 and only
-    approached for 0 <= alpha < 1. The module's one member check: lam > 0,
-    finite alpha, normal lam and lam * |alpha - 1| (off alpha = 1), else ValueError.
+    approached for 0 <= alpha < 1. The module's one member check: finite
+    lam > 0 and alpha, normal lam and lam * |alpha - 1| (off alpha = 1),
+    else ValueError.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
+    if lam == math.inf:
+        raise ValueError("lam must be finite")
     if lam < sys.float_info.min or (
         alpha != 1.0 and lam * abs(alpha - 1.0) < sys.float_info.min
     ):
@@ -129,6 +132,8 @@ def arc_length_for_turning(alpha: float, lam: float, theta: float) -> float:
             return math.expm1(lam * theta) / lam
         # s = (rho^alpha - 1)/(lam alpha), kept exact as alpha -> 0 (lam alpha underflows)
         log_rho = math.log1p(theta * lam * (alpha - 1.0)) / (alpha - 1.0)
+        if log_rho == math.inf:  # theta * lam * (alpha - 1) overflows; expm1(x) / x is nan
+            return math.inf
         x = alpha * log_rho
         return log_rho / lam * (math.expm1(x) / x if x != 0.0 else 1.0)
     except OverflowError:

@@ -20,7 +20,7 @@ from operator import lt
 from typing import NamedTuple
 
 from ._fmt import Record
-from .quadrature import _accumulate, _check_tol, _integrate_components, _stations
+from .quadrature import _accumulate, _integrate_components, _stations
 
 __all__ = [
     "CurveSample",
@@ -181,7 +181,6 @@ def evaluate_point(eq: NaturalEquation, s: float, tol: float = 1e-12):
     long the member is.
     """
     _check_domain(eq, s)
-    _check_tol(tol)
     breaks = []
     cut = max(1.0 / eq.lam, s * 2.0**-52)
     while cut < s:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .quadrature import _accumulate, _check_tol, _integrate_components, _stations
+from .quadrature import _accumulate, _integrate_components, _stations
 
 __all__ = [
     "AntipodalSingularity",
@@ -238,19 +238,30 @@ class QiCurveSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QiCurveSpec":
-        """Inverse of as_dict. Raises ValueError naming a missing key or a
-        value of the wrong shape."""
+        """Inverse of as_dict. Raises ValueError naming a missing key or the
+        key of a value of the wrong shape."""
         if not isinstance(data, dict):
             raise ValueError(f"spec must be a JSON object, not {type(data).__name__}")
-        try:
-            if any(len(c) != 4 for c in data["controls"]):
-                raise ValueError("every control must be 4 numbers w, x, y, z")
-            curve = QuaternionCurve(tuple(UnitQuaternion(*c) for c in data["controls"]))
-            return cls(tuple(data["p0"]), tuple(data["v0"]), curve, float(data["s_total"]))
-        except KeyError as exc:
-            raise ValueError(f"spec has no {exc.args[0]!r} key") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed spec: {exc}") from None
+        values = {}
+        for key, read in (("controls", partial(_listed, convert=_listed)),
+                          ("p0", _listed), ("v0", _listed), ("s_total", float)):
+            if key not in data:
+                raise ValueError(f"spec has no {key!r} key")
+            try:
+                values[key] = read(data[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"malformed spec {key!r}: {exc}") from None
+        if any(len(c) != 4 for c in values["controls"]):
+            raise ValueError("every control must be 4 numbers w, x, y, z")
+        curve = QuaternionCurve(tuple(UnitQuaternion(*c) for c in values["controls"]))
+        return cls(values["p0"], values["v0"], curve, values["s_total"])
+
+
+def _listed(value, convert=float):
+    """A JSON list as a tuple of its entries, each through convert."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(map(convert, value))
 
 
 def _check_arc(spec: QiCurveSpec, s: float) -> None:
@@ -275,7 +286,6 @@ def qi_point(spec: QiCurveSpec, s: float, tol: float = 1e-12):
     Each coordinate is within tol * max(1, s) of the curve, the position
     contract that sample_qi and the planar samplers also state."""
     _check_arc(spec, s)
-    _check_tol(tol)
     rx, ry, rz = _integrate_components(partial(_tangent, spec), 0.0, s, tol, scale=max(1.0, s))
     return (spec.p0[0] + rx.value, spec.p0[1] + ry.value, spec.p0[2] + rz.value)
 

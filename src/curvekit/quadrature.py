@@ -273,14 +273,18 @@ def _stations(a: float, b: float, count: int):
     """count uniform stations from a to b: a + (b - a) * i / (count - 1).
     For a = 0 and b >= 0 this is b * i / (count - 1) to the bit.
 
-    For a < b, raises ValueError unless the stations increase strictly and
-    half their extent is positive: the station sweep maps a piece onto
-    [-1, 1] by dividing by its half-width, which rounds to 0 over one least
-    subnormal (5e-324). An empty or reversed range is the caller's to
-    report."""
+    Raises ValueError unless the last station is finite, which fails for a
+    non-finite end and for a (b - a) * (count - 1) that overflows. For a < b,
+    also unless the stations increase strictly and half their extent is
+    positive: the station sweep maps a piece onto [-1, 1] by dividing by its
+    half-width, which rounds to 0 over one least subnormal (5e-324). An
+    empty or reversed range is the caller's to report."""
     if count < 2:
         raise ValueError("count must be at least 2")
     stations = [a + (b - a) * i / (count - 1) for i in range(count)]
+    if not math.isfinite(stations[-1]):
+        raise ValueError(f"[{a!r}, {b!r}] gives no finite grid of {count} stations: "
+                         f"the range and (b - a) * {count - 1} must be finite")
     if a < b and not (
         0.5 * (stations[-1] - stations[0]) > 0.0 and all(map(lt, stations, stations[1:]))
     ):

@@ -159,15 +159,8 @@ _SVG_OPEN = (
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
     f'width="{FIELD}" height="{FIELD}" viewBox="0 0 {FIELD} {FIELD}">'
 )
-_AXES = (
-    f'<path d="M 0 {FIELD} L {_XY} M {FIELD} 0 L {_XY}" '
-    'fill="none" stroke="#888888" stroke-width="1"/>'
-)
-_STROKE = f'<path d="%s" fill="none" stroke="#000000" stroke-width="{FIELD}"/>'
-_ARROW = (
-    f'<path d="M {_XY} L {_XY}" fill="none" stroke="%s" stroke-width="1.5"/>\n'
-    f'<polygon points="{_PAIR} {_PAIR} {_PAIR}" fill="%s"/>'
-)
+_PATH = f'<path d="%s" fill="none" stroke="%s" stroke-width="{FIELD}"/>'
+_POLYGON = '<polygon points="%s" fill="%s"/>'
 _CIRCLE = f'<circle cx="{FIELD}" cy="{FIELD}" r="{FIELD}" fill="%s"/>'
 
 
@@ -181,17 +174,18 @@ def _path_d(canvas_points):
     return "M " + " L ".join(map(_XY.__mod__, canvas_points))
 
 
+def _points(canvas_points):
+    return " ".join(map(_PAIR.__mod__, canvas_points))
+
+
 def _arrow(tip, angle, length, color):
-    """Arrow pointing at tip from direction angle (canvas radians)."""
+    """Shaft and head of an arrow pointing at tip from direction angle
+    (canvas radians)."""
     x, y = tip
+    tail = (x - length * math.cos(angle), y - length * math.sin(angle))
     head = 0.25 * length
-    return _ARROW % (
-        x - length * math.cos(angle), y - length * math.sin(angle), x, y, color,
-        x, y,
-        x - head * math.cos(angle - 0.4), y - head * math.sin(angle - 0.4),
-        x - head * math.cos(angle + 0.4), y - head * math.sin(angle + 0.4),
-        color,
-    )
+    barbs = [(x - head * math.cos(angle + d), y - head * math.sin(angle + d)) for d in (-0.4, 0.4)]
+    return _PATH % (_path_d([tail, tip]), color, 1.5), _POLYGON % (_points([tip, *barbs]), color)
 
 
 def _interpolate(curve: SampledCurve, svals, s: float) -> CurveSample:
@@ -228,10 +222,11 @@ def plot_svg(spec: PlotSpec) -> str:
         if not (math.isfinite(x0) and math.isfinite(y0)):
             raise ValueError(f"the world origin maps to ({x0!r}, {y0!r}) on the canvas: "
                              "the path is too small for its distance from the origin")
-        body.append(_AXES % (y0, w, y0, x0, x0, h))
+        axes = _path_d([(0.0, y0), (w, y0)]) + " " + _path_d([(x0, 0.0), (x0, h)])
+        body.append(_PATH % (axes, "#888888", 1.0))
     for curve in spec.curves:
         d = _path_d([cmap.point(p.x, p.y) for p in curve.samples])
-        body.extend(_STROKE % (d, width) for width in spec.stroke_widths)
+        body.extend(_PATH % (d, "#000000", width) for width in spec.stroke_widths)
     svals = {i: [p.s for p in spec.curves[i].samples] for i, _ in spec.annotations}
     for index, marker in spec.annotations:
         curve = spec.curves[index]
@@ -240,7 +235,7 @@ def plot_svg(spec: PlotSpec) -> str:
             (marker.s_at_max_kappa_slope, "#3b5fc4", 0.25 * math.pi),
         ):
             p = _interpolate(curve, svals[index], s)
-            body.append(_arrow(cmap.point(p.x, p.y), tilt, 28.0, color))
+            body.extend(_arrow(cmap.point(p.x, p.y), tilt, 28.0, color))
     return _svg(spec.size, body)
 
 
@@ -253,8 +248,10 @@ def ornament_svg(spec: OrnamentSpec) -> str:
     s1 = path.samples[-1].s
     stations = [s0] if spec.count == 1 else _stations(s0, s1, spec.count)
 
+    cmap = _CanvasMap([(p.x, p.y) for p in path.samples], spec.size, spec.margin)
     svals = [p.s for p in path.samples]
-    records = []
+    d = _path_d([cmap.point(p.x, p.y) for p in path.samples])
+    body = [_PATH % (d, "#bbbbbb", 1.0)]
     for j, s in enumerate(stations):
         p = _interpolate(path, svals, s)
         size = spec.size_base * spec.rhythm[j % len(spec.rhythm)]
@@ -264,14 +261,6 @@ def ornament_svg(spec: OrnamentSpec) -> str:
                     "proportional size rule needs nonzero curvature along the path"
                 )
             size *= 1.0 / abs(p.kappa)
-        color = spec.palette[j % len(spec.palette)]
-        records.append((p, size, color))
-
-    world = [(p.x, p.y) for p in path.samples]
-    cmap = _CanvasMap(world, spec.size, spec.margin)
-    pts = [cmap.point(q.x, q.y) for q in path.samples]
-    body = [f'<path d="{_path_d(pts)}" fill="none" stroke="#bbbbbb" stroke-width="1"/>']
-    for p, size, color in records:
         cx, cy = cmap.point(p.x, p.y)
         r = cmap.k * size
         if not math.isfinite(r):
@@ -279,16 +268,15 @@ def ornament_svg(spec: OrnamentSpec) -> str:
                 f"primitive radius {r!r} on the canvas is not finite: size_base * rhythm "
                 "is too large for this path"
             )
+        color = spec.palette[j % len(spec.palette)]
         if spec.primitive == "circle":
             body.append(_CIRCLE % (cx, cy, r, color))
             continue
         corner_count = 4 if spec.primitive == "square" else 3
-        offset = math.pi / 4.0 if spec.primitive == "square" else 0.0
-        corners = []
-        for k in range(corner_count):
-            a = cmap.angle(p.theta) + offset + k * math.tau / corner_count
-            corners.append(_PAIR % (cx + r * math.cos(a), cy + r * math.sin(a)))
-        body.append(f'<polygon points="{" ".join(corners)}" fill="{color}"/>')
+        start = cmap.angle(p.theta) + (math.pi / 4.0 if spec.primitive == "square" else 0.0)
+        angles = [start + k * math.tau / corner_count for k in range(corner_count)]
+        corners = [(cx + r * math.cos(a), cy + r * math.sin(a)) for a in angles]
+        body.append(_POLYGON % (_points(corners), color))
     return _svg(spec.size, body)
 
 
@@ -321,7 +309,8 @@ def export_csv(data) -> str:
 
 
 def parse_csv(text: str):
-    """Parse CSV produced by export_csv: returns (field_names, rows)."""
+    """Parse CSV produced by export_csv: returns (field_names, rows). Blank
+    lines are skipped; a row that does not parse names its line number."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise EmptyInput("empty CSV")
@@ -329,11 +318,15 @@ def parse_csv(text: str):
     if fields not in (tuple(_HEADER_2D.split(",")), tuple(_HEADER_3D.split(","))):
         raise ValueError(f"unrecognized CSV header: {lines[0]!r}")
     rows = []
-    for ln in lines[1:]:
-        values = tuple(map(float, ln.split(",")))
-        if len(values) != len(fields):
-            raise ValueError(f"row width {len(values)} does not match header")
-        rows.append(values)
+    try:
+        for ln in lines[1:]:
+            values = tuple(map(float, ln.split(",")))
+            if len(values) != len(fields):
+                raise ValueError(f"row width {len(values)} does not match header")
+            rows.append(values)
+    except ValueError as exc:  # the faulty line is nonblank line len(rows) + 1, from 0
+        numbers = [n for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
+        raise ValueError(f"line {numbers[len(rows) + 1]}: {exc}") from None
     return fields, rows
 
 

@@ -499,6 +499,33 @@ def test_config_unknown_key_exits_one(tmp_path):
     assert "volume" in r.stderr
 
 
+@pytest.mark.parametrize("line, want", [
+    ("samples = abc", "samples: invalid literal for int() with base 10: 'abc'"),
+    ("tol = 1e-3.5", "tol: could not convert string to float: '1e-3.5'"),
+])
+def test_config_bad_value_names_file_and_line(tmp_path, monkeypatch, capsys, line, want):
+    # the conversion error was printed alone, without the file or line
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    (tmp_path / "bad.cfg").write_text(f"# comment\n\n{line}\n")
+    code, out, err = run_in_process(
+        ["--config", "bad.cfg", "curve", "--alpha", "1", "--lambda", "1", "--out", "c.csv"],
+        tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad.cfg:3: {want}\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("row, want", [
+    ("0.2,abc,0,0,1", "line 4: could not convert string to float: 'abc'"),
+    ("0.2,0,0,1", "line 4: row width 4 does not match header"),
+])
+def test_a_bad_in_row_names_its_line(tmp_path, monkeypatch, capsys, row, want):
+    # the line was not named; the blank line 3 counts
+    (tmp_path / "c.csv").write_text(f"s,x,y,theta,kappa\n0,0,0,0,1\n\n{row}\n")
+    code, out, err = run_in_process(["lcg", "--in", "c.csv"], tmp_path, monkeypatch, capsys)
+    assert (code, out, err) == (1, "", f"error: {want}\n")
+
+
 def test_absolute_out_path_ignores_out_dir(tmp_path):
     target = tmp_path / "abs.csv"
     other = tmp_path / "elsewhere"
@@ -683,6 +710,24 @@ def test_subnormal_extent_exits_one_with_one_line(tmp_path, monkeypatch, capsys,
     assert (code, out) == (1, "")
     want = r"error: \[0\.0, (5e-324|1e-323)\] is too short for \d+ stations\n"
     assert re.fullmatch(want, err), err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("end, count, argv", [
+    ("inf", 1000, ["curve", "--alpha", "1", "--lambda", "1", "--s-end", "inf"]),
+    ("1e+308", 3, ["curve", "--alpha", "1", "--lambda", "1", "--s-end", "1e308", "--n", "3"]),
+    ("1e+308", 3, ["qi", "--controls", "1,0,0,0;0,1,0,0", "--s-total", "1e308", "--n", "3"]),
+    ("inf", 1000, ["lcg", "--alpha", "0.5", "--lambda", "1", "--s-end", "inf"]),
+], ids=["curve-inf", "curve-1e308", "qi-1e308", "lcg-inf"])
+def test_a_grid_that_is_not_finite_exits_1_naming_its_range(
+        tmp_path, monkeypatch, capsys, end, count, argv):
+    # an infinite end was "too short", and a finite end whose grid overflows
+    # was "arc length must be finite and >= 0, got inf"
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    code, out, err = run_in_process([*argv, "--out", "o.out"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: [0.0, {end}] gives no finite grid of {count} stations: "
+                   f"the range and (b - a) * {count - 1} must be finite\n")
     assert os.listdir(tmp_path) == []
 
 

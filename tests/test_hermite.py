@@ -92,6 +92,35 @@ def test_a_non_finite_alpha_is_a_value_error(alpha):
             call()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(), st.floats(), st.floats())
+@example(2.0, 1e300, 1e10)  # theta * lam * (alpha - 1) overflows: inf / inf
+@example(2.0, 2.0, 1e308)
+@example(2.0, 1.0, math.inf)
+@example(1.0, math.inf, 1.0)  # expm1(inf) / inf
+def test_closed_forms_never_return_nan(alpha, lam, theta):
+    # each returns a number or raises ValueError; an overflowing arc length is inf
+    for call in (lambda: turning_limit(alpha, lam),
+                 lambda: arc_length_for_turning(alpha, lam, theta)):
+        try:
+            value = call()
+        except ValueError:
+            continue
+        assert value >= 0.0, (alpha, lam, theta, value)
+
+
+def test_an_infinite_lambda_is_a_value_error():
+    # turning_limit took it: arc_length_for_turning returned nan and
+    # chord_angle raised NonFiniteIntegrand
+    for call in (
+        lambda: turning_limit(0.5, math.inf),
+        lambda: arc_length_for_turning(1.0, math.inf, 1.0),
+        lambda: chord_angle(2.0, math.inf, 1.0),
+    ):
+        with pytest.raises(ValueError, match="^lam must be finite$"):
+            call()
+
+
 @pytest.mark.parametrize("alpha", [-3.0, 0.0, 0.5, 1.0, 2.0, 10.0])
 def test_the_smallest_normal_products_are_accepted(alpha):
     lam = sys.float_info.min

@@ -361,8 +361,19 @@ def test_spec_validation_and_serialization():
     ({"controls": [[1, 0, 0]], "p0": [0, 0, 0], "v0": [1, 0, 0], "s_total": 1},
      "every control must be 4 numbers w, x, y, z"),
     ({"controls": [[1, 0, 0, 0]], "p0": 5, "v0": [1, 0, 0], "s_total": 1},
-     "malformed spec: 'int' object is not iterable"),
-], ids=["three-numbers", "scalar-p0"])
+     "malformed spec 'p0': expected a list, got int"),
+    ({"controls": [[1, 0, 0, 0]], "p0": [0, 0, 0], "v0": "abc", "s_total": 1},
+     "malformed spec 'v0': expected a list, got str"),
+    ({"controls": [["a", 0, 0, 0]], "p0": [0, 0, 0], "v0": [1, 0, 0], "s_total": 1},
+     "malformed spec 'controls': could not convert string to float: 'a'"),
+    ({"controls": 3, "p0": [0, 0, 0], "v0": [1, 0, 0], "s_total": 1},
+     "malformed spec 'controls': expected a list, got int"),
+    ({"controls": [[1, 0, 0, 0]], "p0": [0, 0, 0], "v0": [1, 0, 0], "s_total": "abc"},
+     "malformed spec 's_total': could not convert string to float: 'abc'"),
+    ({"controls": [[1, 0, 0, 0]], "p0": [10**400, 0, 0], "v0": [1, 0, 0], "s_total": 1},
+     "malformed spec 'p0': int too large to convert to float"),
+], ids=["three-numbers", "scalar-p0", "string-v0", "string-in-control", "scalar-controls",
+        "string-s_total", "huge-int-p0"])
 def test_from_dict_names_a_malformed_value(data, message):
     with pytest.raises(ValueError) as info:
         QiCurveSpec.from_dict(data)

@@ -532,3 +532,19 @@ def test_every_grid_rejects_an_extent_too_short_for_its_stations(call, message):
 def test_stations_need_two(count):
     with pytest.raises(ValueError, match="count must be at least 2"):
         _stations(0.0, 1.0, count)
+
+
+@pytest.mark.parametrize("a, b, count", [
+    (0.0, math.inf, 1000),  # was "[0.0, inf] is too short for 1000 stations"
+    (0.0, math.nan, 5),
+    (-math.inf, 0.0, 3),
+    (0.0, 1e308, 3),  # (b - a) * 2 overflows: the samplers blamed an arc length of inf
+    (-1e308, 1e308, 2),  # b - a overflows
+])
+def test_stations_reject_a_grid_that_is_not_finite(a, b, count):
+    with pytest.raises(ValueError) as info:
+        _stations(a, b, count)
+    assert str(info.value) == (f"[{a!r}, {b!r}] gives no finite grid of {count} stations: "
+                               f"the range and (b - a) * {count - 1} must be finite")
+    with pytest.raises(ValueError, match="count must be at least 2"):
+        _stations(a, b, 1)

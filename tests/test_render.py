@@ -363,6 +363,18 @@ def test_parse_csv_reports_the_first_faulty_row(body, message):
         parse_csv("\n".join(["s,x,y,theta,kappa", *body]) + "\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("s,x,y,theta,kappa\n1,2,3,4,5\n1,2,3\n", "line 3: row width 3 does not match header"),
+    ("s,x,y,theta,kappa\n1,x,3\n", "line 2: could not convert string to float: 'x'"),
+    ("\ns,x,y,theta,kappa\n\n1,2,3,4,5\n \n1,x,3,4,5", "line 6: could not convert "
+     "string to float: 'x'"),  # blank lines count
+], ids=["short-row", "bad-number", "blank-lines"])
+def test_parse_csv_names_the_line_of_a_faulty_row(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_csv(text)
+    assert str(info.value) == message
+
+
 _EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308]
 
 
@@ -417,6 +429,26 @@ def test_ornament_rejects_a_radius_that_overflows(size_base, rhythm):
     path = sample_curve(NaturalEquation(0.5, 1.0), 5.0, 64)
     spec = OrnamentSpec(path=path, count=1, size_base=size_base, rhythm=rhythm)
     with pytest.raises(ValueError, match=r"^primitive radius inf .*size_base \* rhythm"):
+        ornament_svg(spec)
+
+
+# kappa 1 at the start and 0 beyond: the proportional rule fails at the second station
+_FLAT_AFTER_START = SampledCurve(None, (CurveSample(0.0, 0.0, 0.0, 0.0, 1.0),
+                                        CurveSample(1.0, 1.0, 0.0, 0.0, 0.0),
+                                        CurveSample(2.0, 2.0, 0.0, 0.0, 0.0)), Pose())
+
+
+@pytest.mark.parametrize("size_base, margin, message", [
+    (1.0, 500.0, "^margin leaves no drawable area$"),
+    (1e308, 40.0, "^primitive radius inf "),
+    (1.0, 40.0, "^proportional size rule needs nonzero curvature"),
+])
+def test_ornament_reports_the_canvas_then_each_station_in_order(size_base, margin, message):
+    # one pass: the canvas is checked first, then each station's curvature
+    # and radius in turn (the curvature of every station used to come first)
+    spec = OrnamentSpec(path=_FLAT_AFTER_START, count=3, size_base=size_base, margin=margin,
+                        size_rule="proportional_to_radius_of_curvature")
+    with pytest.raises(ValueError, match=message):
         ornament_svg(spec)
 
 
