@@ -208,11 +208,15 @@ def _input_or_sampled(args, cfg: Config):
 
 
 def _load_curve_csv(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        fields, rows = parse_csv(fh.read())
-    if fields[1:3] != ("x", "y") or len(fields) != 5:
-        raise ValueError(f"{path} is not a 2D curve CSV")
-    return curve_from_rows(rows)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            fields, rows = parse_csv(fh.read())
+        if fields[1:3] == ("x", "y") and len(fields) == 5:
+            return curve_from_rows(rows)
+    except ValueError as exc:
+        # a bad byte, row or value: name the file, as plot takes --in more than once
+        raise ValueError(f"{path}: {exc}") from None
+    raise ValueError(f"{path} is not a 2D curve CSV")
 
 
 def _wrote(path: str, text: str, cfg: Config, summary: str) -> int:

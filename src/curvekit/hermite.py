@@ -84,9 +84,10 @@ def turning_limit(alpha: float, lam: float) -> float:
 
     alpha >= 1 turns without bound; below that the bound is
     1/(lam*(1-alpha)), attained at the domain end for alpha < 0 and only
-    approached for 0 <= alpha < 1. The module's one member check: finite
-    lam > 0 and alpha, normal lam and lam * |alpha - 1| (off alpha = 1),
-    else ValueError.
+    approached for 0 <= alpha < 1; where that product overflows, the bound
+    is 1/lam/(1-alpha), still positive. The module's one member check:
+    finite lam > 0 and alpha, normal lam and lam * |alpha - 1| (off
+    alpha = 1), else ValueError.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -103,7 +104,9 @@ def turning_limit(alpha: float, lam: float) -> float:
         raise ValueError("alpha must be finite")
     if alpha >= 1.0:
         return math.inf
-    return 1.0 / (lam * (1.0 - alpha))
+    d = lam * (1.0 - alpha)
+    # past the largest double the product overflows and 1/d would be 0.0
+    return 1.0 / d if d < math.inf else 1.0 / lam / (1.0 - alpha)
 
 
 def _check_reachable(alpha: float, lam: float, theta: float) -> None:

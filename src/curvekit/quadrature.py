@@ -41,7 +41,6 @@ _XGK = (
     0.40584515137739716691,
     0.20778495500789846760,
 )
-_XGK_SIGNED = tuple(v for x in _XGK for v in (-x, x))  # node order after the centre
 _WGK = (
     0.022935322010529224964,
     0.063092092629978553291,
@@ -118,8 +117,13 @@ def _eval_panel(f, a: float, b: float):
     """
     xm = 0.5 * (a + b)
     xr = 0.5 * (b - a)
-    # xm + xr * -x is xm - xr * x to the bit; the centre stays xm, so -0.0 stays
-    nodes = [xm, *[xm + xr * x for x in _XGK_SIGNED]]
+    x1, x2, x3, x4, x5, x6, x7 = _XGK
+    d1, d2, d3, d4, d5, d6, d7 = xr * x1, xr * x2, xr * x3, xr * x4, xr * x5, xr * x6, xr * x7
+    # the centre xm itself (so -0.0 stays), then xm -+ xr * x per abscissa,
+    # written out: faster than a comprehension, a function call per panel
+    # before Python 3.12
+    nodes = [xm, xm - d1, xm + d1, xm - d2, xm + d2, xm - d3, xm + d3, xm - d4, xm + d4,
+             xm - d5, xm + d5, xm - d6, xm + d6, xm - d7, xm + d7]
     k1, k2, k3, k4, k5, k6, k7 = _WGK
     g2, g4, g6 = _WG  # pairs 2, 4 and 6 are the Gauss nodes
     values = []
@@ -158,10 +162,14 @@ def _integrate_components(
     feature narrower than the first panel's node spacing is not missed.
     When leaf_edges is a list, the interior edges of the final panels are
     appended to it in increasing order (none for a single panel), for a
-    caller that starts a similar integral from them. Deterministic: the
-    heap is ordered by (error, insertion sequence) and the final sums run in
-    spatial order. An integral that ends on one panel returns that panel's
-    running sums at once, which are the final sums to the bit.
+    caller that starts a similar integral from them. Convergence is tested
+    on the starting panels first: when they meet the target, as a warm start
+    from a neighbour's leaf edges often does, they are the leaves, already
+    in spatial order, so no heap is built and nothing is sorted. Only the
+    first bisection heapifies them. Deterministic: the heap is ordered by
+    (error, insertion sequence) and the final sums run in spatial order. An
+    integral that ends on one panel returns that panel's running sums, which
+    are the final sums to the bit.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -172,22 +180,24 @@ def _integrate_components(
     floor = max(tol * scale, _ERR_FLOOR)
     edges = (a, *breaks, b)
     totals = errs = repeat(0.0)  # one running sum per column, from 0.0
-    # Heap entries: (-worst component error, sequence, a, b, depth, values, errors)
+    # Leaves: (-worst component error, sequence, a, b, depth, values, errors),
+    # in spatial order until the first bisection makes them a heap
     heap = []
     for seq, (pa, pb) in enumerate(zip(edges, edges[1:])):
         values, errors = _eval_panel(f, pa, pb)
         totals = list(map(add, totals, values))
         errs = list(map(add, errs, errors))
         heap.append((-max(errors), seq, pa, pb, 0, values, errors))
-    heapq.heapify(heap)  # pops follow the (-error, seq) keys, a total order
-    seq = len(heap)
+    seq = len(heap)  # panels evaluated so far; equal to len(heap) until a bisection
     while not all([e <= floor or e <= tol * abs(t) for e, t in zip(errs, totals)]):
+        if seq == len(heap):
+            heapq.heapify(heap)  # pops follow the (-error, seq) keys, a total order
         _, _, pa, pb, depth, pv, pe = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             raise MaxDepthExceeded(
                 f"no convergence after depth {_MAX_DEPTH} near [{pa!r}, {pb!r}]"
             )
-        if seq + 2 > _MAX_PANELS:  # seq counts the panels evaluated so far
+        if seq + 2 > _MAX_PANELS:
             raise MaxDepthExceeded(
                 f"no convergence within {_MAX_PANELS} panels on [{a!r}, {b!r}]"
             )
@@ -200,16 +210,19 @@ def _integrate_components(
         heapq.heappush(heap, (-max(re), seq + 1, mid, pb, depth + 1, rv, re))
         seq += 2
 
-    if len(heap) == 1:
+    n = len(heap)
+    row = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    if n == 1:
         # one leaf: its sums are 0.0 + x, which is fsum([x]) to the bit
         # (x itself, except that -0.0 becomes +0.0)
-        return [IntegrationResult(v, e, 1) for v, e in zip(totals, errs)]
-    heap.sort(key=_LEFT_EDGE)  # the leaves in spatial order
+        return [row(IntegrationResult, (v, e, 1)) for v, e in zip(totals, errs)]
+    if seq > n:  # a bisection made the leaves a heap: put them back in spatial order
+        heap.sort(key=_LEFT_EDGE)
     if leaf_edges is not None:
         leaf_edges += map(_LEFT_EDGE, heap[1:])
     values = map(math.fsum, zip(*(leaf[5] for leaf in heap)))
     errors = map(math.fsum, zip(*(leaf[6] for leaf in heap)))
-    return [IntegrationResult(v, e, len(heap)) for v, e in zip(values, errors)]
+    return [row(IntegrationResult, (v, e, n)) for v, e in zip(values, errors)]
 
 
 def _check_tol(tol: float) -> None:

@@ -523,7 +523,23 @@ def test_a_bad_in_row_names_its_line(tmp_path, monkeypatch, capsys, row, want):
     # the line was not named; the blank line 3 counts
     (tmp_path / "c.csv").write_text(f"s,x,y,theta,kappa\n0,0,0,0,1\n\n{row}\n")
     code, out, err = run_in_process(["lcg", "--in", "c.csv"], tmp_path, monkeypatch, capsys)
-    assert (code, out, err) == (1, "", f"error: {want}\n")
+    assert (code, out, err) == (1, "", f"error: c.csv: {want}\n")
+
+
+def test_in_errors_name_their_file(tmp_path, monkeypatch, capsys):
+    # neither the bad cell of the second --in file nor a byte that is not
+    # UTF-8 said which file it was in
+    good = "s,x,y,theta,kappa\n0,0,0,0,1\n0.1,0.1,0,0,0.5\n"
+    (tmp_path / "a.csv").write_text(good)
+    (tmp_path / "b.csv").write_text(good + "0.2,abc,0,0,1\n")
+    (tmp_path / "c.csv").write_bytes(good.encode() + b"\xff\n")
+    code, out, err = run_in_process(["plot", "--in", "a.csv", "--in", "b.csv", "--out", "p.svg"],
+                                    tmp_path, monkeypatch, capsys)
+    assert (code, out, err) == (1, "", "error: b.csv: line 4: could not convert string to float: "
+                                       "'abc'\n")
+    code, out, err = run_in_process(["lcg", "--in", "c.csv"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: c.csv: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_absolute_out_path_ignores_out_dir(tmp_path):
@@ -766,7 +782,7 @@ def test_non_finite_in_rows_exit_1(tmp_path, monkeypatch, capsys, args, kappa):
     rows[2] = rows[2].rsplit(",", 1)[0] + "," + kappa
     (tmp_path / "k.csv").write_text("\n".join(["s,x,y,theta,kappa", *rows]) + "\n")
     err = rejects(args, tmp_path, monkeypatch, capsys)
-    assert err == "error: samples must be finite\n"
+    assert err == "error: k.csv: samples must be finite\n"
 
 
 @pytest.mark.parametrize("args", [

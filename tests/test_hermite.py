@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 from operator import lt
 
 import pytest
@@ -62,6 +63,32 @@ def test_turning_limit_values():
     assert turning_limit(-1.0, 1.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         turning_limit(0.0, 0.0)
+
+
+def test_turning_limit_stays_positive_where_its_product_overflows():
+    # lam * (1 - alpha) overflowed to inf: the limit read 0.0, and so did
+    # chord_angle's error message
+    assert turning_limit(-1.0, 1e308) == 5e-309
+    with pytest.raises(TurningUnreachable, match=r"limit 5e-309$"):
+        chord_angle(-1.0, 1e308, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(max_value=1.0, exclude_max=True, allow_nan=False, allow_infinity=False),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(-1.0, 1e308)
+@example(-1e308, 1e308)  # the supremum, 5e-617, has no double: 0.0 is its nearest
+@example(1.0 - 2.0**51, 2.0**1023)  # the supremum is 2^-1074, the least subnormal
+def test_turning_limit_is_positive_and_keeps_its_bits_where_the_product_is_finite(alpha, lam):
+    try:
+        limit = turning_limit(alpha, lam)
+    except ValueError:
+        assume(False)
+    product = lam * (1.0 - alpha)
+    if product < math.inf:
+        assert limit.hex() == (1.0 / product).hex()
+    if 1 / (Fraction(lam) * (1 - Fraction(alpha))) >= Fraction(5e-324):
+        assert limit > 0.0
 
 
 @pytest.mark.parametrize("alpha", [-3.0, 0.0, 0.5, 1.0, 2.0, 10.0])

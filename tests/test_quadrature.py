@@ -335,19 +335,53 @@ def test_panel_budget_stops_a_noisy_integrand():
 def test_results_are_the_correctly_rounded_sums_of_the_final_panels(a, width, waves, log_tol):
     # value and error estimate of each component: the exact sum over the
     # final panels, which leaf_edges names, rounded once (as Fraction does)
+    calls = 0
+
     def f(xs):
+        nonlocal calls
+        calls += 1
         return [[math.sin(p * x + q) * math.exp(-abs(x) / (1.0 + abs(p))) for x in xs]
                 for p, q in waves]
 
+    def bits(results):
+        assert all(type(r) is IntegrationResult for r in results)
+        return [(r.value.hex(), r.error_estimate.hex(), r.subdivisions) for r in results]
+
     b = a + width
+    tol = 10.0**log_tol
     edges = []
-    results = _integrate_components(f, a, b, 10.0**log_tol, leaf_edges=edges)
+    results = _integrate_components(f, a, b, tol, leaf_edges=edges)
     assert edges == sorted(edges) and all(a < e < b for e in edges)
     panels = [_eval_panel(f, pa, pb) for pa, pb in zip([a, *edges], [*edges, b])]
     for c, r in enumerate(results):
         assert r.subdivisions == len(panels)
         assert r.value.hex() == float(sum(Fraction(p[0][c]) for p in panels)).hex()
         assert r.error_estimate.hex() == float(sum(Fraction(p[1][c]) for p in panels)).hex()
+    # started from those panels (as drawable_region's sweep starts a row),
+    # the loop accepts them at once: one call per panel, the same bits and leaves
+    calls = 0
+    again = []
+    warm = _integrate_components(f, a, b, tol, edges, leaf_edges=again)
+    assert calls == len(edges) + 1
+    assert bits(warm) == bits(results)
+    assert again == edges
+
+
+def test_every_return_path_gives_integration_results():
+    def f(xs):
+        return [[math.exp(-x * x) for x in xs], [math.cos(3.0 * x) for x in xs]]
+
+    def panels(*args, **kwargs):
+        results = _integrate_components(f, *args, **kwargs)
+        assert all(type(r) is IntegrationResult for r in results)
+        (n,) = {r.subdivisions for r in results}
+        return n
+
+    edges = []
+    assert panels(0.0, 0.5, 1e-12) == 1  # one panel
+    assert panels(0.0, 8.0, 1e-12, leaf_edges=edges) == len(edges) + 1 > 2  # refines
+    assert panels(0.0, 8.0, 1e-12, edges) == len(edges) + 1  # warm, accepted at once
+    assert panels(0.0, 8.0, 1e-12, edges[:1]) > 2  # warm, refines
 
 
 def test_result_type_is_frozen():
