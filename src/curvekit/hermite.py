@@ -51,6 +51,9 @@ _MAX_ITER = 200
 # one ulp of lambda moves it by up to 6.7e-11 at this margin but by 4e-9 at
 # 1.7e-10, so much closer in no double lambda meets fit_g1's tol = 1e-10.
 _REACH_MARGIN = 1e-8
+# 1/(2k+1)! from k = 9 down to 0: sinh(v)/v = sum_k (v^2)^k/(2k+1)!, within
+# rounding for |v^2| < 1
+_SINHC = tuple(1 / math.factorial(n) for n in range(19, 0, -2))
 
 
 class TurningUnreachable(ValueError):
@@ -144,7 +147,8 @@ def arc_length_for_turning(alpha: float, lam: float, theta: float) -> float:
 
 
 def _chord_integrand(alpha: float, lam: float, delta_theta: float):
-    """Normalized chord integrand in log-radius measured back from the end.
+    """Normalized chord integrand in log-radius measured back from the end,
+    for alpha != 1 (_chord_components takes alpha = 1 in closed form).
 
     Substituting ds = rho dtheta turns the endpoint integral into
     int_0^dtheta e^(i theta) rho(theta) dtheta, dominated by the large-rho
@@ -155,8 +159,7 @@ def _chord_integrand(alpha: float, lam: float, delta_theta: float):
     integral of the two columns of f over [a, b].
     """
     am1 = alpha - 1.0
-    log_ref = lam * delta_theta if alpha == 1.0 else math.log1p(delta_theta * lam * am1) / am1
-    u_end = log_ref
+    u_end = math.log1p(delta_theta * lam * am1) / am1
 
     # the scaled weight is exp(-alpha u) up to a constant: clip the interval
     # where the remaining mass is below e^-45 of the peak
@@ -173,29 +176,79 @@ def _chord_integrand(alpha: float, lam: float, delta_theta: float):
         xs, ys = [], []
         for u in us:
             v = am1 * (u_end - u)
-            theta = delta_theta - u / lam if alpha == 1.0 else expm1(v) / lam_am1
+            theta = expm1(v) / lam_am1
             w = exp(v - u) / lam
             xs.append(w * cos(theta))
             ys.append(w * sin(theta))
         return xs, ys
 
-    return f, a, b, log_ref
+    return f, a, b, u_end
 
 
-def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
-    """(x, y, log_scale) of the chord integral: the true endpoint is
-    e^(log_scale) * (x, y). See _chord_integrand."""
-    f, a, b, log_ref = _chord_integrand(alpha, lam, delta_theta)
-    rx, ry = _integrate_components(f, a, b, tol)
-    return rx.value, ry.value, log_ref
+def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float, warm=None):
+    """(x, y, log_scale) of the chord: the true endpoint is
+    e^(log_scale) * (x, y), for a member that turns by delta_theta.
+
+    The one place the chord branches on alpha. The log spiral (alpha = 1)
+    has the closed form P = (e^((lam+i) dth) - 1)/(lam + i), so no integral
+    runs there and tol is only checked: log_scale is lam dth, and
+    x + iy = (e^(i dth) - e^(-lam dth))/(lam + i). Its real numerator is
+    written as -2 sin^2(dth/2) - expm1(-lam dth), against cancellation, and
+    divided by Smith's method in real arithmetic, so the bits do not depend
+    on how an interpreter divides complex numbers. Where |v| < 1 for
+    v = (lam + i) dth/2, that division would cancel y, of order dth^2, from
+    terms of order lam dth: there x + iy = dth e^(-lam dth/2) e^(i dth/2)
+    sinh(v)/v, summed as a series in v^2 whose two terms of y are both
+    positive. psi, y and x (relative to |P|) stay within 3 ulps. Any other
+    alpha integrates _chord_integrand to tol.
+
+    warm, for a sweep over ascending lambda, is a list that carries
+    [interior leaf edges, a, b] of the previous integral from one call to
+    the next (start the sweep with []): each integral starts from those
+    edges rescaled onto its own [a, b], instead of from one panel."""
+    if alpha == 1.0:
+        _check_tol(tol)
+        log_scale = lam * delta_theta
+        a, t = 0.5 * log_scale, 0.5 * delta_theta
+        if a * a + t * t < 1.0:
+            # sinh(v)/v = sr + i si, Horner in z = v^2 = (a + it)^2
+            zr, zi = a * a - t * t, 2.0 * a * t
+            sr, si = _SINHC[0], 0.0
+            for q in _SINHC[1:]:
+                sr, si = sr * zr - si * zi + q, sr * zi + si * zr
+            k, c, s = delta_theta * exp(-a), cos(t), sin(t)
+            return k * (c * sr - s * si), k * (s * sr + c * si), log_scale
+        h = sin(t)
+        nx, ny = -2.0 * h * h - expm1(-log_scale), sin(delta_theta)
+        if lam >= 1.0:
+            r = 1.0 / lam
+            d = lam + r
+            return (nx + ny * r) / d, (ny - nx * r) / d, log_scale
+        d = lam * lam + 1.0
+        return (nx * lam + ny) / d, (ny * lam - nx) / d, log_scale
+    f, a, b, log_scale = _chord_integrand(alpha, lam, delta_theta)
+    if warm is None:
+        rx, ry = _integrate_components(f, a, b, tol)
+    else:
+        breaks = ()
+        if warm and warm[0]:  # one leaf carries nothing: skip the list work
+            edges, pa, pb = warm
+            k = (b - a) / (pb - pa)
+            breaks = [a + (e - pa) * k for e in edges]
+        warm[:] = [], a, b
+        rx, ry = _integrate_components(f, a, b, tol, breaks, leaf_edges=warm[0])
+    return rx.value, ry.value, log_scale
 
 
 def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12) -> float:
     """Angle of the chord to the segment end, measured from the start tangent.
 
     The segment starts at the origin with tangent +x and turns by exactly
-    delta_theta. Raises TurningUnreachable when that much turning is beyond
-    the member's limit, and ValueError on a member turning_limit rejects.
+    delta_theta. The chord is integrated to tol, except for the log spiral
+    (alpha = 1), whose chord is a closed form (see _chord_components); tol
+    must be positive and finite either way. Raises TurningUnreachable when
+    that much turning is beyond the member's limit, and ValueError on a
+    member turning_limit rejects.
     """
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
@@ -312,7 +365,9 @@ def drawable_region(
     instead of from one panel. The adaptive loop and its tolerance are those
     of chord_angle, so every psi meets the same bound; a row may differ from
     chord_angle's, and from releases before the sweep, in the last digit.
-    The reach row, when there is one, starts cold, exactly as chord_angle."""
+    The reach row, when there is one, starts cold, exactly as chord_angle.
+    At alpha = 1 every row is chord_angle's closed form, and no integral
+    runs."""
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
     hi = _reach(alpha, delta_theta, lam_bounds)
@@ -332,16 +387,10 @@ def drawable_region(
         lams = [lam for lam in lams if lam < hi]
     # every grid lambda is below the reach, so each member turns by delta_theta
     values = []
-    edges, pa, pb = (), 0.0, 0.0  # the previous integral's interior leaf edges on [pa, pb]
+    warm = []
     for lam in lams:
-        f, a, b, _ = _chord_integrand(alpha, lam, delta_theta)
-        breaks = ()
-        if edges:  # one leaf carries nothing: skip the list work
-            k = (b - a) / (pb - pa)
-            breaks = [a + (e - pa) * k for e in edges]
-        edges, pa, pb = [], a, b
-        rx, ry = _integrate_components(f, a, b, tol, breaks, leaf_edges=edges)
-        values.append(math.atan2(ry.value, rx.value))
+        x, y, _ = _chord_components(alpha, lam, delta_theta, tol, warm)
+        values.append(math.atan2(y, x))
     if hi < lam_bounds[1]:
         # the reach is fit_g1's bracket end: a cold start, as fit_g1 takes it,
         # so the region's end psi is the bit-same bracket end fit_g1 checks
@@ -417,6 +466,9 @@ def fit_g1(
     cx = problem.p_end[0] - problem.p_start[0]
     cy = problem.p_end[1] - problem.p_start[1]
     chord = math.hypot(cx, cy)
+    if chord == math.inf:
+        raise ValueError(f"the chord from {problem.p_start!r} to {problem.p_end!r} "
+                         "overflows double precision")
     if chord == 0.0:
         raise DegenerateInput("chord has zero length")
 
@@ -465,7 +517,9 @@ def fit_g1(
     ex, ey, log_ref = chords.get(lam) or _chord_components(
         problem.alpha, lam, delta_theta, quad_tol)
     norm = math.hypot(ex, ey)
-    if norm == 0.0:  # a turning of a few subnormals: an empty chord integral
+    # a turning of a few subnormals: an empty chord integral, or a subnormal
+    # closed-form chord whose reciprocal overflows the scale
+    if norm < sys.float_info.min:
         raise DegenerateInput(f"turning {delta_theta!r} is too small to fit: the "
                               f"normalized chord underflows at lambda = {lam!r}")
     # scale maps the normalized endpoint onto the chord; computed in log

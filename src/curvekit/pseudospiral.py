@@ -217,6 +217,8 @@ class Similarity(Record):
     def __post_init__(self):
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
+        if self.scale == math.inf:
+            raise ValueError("scale must be finite")
         super().__post_init__()
 
     def apply_point(self, x: float, y: float):

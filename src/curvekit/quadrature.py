@@ -60,6 +60,9 @@ _WG_CENTER = 0.41795918367346938776
 
 _MAX_DEPTH = 50
 _MAX_PANELS = 10_000  # panels per integral, pieces per station sweep
+# stations per grid: 50 times the largest count in use, checked before the
+# list is built, so a count of 1e10 is an error, not a MemoryError
+_MAX_STATIONS = 1_000_000
 _ERR_FLOOR = 1e-14  # absolute error floor near machine precision
 _EPS = 2.0**-52
 _LEFT_EDGE = itemgetter(2)  # of a heap entry
@@ -286,14 +289,18 @@ def _stations(a: float, b: float, count: int):
     """count uniform stations from a to b: a + (b - a) * i / (count - 1).
     For a = 0 and b >= 0 this is b * i / (count - 1) to the bit.
 
-    Raises ValueError unless the last station is finite, which fails for a
-    non-finite end and for a (b - a) * (count - 1) that overflows. For a < b,
-    also unless the stations increase strictly and half their extent is
-    positive: the station sweep maps a piece onto [-1, 1] by dividing by its
-    half-width, which rounds to 0 over one least subnormal (5e-324). An
-    empty or reversed range is the caller's to report."""
+    Raises ValueError unless 2 <= count <= _MAX_STATIONS, before any
+    station is computed, and then unless the last station is finite, which
+    fails for a non-finite end and for a (b - a) * (count - 1) that
+    overflows. For a < b, also unless the stations increase strictly and
+    half their extent is positive: the station sweep maps a piece onto
+    [-1, 1] by dividing by its half-width, which rounds to 0 over one least
+    subnormal (5e-324). An empty or reversed range is the caller's to
+    report."""
     if count < 2:
         raise ValueError("count must be at least 2")
+    if count > _MAX_STATIONS:
+        raise ValueError(f"count must be at most {_MAX_STATIONS}")
     stations = [a + (b - a) * i / (count - 1) for i in range(count)]
     if not math.isfinite(stations[-1]):
         raise ValueError(f"[{a!r}, {b!r}] gives no finite grid of {count} stations: "

@@ -57,11 +57,16 @@ def test_sample_curve_tangent_nodes_per_alpha(monkeypatch, alpha):
     assert 0 < nodes <= SLACK * SWEEP_NODES[alpha]
 
 
+def within_budget(count, budget):
+    """0 < count <= SLACK * budget; a budget of 0 allows no work at all."""
+    return 0 < count <= SLACK * budget if budget else count == 0
+
+
 # alpha -> (chord integrals, panels summed over them) per fit; the panels
 # are the leaf panels each integral ends with (its subdivisions), not the
-# panels it evaluated on the way. At alpha = 1 the root-find's first
-# bisections visit lambda = 1e3 and 31.6, whose integrals need more panels.
-FIT_COUNTS = {-1.0: (11, 39), 0.0: (9, 18), 1.0: (12, 23), 2.0: (12, 63)}
+# panels it evaluated on the way. The log spiral's (alpha = 1) chord is a
+# closed form: no integral runs.
+FIT_COUNTS = {-1.0: (11, 39), 0.0: (9, 18), 1.0: (0, 0), 2.0: (12, 63)}
 
 
 @pytest.mark.parametrize("alpha", sorted(FIT_COUNTS))
@@ -81,13 +86,13 @@ def test_fit_g1_chord_integrals_and_panels(monkeypatch, alpha):
     t_end = (math.cos(1.2), math.sin(1.2))
     fit_g1(HermiteProblem((0.0, 0.0), (0.7, 0.72), (1.0, 0.0), t_end, alpha))
     max_integrals, max_panels = FIT_COUNTS[alpha]
-    assert 0 < integrals <= SLACK * max_integrals
-    assert 0 < panels <= SLACK * max_panels
+    assert within_budget(integrals, max_integrals)
+    assert within_budget(panels, max_panels)
 
 
 # alpha -> integrand calls, one per evaluated panel, per fit_g1 on the
 # README problem: a cheaper panel must not hide extra panels
-FIT_PANEL_CALLS = {-1.0: 67, 0.0: 27, 1.0: 34, 2.0: 114}
+FIT_PANEL_CALLS = {-1.0: 67, 0.0: 27, 1.0: 0, 2.0: 114}
 
 
 def integrand_calls(monkeypatch, run):
@@ -113,7 +118,7 @@ def test_fit_g1_integrand_calls(monkeypatch, alpha):
     t_end = (math.cos(1.2), math.sin(1.2))
     problem = HermiteProblem((0.0, 0.0), (0.7, 0.72), (1.0, 0.0), t_end, alpha)
     calls = integrand_calls(monkeypatch, lambda: fit_g1(problem))
-    assert 0 < calls <= SLACK * FIT_PANEL_CALLS[alpha]
+    assert within_budget(calls, FIT_PANEL_CALLS[alpha])
 
 
 def member_problems():
@@ -139,8 +144,9 @@ def member_problems():
 
 def test_fit_g1_chord_integrals_on_member_problems(monkeypatch):
     # a worst-case and a mean ceiling on chord integrals per fit, bracket ends
-    # included (13 and 11.3 when set). Illinois false position took up to 24
-    # here, and this root-find in plain log lambda up to 31 near the reach.
+    # included (13 and 9.95 when set; the 8 log spirals integrate nothing).
+    # Illinois false position took up to 24 here, and this root-find in
+    # plain log lambda up to 31 near the reach.
     integrals = 0
     integrate = he._integrate_components
 
@@ -156,7 +162,7 @@ def test_fit_g1_chord_integrals_on_member_problems(monkeypatch):
         assert fit_g1(problem).residual <= 1e-10
         counts.append(integrals)
     assert max(counts) <= 14
-    assert sum(counts) <= 12 * len(counts)
+    assert sum(counts) <= 10 * len(counts)
 
 
 # (alpha, delta_theta) -> integrand calls, one per evaluated panel, for the
@@ -166,7 +172,7 @@ def test_fit_g1_chord_integrals_on_member_problems(monkeypatch):
 REGION_CALLS = {
     (-1.0, 1.5): 60,
     (0.5, 1.0): 56,
-    (1.0, 1.2): 305,
+    (1.0, 1.2): 0,
     (2.0, 1.5): 365,
     (10.0, 1.5): 407,
 }
@@ -175,7 +181,7 @@ REGION_CALLS = {
 @pytest.mark.parametrize("alpha, dth", sorted(REGION_CALLS))
 def test_drawable_region_integrand_calls(monkeypatch, alpha, dth):
     calls = integrand_calls(monkeypatch, lambda: he.drawable_region(alpha, dth))
-    assert 0 < calls <= SLACK * REGION_CALLS[alpha, dth]
+    assert within_budget(calls, REGION_CALLS[alpha, dth])
 
 
 @pytest.mark.parametrize("count", [50, 1000])

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from curvekit import cli
 from curvekit.hermite import HermiteProblem, drawable_region, fit_g1
 from curvekit.pseudospiral import CurveSample, Pose, SampledCurve
+from curvekit.quadrature import _MAX_STATIONS, _stations
 from curvekit.render import export_csv
 
 
@@ -610,6 +612,10 @@ def test_lcg_domain_error_names_the_requested_s_end(tmp_path):
     assert "s = 2.0 exceeds the domain" in r.stderr
 
 
+OVERFLOWING_CHORD = ["fit", "--start=0,-1e308", "--end=1e307,1e308", "--start-angle", "0.5",
+                     "--end-angle", "2.3", "--alpha", "1"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -618,12 +624,16 @@ def test_lcg_domain_error_names_the_requested_s_end(tmp_path):
         ["check", "--alpha", "0.5", "--lambda", "5e-324"],
         ["ornament", "--alpha", "0.5", "--lambda", "5e-324"],
         ["qi", "--controls", "1e300,0,0,0;0,0,0,1"],
+        [*OVERFLOWING_CHORD, "--json"],
+        [*OVERFLOWING_CHORD, "--svg", "f.svg"],
     ],
     ids=lambda args: args[0],
 )
 def test_extreme_parameters_exit_1_with_one_error_line(tmp_path, monkeypatch, capsys, args):
     # lam * alpha underflows to 0 (a ZeroDivisionError in the closed forms),
-    # 1e300 ** 2 overflows (an OverflowError): both were tracebacks
+    # 1e300 ** 2 overflows (an OverflowError): both were tracebacks. The fit
+    # chord's y overflows: --json exited 0 with "scale": null, fitted to a
+    # chord angle of pi/2, and --svg said "samples must start at s = 0"
     monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
     code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
     assert code == 1
@@ -768,6 +778,32 @@ def rejects(args, tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert sorted(os.listdir(tmp_path)) == before
     return err
+
+
+@pytest.mark.parametrize("args", [
+    ["curve", "--alpha", "0.5", "--lambda", "1", "--n", "10000000000", "--out", "o.csv"],
+    ["lcg", "--alpha", "0.5", "--lambda", "1", "--n", "10000000000", "--json"],
+    ["qi", "--controls", "1,0,0,0;0,1,0,0", "--n", "10000000000", "--out", "o.csv"],
+    ["region", "--alpha", "2", "--delta-theta", "1", "--points", "10000000000",
+     "--out", "r.csv"],
+    ["ornament", "--alpha", "0.5", "--lambda", "1", "--count", "10000000000",
+     "--out", "o.svg"],
+], ids=["curve", "lcg", "qi", "region", "ornament"])
+def test_a_count_above_the_ceiling_exits_1_before_any_allocation(
+        tmp_path, monkeypatch, capsys, args):
+    # curve --n 10000000000 built the whole station list before any check
+    # and died through a MemoryError traceback. The first check keeps the
+    # runs below from building such a list should the ceiling ever go.
+    with pytest.raises(ValueError, match=f"^count must be at most {_MAX_STATIONS}$"):
+        _stations(0.0, 1.0, _MAX_STATIONS + 1)
+    tracemalloc.start()
+    try:
+        err = rejects(args, tmp_path, monkeypatch, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err == f"error: count must be at most {_MAX_STATIONS}\n"
+    assert peak < 10_000_000  # bytes: no grid was built
 
 
 @pytest.mark.parametrize("kappa", ["nan", "inf"])

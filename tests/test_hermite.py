@@ -288,10 +288,7 @@ def per_node_chord_columns(alpha, lam, delta_theta, us):
     one-pass loop must match bit for bit."""
     am1 = alpha - 1.0
     _, _, _, u_end = _chord_integrand(alpha, lam, delta_theta)
-    if alpha == 1.0:
-        thetas = [delta_theta - u / lam for u in us]
-    else:
-        thetas = [math.expm1(am1 * (u_end - u)) / (lam * am1) for u in us]
+    thetas = [math.expm1(am1 * (u_end - u)) / (lam * am1) for u in us]
     xs, ys = [], []
     for u, theta in zip(us, thetas):
         w = math.exp(am1 * (u_end - u) - u) / lam
@@ -308,12 +305,14 @@ def per_node_chord_columns(alpha, lam, delta_theta, us):
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=15),
 )
 @example(0.0, 0.5, 1.2, [0.0, 0.5, 1.0])
-@example(1.0, 0.5, 1.2, [0.0, 0.5, 1.0])
-@example(1.0, 1.0, 3.0, [0.0, 1e-9, 1.0])
+@example(math.nextafter(1.0, 2.0), 0.5, 1.2, [0.0, 0.5, 1.0])
+@example(math.nextafter(1.0, 0.0), 1.0, 3.0, [0.0, 1e-9, 1.0])
 def test_chord_integrand_columns_are_bit_identical_to_per_node_expressions(
     alpha, frac, dth, ts
 ):
-    # lambda log-uniform over [1e-6, 1e6], below the reach (1 - 1e-8) lambda*
+    # lambda log-uniform over [1e-6, 1e6], below the reach (1 - 1e-8) lambda*;
+    # the log spiral's chord is a closed form, checked by the literals below
+    assume(alpha != 1.0)
     hi = 1e6 if alpha >= 1.0 else min(1e6, (1.0 - 1e-8) / dth / (1.0 - alpha))
     lam = math.exp(math.log(1e-6) + frac * (math.log(hi) - math.log(1e-6)))
     f, a, b, _ = _chord_integrand(alpha, lam, dth)
@@ -321,6 +320,33 @@ def test_chord_integrand_columns_are_bit_identical_to_per_node_expressions(
     got = f(us)
     want = per_node_chord_columns(alpha, lam, dth, us)
     assert [[v.hex() for v in col] for col in got] == [[v.hex() for v in col] for col in want]
+
+
+# (lambda, delta_theta) -> (psi, x, y) of the log spiral's normalized chord
+# x + iy = (e^(i dth) - e^(-lambda dth))/(lambda + i), computed once with
+# mpmath at 40 digits and rounded to the nearest double: extreme lambda,
+# turnings near 0 and pi, lambda near dth/2, where the real part of the
+# numerator, cos(dth) - e^(-lambda dth), cancels, and lambda = 1 at a small
+# turning, where dividing by lambda + i would cancel y.
+LOG_SPIRAL_CHORDS = {
+    (1e-06, 1.2): (0.6000001229824318, 0.9320384483252487, 0.6376419775624947),
+    (1e-06, 3.1415926): (1.570797299999958, -1.9464070652403297e-06, 1.9999968584103869),
+    (1e6, 1.2): (1.199999, 3.6235868651539723e-07, 9.320387236085398e-07),
+    (1e6, 1e-06): (5.819767068693277e-07, 6.321205588284255e-07, 3.6787944117140775e-13),
+    (1.0, 1e-06): (5.000000833333333e-07, 9.999995e-07, 4.999998333333333e-13),
+    (1.0, 3.1415926): (2.3561944388224463, -0.5216069334949013, 0.5216069870846944),
+    (0.6, 1.2): (0.6731002968720479, 0.6304429302038584, 0.5026602596056131),
+    (5e-07, 1e-06): (5.000000000000417e-07, 9.999999999995832e-07, 4.99999999999875e-13),
+}
+
+
+@pytest.mark.parametrize("lam, dth", sorted(LOG_SPIRAL_CHORDS))
+def test_log_spiral_chord_is_within_two_ulps_of_its_closed_form(lam, dth):
+    psi, x, y = LOG_SPIRAL_CHORDS[lam, dth]
+    got_x, got_y, log_scale = _chord_components(1.0, lam, dth, 1e-12)
+    assert log_scale == lam * dth
+    for got, want in ((chord_angle(1.0, lam, dth), psi), (got_x, x), (got_y, y)):
+        assert abs(got - want) <= 2 * math.ulp(want)
 
 
 # The pinned bits live in tests/ledger.json; these check its entries for
@@ -485,6 +511,17 @@ def test_fit_with_a_subnormal_turning_is_degenerate(alpha):
         fit_g1(problem)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 1.0, 2.0])
+def test_a_chord_that_overflows_is_a_value_error(alpha):
+    # cy overflowed to inf, atan2 put the chord at pi/2, and at alpha = 1 the
+    # fit returned a segment whose scale was inf
+    problem = HermiteProblem((0.0, -1e308), (1e307, 1e308), (math.cos(0.5), math.sin(0.5)),
+                             (math.cos(2.3), math.sin(2.3)), alpha)
+    with pytest.raises(ValueError, match=r"^the chord from \(0\.0, -1e\+308\) to "
+                       r"\(1e\+307, 1e\+308\) overflows double precision$"):
+        fit_g1(problem)
+
+
 def test_fit_no_solution_reports_region():
     # a chord angle at a quarter of the turning sits below every member's
     # reach (the circle already bisects at half)
@@ -570,7 +607,7 @@ def test_fit_recovers_member_geometry(alpha, dth, u, rotation, mirror):
     lam = math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
     # just below alpha = 1, near the reach, the normalized chord can exceed
     # e^700, beyond any double scale (test_fit_scale_underflow_is_no_solution)
-    assume(_chord_integrand(alpha, lam, dth)[3] < 650.0)
+    assume(_chord_components(alpha, lam, dth, 1e-12)[2] < 650.0)
     problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth),
                                rotation=rotation, chord=2.0, mirror=mirror)
     seg = fit_g1(problem, tol=1e-10)

@@ -498,6 +498,11 @@ def test_similarity_rejects_a_scale_that_is_not_positive():
             Similarity(scale=scale)
 
 
+def test_similarity_rejects_an_infinite_scale():
+    with pytest.raises(ValueError, match="^scale must be finite$"):
+        Similarity(scale=math.inf)
+
+
 def test_similarity_mirror_flips_before_rotation():
     sim = Similarity(rotation=0.0, scale=1.0, translation=(0.0, 0.0), mirror=True)
     x, y = sim.apply_point(0.5, 0.25)
