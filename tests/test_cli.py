@@ -711,6 +711,16 @@ def test_fit_rejects_tol_outside_zero_to_inf(tmp_path, monkeypatch, capsys, tol)
     assert (code, out, err) == (1, "", "error: tol must be positive and finite\n")
 
 
+def test_fit_accepts_a_subnormal_tol(tmp_path, monkeypatch, capsys):
+    # exited 1 with "tol must be positive and finite": a hundredth of it,
+    # the integrals' tolerance, underflowed to 0.0
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    args = [*README_FIT, "--alpha", "2", "--tol", "1e-323", "--json"]
+    code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["residual"] <= 2.0**-52
+
+
 SUBNORMAL_EXTENT = {  # arc lengths of one or two least subnormals
     "curve": ["curve", "--alpha", "0.5", "--lambda", "1", "--s-end", "5e-324", "--out", "o.csv"],
     "curve-1e-323": ["curve", "--alpha", "0.5", "--lambda", "1", "--s-end", "1e-323",

@@ -32,7 +32,7 @@ from curvekit.pseudospiral import (
     evaluate_point,
     turning_angle,
 )
-from curvekit.quadrature import integrate_vector2
+from curvekit.quadrature import _integrate_components, integrate_vector2
 
 
 def problem_from_psi(alpha, delta_theta, psi, rotation=0.0, chord=1.0,
@@ -349,6 +349,66 @@ def test_log_spiral_chord_is_within_two_ulps_of_its_closed_form(lam, dth):
         assert abs(got - want) <= 2 * math.ulp(want)
 
 
+# (lambda, delta_theta) -> (psi, x, y) of the circle involute's normalized
+# chord x + iy = P/(1 + lambda dth), P = int_0^dth (1 + lambda theta)
+# e^(i theta) dtheta, computed once with mpmath at 100 digits and rounded to
+# the nearest double: extreme lambda, turnings near 0 and pi, and either side
+# of dth = 1, where the sums switch from series to sin and cos.
+INVOLUTE_CHORDS = {
+    (1e-06, 1e-06): (5.000000000000833e-07, 9.999999999993333e-07, 4.999999999997916e-13),
+    (1e-06, 0.9999999999999999): (0.5000000847560967, 0.841470525110662, 0.4596975356030035),
+    (1e-06, 1.0): (0.5000000847560968, 0.8414705251106621, 0.45969753560300364),
+    (1e-06, 3.1415926): (1.5707972999983872, -1.9464039236644805e-06, 1.9999968584173218),
+    (1.0, 1e-06): (5.000000833332916e-07, 9.999995000003334e-07, 4.999998333334583e-13),
+    (1.0, 0.9999999999999999): (0.5564440739199769, 0.6116221377419664, 0.3804331865358085),
+    (1.0, 1.0): (0.5564440739199769, 0.6116221377419664, 0.38043318653580854),
+    (1.0, 3.1415926): (1.941770652121465, -0.4829059666691764, 1.2414530230689005),
+    (1e6, 1e-06): (5.555555555555564e-07, 7.499999999998541e-07, 4.1666666666662913e-13),
+    (1e6, 0.9999999999999999): (0.667915766963813, 0.38177375037327066, 0.3011688374686134),
+    (1e6, 1.0): (0.6679157669638132, 0.38177375037327066, 0.30116883746861345),
+    (1e6, 3.1415926): (2.1377075052011225, -0.6366195269950408, 1.0000003353679447),
+    (1e300, 1e-06): (6.666666666666679e-07, 4.999999999998749e-07, 3.3333333333329997e-13),
+    (1e300, 0.9999999999999999): (0.66791609651816, 0.3817732906760362, 0.30116867893975674),
+    (1e300, 1.0): (0.6679160965181601, 0.3817732906760362, 0.3011686789397568),
+    (1e300, 3.1415926): (2.137707793601433, -0.6366197296373505, 1.0000000170581598),
+}
+
+
+@pytest.mark.parametrize("lam, dth", sorted(INVOLUTE_CHORDS))
+def test_involute_chord_is_within_four_ulps_of_its_closed_form(lam, dth):
+    psi, x, y = INVOLUTE_CHORDS[lam, dth]
+    got_x, got_y, log_scale = _chord_components(2.0, lam, dth, 1e-12)
+    assert log_scale == math.log1p(lam * dth)
+    for got, want in ((chord_angle(2.0, lam, dth), psi), (got_x, x), (got_y, y)):
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+@example(0.0, 1e-300)
+@example(1.0, 3.1415926)
+@example(0.5, 1.0)
+def test_involute_chord_agrees_with_its_integral(frac, dth):
+    # lambda log-uniform over [1e-6, 1e6]; _chord_integrand is the general
+    # alpha reference, integrated to the tolerance fit_g1 asks of it
+    lam = math.exp(math.log(1e-6) + frac * (math.log(1e6) - math.log(1e-6)))
+    f, a, b, u_end = _chord_integrand(2.0, lam, dth)
+    want = _integrate_components(f, a, b, 1e-12)
+    got_x, got_y, log_scale = _chord_components(2.0, lam, dth, 1e-12)
+    assert log_scale == u_end
+    for got, ref in zip((got_x, got_y), want):
+        assert abs(got - ref.value) <= max(1e-12 * abs(ref.value), 1e-14)
+
+
+@pytest.mark.parametrize("dth", [1.2, 3.0])
+def test_involute_chord_is_finite_at_the_largest_lambdas(dth):
+    # at dth = 3, lambda dth overflows: the integral's nodes reached cos(inf),
+    # a "math domain error"
+    x, y, _ = _chord_components(2.0, 1e308, dth, 1e-12)
+    assert math.isfinite(x) and math.isfinite(y) and math.hypot(x, y) > 0.0
+    assert chord_angle(2.0, 1e308, dth) == math.atan2(y, x)
+
+
 # The pinned bits live in tests/ledger.json; these check its entries for
 # the README problem (delta_theta = 1.2) one input at a time.
 
@@ -520,6 +580,14 @@ def test_a_chord_that_overflows_is_a_value_error(alpha):
     with pytest.raises(ValueError, match=r"^the chord from \(0\.0, -1e\+308\) to "
                        r"\(1e\+307, 1e\+308\) overflows double precision$"):
         fit_g1(problem)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.0, 2.0])
+def test_fit_accepts_a_subnormal_tol(alpha):
+    # the integrals' tolerance, a hundredth of tol, underflowed to 0.0: "tol
+    # must be positive and finite" about a tol that is both
+    seg = fit_g1(problem_from_psi(alpha, 1.2, 0.7), tol=1e-323)
+    assert seg.residual <= 2.0**-52
 
 
 def test_fit_no_solution_reports_region():

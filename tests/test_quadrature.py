@@ -270,10 +270,13 @@ _QI_SPEC = QiCurveSpec.from_dict({
 _TOL_ENTRIES = {
     "integrate": lambda tol: integrate(lambda x: math.sin(30 * x), 0.0, 3.0, tol=tol),
     "chord_angle": lambda tol: chord_angle(0.5, 1.0, 1.0, tol=tol),
-    "drawable_region": lambda tol: drawable_region(2.0, 1.0, count=3, tol=tol),
-    # the log spiral's chord is a closed form that checks tol all the same
+    "drawable_region": lambda tol: drawable_region(0.5, 1.0, count=3, tol=tol),
+    # the log spiral's and the involute's chords are closed forms that check
+    # tol all the same
     "chord_angle at alpha = 1": lambda tol: chord_angle(1.0, 1.0, 1.0, tol=tol),
     "drawable_region at alpha = 1": lambda tol: drawable_region(1.0, 1.0, count=3, tol=tol),
+    "chord_angle at alpha = 2": lambda tol: chord_angle(2.0, 1.0, 1.0, tol=tol),
+    "drawable_region at alpha = 2": lambda tol: drawable_region(2.0, 1.0, count=3, tol=tol),
     "sample_curve": lambda tol: sample_curve(NaturalEquation(0.5, 1.0), 5.0, 5, tol=tol),
     "sample_qi": lambda tol: sample_qi(_QI_SPEC, 5, tol=tol),
     # s = 0 returns the start point without an integral
