@@ -166,10 +166,21 @@ def _chord_integrand(alpha: float, lam: float, delta_theta: float):
     makes the weight exp((alpha-1)(U-u) - u)/lam: explicit exponential decay
     the panel subdivision can follow, and no overflow at any lambda. Returns
     (f, a, b, log_scale): the true endpoint is e^(log_scale) times the
-    integral of the two columns of f over [a, b].
+    integral of the two columns of f over [a, b]. Raises ValueError when
+    lam * (alpha - 1) or delta_theta * lam * (alpha - 1) overflows to +inf
+    (alpha > 1): theta would be 0 at every node, or a node would reach
+    cos(inf). Below alpha = 1 a reachable turning keeps the second product
+    above -1, and where the first is -inf, theta is within a subnormal of 0.
     """
     am1 = alpha - 1.0
-    u_end = math.log1p(delta_theta * lam * am1) / am1
+    lam_am1 = lam * am1
+    turn = delta_theta * lam * am1
+    if not (lam_am1 < math.inf and turn < math.inf):
+        raise ValueError(
+            f"lam = {lam!r} is too large for alpha = {alpha!r} and turning "
+            f"{delta_theta!r}: lam * (alpha - 1) or delta_theta * lam * (alpha - 1) overflows"
+        )
+    u_end = math.log1p(turn) / am1
 
     # the scaled weight is exp(-alpha u) up to a constant: clip the interval
     # where the remaining mass is below e^-45 of the peak
@@ -178,8 +189,6 @@ def _chord_integrand(alpha: float, lam: float, delta_theta: float):
         b = min(u_end, 45.0 / alpha)
     elif alpha < 0.0:
         a = max(0.0, u_end + 45.0 / alpha)
-
-    lam_am1 = lam * am1
 
     def f(us):
         # one pass per node: v = (alpha-1)(U-u) serves theta and the weight

@@ -165,14 +165,17 @@ def _integrate_components(
     feature narrower than the first panel's node spacing is not missed.
     When leaf_edges is a list, the interior edges of the final panels are
     appended to it in increasing order (none for a single panel), for a
-    caller that starts a similar integral from them. Convergence is tested
-    on the starting panels first: when they meet the target, as a warm start
-    from a neighbour's leaf edges often does, they are the leaves, already
-    in spatial order, so no heap is built and nothing is sorted. Only the
-    first bisection heapifies them. Deterministic: the heap is ordered by
-    (error, insertion sequence) and the final sums run in spatial order. An
-    integral that ends on one panel returns that panel's running sums, which
-    are the final sums to the bit.
+    caller that starts a similar integral from them. Without breaks, the one
+    starting panel is evaluated first, and when it meets the target the
+    integral returns straight from it: its values and errors are the final
+    sums to the bit, and no leaf or heap is built. A panel that fails seeds
+    the heap as its one leaf and is bisected from there, never evaluated
+    twice. With breaks, convergence is tested on the starting panels first:
+    when they meet the target, as a warm start from a neighbour's leaf edges
+    often does, they are the leaves, already in spatial order, so nothing is
+    sorted. Only the first bisection heapifies them. Deterministic: the heap
+    is ordered by (error, insertion sequence) and the final sums run in
+    spatial order.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -181,16 +184,25 @@ def _integrate_components(
     _check_tol(tol)
 
     floor = max(tol * scale, _ERR_FLOOR)
-    edges = (a, *breaks, b)
-    totals = errs = repeat(0.0)  # one running sum per column, from 0.0
+    row = tuple.__new__  # skips the NamedTuple's Python-level __new__
     # Leaves: (-worst component error, sequence, a, b, depth, values, errors),
     # in spatial order until the first bisection makes them a heap
-    heap = []
-    for seq, (pa, pb) in enumerate(zip(edges, edges[1:])):
-        values, errors = _eval_panel(f, pa, pb)
-        totals = list(map(add, totals, values))
-        errs = list(map(add, errs, errors))
-        heap.append((-max(errors), seq, pa, pb, 0, values, errors))
+    if breaks:
+        edges = (a, *breaks, b)
+        totals = errs = repeat(0.0)  # one running sum per column, from 0.0
+        heap = []
+        for seq, (pa, pb) in enumerate(zip(edges, edges[1:])):
+            values, errors = _eval_panel(f, pa, pb)
+            totals = list(map(add, totals, values))
+            errs = list(map(add, errs, errors))
+            heap.append((-max(errors), seq, pa, pb, 0, values, errors))
+    else:
+        totals, errs = _eval_panel(f, a, b)
+        if all([e <= floor or e <= tol * abs(t) for e, t in zip(errs, totals)]):
+            # one leaf: its sum is 0.0 + x, which is fsum([x]) to the bit (x
+            # itself, except that -0.0 becomes +0.0); errors are never -0.0
+            return [row(IntegrationResult, (0.0 + v, e, 1)) for v, e in zip(totals, errs)]
+        heap = [(-max(errs), 0, a, b, 0, totals, errs)]
     seq = len(heap)  # panels evaluated so far; equal to len(heap) until a bisection
     while not all([e <= floor or e <= tol * abs(t) for e, t in zip(errs, totals)]):
         if seq == len(heap):
@@ -214,11 +226,6 @@ def _integrate_components(
         seq += 2
 
     n = len(heap)
-    row = tuple.__new__  # skips the NamedTuple's Python-level __new__
-    if n == 1:
-        # one leaf: its sums are 0.0 + x, which is fsum([x]) to the bit
-        # (x itself, except that -0.0 becomes +0.0)
-        return [row(IntegrationResult, (v, e, 1)) for v, e in zip(totals, errs)]
     if seq > n:  # a bisection made the leaves a heap: put them back in spatial order
         heap.sort(key=_LEFT_EDGE)
     if leaf_edges is not None:

@@ -626,6 +626,8 @@ OVERFLOWING_CHORD = ["fit", "--start=0,-1e308", "--end=1e307,1e308", "--start-an
         ["qi", "--controls", "1e300,0,0,0;0,0,0,1"],
         [*OVERFLOWING_CHORD, "--json"],
         [*OVERFLOWING_CHORD, "--svg", "f.svg"],
+        ["region", "--alpha", "10", "--delta-theta", "0.1", "--lambda-max", "1e308"],
+        ["region", "--alpha", "1.5", "--delta-theta", "3", "--lambda-max", "1e308"],
     ],
     ids=lambda args: args[0],
 )
@@ -633,7 +635,9 @@ def test_extreme_parameters_exit_1_with_one_error_line(tmp_path, monkeypatch, ca
     # lam * alpha underflows to 0 (a ZeroDivisionError in the closed forms),
     # 1e300 ** 2 overflows (an OverflowError): both were tracebacks. The fit
     # chord's y overflows: --json exited 0 with "scale": null, fitted to a
-    # chord angle of pi/2, and --svg said "samples must start at s = 0"
+    # chord angle of pi/2, and --svg said "samples must start at s = 0". At
+    # lam = 1e308 the region's chord integrand overflowed: alpha = 10 wrote a
+    # psi of 0 and exited 0, alpha = 1.5 said "math domain error"
     monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
     code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
     assert code == 1

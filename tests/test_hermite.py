@@ -105,6 +105,21 @@ def test_a_lambda_whose_products_underflow_is_a_value_error(alpha):
             call()
 
 
+@pytest.mark.parametrize("alpha, dth", [(1.5, 3.0), (3.0, 1.2), (10.0, 1.2), (10.0, 0.1)])
+def test_a_lambda_whose_products_overflow_is_a_value_error(alpha, dth):
+    # the chord integrand divides by lam * (alpha - 1) and takes log1p of
+    # dth * lam * (alpha - 1): at lam = 1e308 (alpha = 1.5, 3 and 10) one
+    # overflowed, and the chord angle was a "math domain error", a
+    # NonFiniteIntegrand or, at dth = 0.1, a silent 0.0
+    for call in (
+        lambda: chord_angle(alpha, 1e308, dth),
+        lambda: drawable_region(alpha, dth, (1e-6, 1e308)),
+        lambda: fit_g1(problem_from_psi(alpha, dth, 0.5 * dth), lam_bounds=(1e-6, 1e308)),
+    ):
+        with pytest.raises(ValueError, match="is too large for alpha .* overflows$"):
+            call()
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_alpha_is_a_value_error(alpha):
     # turning_limit(nan, 1) and arc_length_for_turning returned nan, and

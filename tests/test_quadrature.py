@@ -357,6 +357,9 @@ def test_results_are_the_correctly_rounded_sums_of_the_final_panels(a, width, wa
     tol = 10.0**log_tol
     edges = []
     results = _integrate_components(f, a, b, tol, leaf_edges=edges)
+    # one starting panel, then two per bisection, each adding one leaf:
+    # 2 * len(panels) - 1 calls, so no panel was evaluated twice
+    assert calls == 2 * (len(edges) + 1) - 1
     assert edges == sorted(edges) and all(a < e < b for e in edges)
     panels = [_eval_panel(f, pa, pb) for pa, pb in zip([a, *edges], [*edges, b])]
     for c, r in enumerate(results):
