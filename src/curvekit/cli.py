@@ -60,6 +60,8 @@ from .render import (
 )
 
 ENV_OUT_DIR = "CURVEKIT_OUT_DIR"
+# characters per write: a document is encoded a slice at a time, never whole
+_WRITE_SLICE = 1 << 16
 
 EXIT_OK = 0
 EXIT_ARGS = 1
@@ -136,6 +138,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ARGS)
 
 
+def _write_slices(fh, text: str) -> None:
+    """Write text to a text stream a slice at a time, so no encoded copy of
+    the whole text is made. A character the encoding cannot take raises the
+    error that one write of the whole text raises, at its position there."""
+    for start in range(0, len(text), _WRITE_SLICE):
+        try:
+            fh.write(text[start:start + _WRITE_SLICE])
+        except UnicodeEncodeError:
+            text.encode(fh.encoding, fh.errors)
+            raise
+
+
 def _write_text(path: str, text: str, out_dir: str) -> str:
     """Write atomically: temp file in the target directory, then rename.
 
@@ -150,7 +164,7 @@ def _write_text(path: str, text: str, out_dir: str) -> str:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".curvekit-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                _write_slices(fh, text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -229,11 +243,13 @@ def _wrote(path: str, text: str, cfg: Config, summary: str) -> int:
 def _report(args, cfg: Config, record, summary: str) -> int:
     """Emit a record as JSON: written to --out when given, then printed with
     --json, or else the one-line summary is printed."""
-    payload = to_json(record.as_dict()) + "\n"
+    payload = to_json(record.as_dict())
     if getattr(args, "out", None):
-        print(f"wrote {_write_text(args.out, payload, cfg.out_dir)}")
+        path = _write_text(args.out, payload + "\n", cfg.out_dir)
+        print(f"wrote {path}")
     if args.json:
-        sys.stdout.write(payload)
+        _write_slices(sys.stdout, payload)
+        sys.stdout.write("\n")
     else:
         print(summary)
     return EXIT_OK

@@ -74,11 +74,18 @@ class NaturalEquation:
         elif abs(a - 1.0) < _ALPHA_SNAP:
             a = 1.0
         lam = float(self.lam)
-        if a not in (0.0, 1.0) and min(lam * abs(a), lam * abs(a - 1.0)) < sys.float_info.min:
-            raise ValueError(
-                f"lam = {lam!r} is too small for alpha = {a!r}: "
-                "lam * alpha or lam * (alpha - 1) underflows"
-            )
+        if a not in (0.0, 1.0):
+            products = (lam * abs(a), lam * abs(a - 1.0))
+            if min(products) < sys.float_info.min:
+                raise ValueError(
+                    f"lam = {lam!r} is too small for alpha = {a!r}: "
+                    "lam * alpha or lam * (alpha - 1) underflows"
+                )
+            if max(products) == math.inf:
+                raise ValueError(
+                    f"lam = {lam!r} is too large for alpha = {a!r}: "
+                    "lam * alpha or lam * (alpha - 1) overflows"
+                )
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "lam", lam)
 

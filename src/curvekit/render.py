@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 from ._fmt import FIELD
 from .pseudospiral import CurveSample, Pose, SampledCurve
@@ -113,13 +114,15 @@ def _check_canvas(spec):
 
 
 class _CanvasMap:
-    """Uniform-scale world-to-canvas transform fitting a bounding box."""
+    """Uniform-scale world-to-canvas transform fitting the bounding box of
+    runs of samples (each with x and y)."""
 
-    def __init__(self, points, size, margin):
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
+    def __init__(self, sample_runs, size, margin):
+        def coordinates(name):  # read straight from the samples: no list of points
+            return map(attrgetter(name), chain.from_iterable(sample_runs))
+
+        x_lo, x_hi = min(coordinates("x")), max(coordinates("x"))
+        y_lo, y_hi = min(coordinates("y")), max(coordinates("y"))
         w, h = size
         span_x = x_hi - x_lo
         span_y = y_hi - y_lo
@@ -152,22 +155,26 @@ class _CanvasMap:
         return -theta  # y flip reverses angles
 
 
-# element templates: every SVG number goes through FIELD, as CSV rows do
+# element templates, each one line with its newline: every SVG number goes
+# through FIELD, as CSV rows do
 _XY = f"{FIELD} {FIELD}"
 _PAIR = f"{FIELD},{FIELD}"
 _SVG_OPEN = (
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-    f'width="{FIELD}" height="{FIELD}" viewBox="0 0 {FIELD} {FIELD}">'
+    f'width="{FIELD}" height="{FIELD}" viewBox="0 0 {FIELD} {FIELD}">\n'
 )
-_PATH = f'<path d="%s" fill="none" stroke="%s" stroke-width="{FIELD}"/>'
-_POLYGON = '<polygon points="%s" fill="%s"/>'
-_CIRCLE = f'<circle cx="{FIELD}" cy="{FIELD}" r="{FIELD}" fill="%s"/>'
+_PATH = f'<path d="%s" fill="none" stroke="%s" stroke-width="{FIELD}"/>\n'
+# a long d goes between these two pieces of _PATH, not copied into each stroke
+_PATH_HEAD, _PATH_TAIL = _PATH.split("%s", 1)
+_POLYGON = '<polygon points="%s" fill="%s"/>\n'
+_CIRCLE = f'<circle cx="{FIELD}" cy="{FIELD}" r="{FIELD}" fill="%s"/>\n'
 
 
 def _svg(size, body):
-    """One SVG document: the canvas of the given size around body's lines."""
+    """One SVG document: the canvas of the given size around body's pieces,
+    which hold their own newlines."""
     w, h = size
-    return "\n".join([_SVG_OPEN % (w, h, w, h), *body, "</svg>"]) + "\n"
+    return "".join([_SVG_OPEN % (w, h, w, h), *body, "</svg>\n"])
 
 
 def _path_d(canvas_points):
@@ -212,8 +219,7 @@ def plot_svg(spec: PlotSpec) -> str:
     """Render curves as polyline paths; deterministic byte-for-byte."""
     if not spec.curves:
         raise EmptyInput("no curves to plot")
-    world = [(p.x, p.y) for c in spec.curves for p in c.samples]
-    cmap = _CanvasMap(world, spec.size, spec.margin)
+    cmap = _CanvasMap([c.samples for c in spec.curves], spec.size, spec.margin)
 
     body = []
     if spec.axes:
@@ -225,8 +231,9 @@ def plot_svg(spec: PlotSpec) -> str:
         axes = _path_d([(0.0, y0), (w, y0)]) + " " + _path_d([(x0, 0.0), (x0, h)])
         body.append(_PATH % (axes, "#888888", 1.0))
     for curve in spec.curves:
-        d = _path_d([cmap.point(p.x, p.y) for p in curve.samples])
-        body.extend(_PATH % (d, "#000000", width) for width in spec.stroke_widths)
+        d = _path_d(cmap.point(p.x, p.y) for p in curve.samples)
+        for width in spec.stroke_widths:
+            body += (_PATH_HEAD, d, _PATH_TAIL % ("#000000", width))
     svals = {i: [p.s for p in spec.curves[i].samples] for i, _ in spec.annotations}
     for index, marker in spec.annotations:
         curve = spec.curves[index]
@@ -248,10 +255,9 @@ def ornament_svg(spec: OrnamentSpec) -> str:
     s1 = path.samples[-1].s
     stations = [s0] if spec.count == 1 else _stations(s0, s1, spec.count)
 
-    cmap = _CanvasMap([(p.x, p.y) for p in path.samples], spec.size, spec.margin)
+    cmap = _CanvasMap([path.samples], spec.size, spec.margin)
     svals = [p.s for p in path.samples]
-    d = _path_d([cmap.point(p.x, p.y) for p in path.samples])
-    body = [_PATH % (d, "#bbbbbb", 1.0)]
+    body = [_PATH % (_path_d(cmap.point(p.x, p.y) for p in path.samples), "#bbbbbb", 1.0)]
     for j, s in enumerate(stations):
         p = _interpolate(path, svals, s)
         size = spec.size_base * spec.rhythm[j % len(spec.rhythm)]
@@ -284,7 +290,7 @@ def _csv(header, rows) -> str:
     """CSV text: the header, then each row through one printf template of
     the header's width, LF newlines and a trailing newline."""
     template = ",".join([FIELD] * (header.count(",") + 1))
-    return "\n".join([header, *map(template.__mod__, rows)]) + "\n"
+    return "\n".join([header, *map(template.__mod__, rows), ""])
 
 
 def export_csv(data) -> str:
@@ -308,25 +314,41 @@ def export_csv(data) -> str:
     return _csv(header, rows)
 
 
+def _nonblank_lines(text):
+    """(number, line) for each nonblank line of text, numbered from 1 with
+    blank lines counted and without its "\n"; no list of the lines is built."""
+    number = start = 0
+    while True:
+        number += 1
+        end = text.find("\n", start)
+        line = text[start:] if end < 0 else text[start:end]
+        if line.strip():
+            yield number, line
+        if end < 0:
+            return
+        start = end + 1
+
+
 def parse_csv(text: str):
     """Parse CSV produced by export_csv: returns (field_names, rows). Blank
-    lines are skipped; a row that does not parse names its line number."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
+    lines are skipped; a row that does not parse names its line number.
+    The text is read one line at a time."""
+    lines = _nonblank_lines(text)
+    _, header = next(lines, (0, ""))
+    if not header:
         raise EmptyInput("empty CSV")
-    fields = tuple(lines[0].strip().split(","))
+    fields = tuple(header.strip().split(","))
     if fields not in (tuple(_HEADER_2D.split(",")), tuple(_HEADER_3D.split(","))):
-        raise ValueError(f"unrecognized CSV header: {lines[0]!r}")
+        raise ValueError(f"unrecognized CSV header: {header!r}")
     rows = []
     try:
-        for ln in lines[1:]:
-            values = tuple(map(float, ln.split(",")))
+        for number, line in lines:
+            values = tuple(map(float, line.split(",")))
             if len(values) != len(fields):
                 raise ValueError(f"row width {len(values)} does not match header")
             rows.append(values)
-    except ValueError as exc:  # the faulty line is nonblank line len(rows) + 1, from 0
-        numbers = [n for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
-        raise ValueError(f"line {numbers[len(rows) + 1]}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
     return fields, rows
 
 

@@ -628,6 +628,12 @@ OVERFLOWING_CHORD = ["fit", "--start=0,-1e308", "--end=1e307,1e308", "--start-an
         [*OVERFLOWING_CHORD, "--svg", "f.svg"],
         ["region", "--alpha", "10", "--delta-theta", "0.1", "--lambda-max", "1e308"],
         ["region", "--alpha", "1.5", "--delta-theta", "3", "--lambda-max", "1e308"],
+        pytest.param(["curve", "--alpha", "10", "--lambda", "1e308", "--n", "5"],
+                     id="curve-lam-alpha-overflows"),
+        pytest.param(["lcg", "--alpha", "10", "--lambda", "1e308"],
+                     id="lcg-lam-alpha-overflows"),
+        pytest.param(["curve", "--alpha", "-1e300", "--lambda", "1e10", "--n", "5"],
+                     id="curve-negative-alpha-overflows"),
     ],
     ids=lambda args: args[0],
 )
@@ -637,7 +643,10 @@ def test_extreme_parameters_exit_1_with_one_error_line(tmp_path, monkeypatch, ca
     # chord's y overflows: --json exited 0 with "scale": null, fitted to a
     # chord angle of pi/2, and --svg said "samples must start at s = 0". At
     # lam = 1e308 the region's chord integrand overflowed: alpha = 10 wrote a
-    # psi of 0 and exited 0, alpha = 1.5 said "math domain error"
+    # psi of 0 and exited 0, alpha = 1.5 said "math domain error". A member
+    # whose lam * alpha overflows made curve exit 2 ("integrand component 0
+    # is not finite") and lcg say kappa(0) was not finite; at alpha = -1e300
+    # curve exited 2 with "s_max_domain = 0.0"
     monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
     code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
     assert code == 1

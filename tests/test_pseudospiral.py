@@ -654,6 +654,24 @@ def test_natural_equation_rejects_a_lambda_whose_products_underflow(alpha, lam):
 
 
 @pytest.mark.parametrize(
+    "alpha, lam", [(10.0, 1e308), (2.0, 1e308), (1.5, 1.7e308), (-1.0, 1e308), (-1e300, 1e10)]
+)
+def test_natural_equation_rejects_a_lambda_whose_products_overflow(alpha, lam):
+    # at (10, 1e308) curvature(eq, 0.0) was nan, not 1.0: lam * alpha is inf
+    with pytest.raises(ValueError, match=r"^lam = .* is too large for alpha = .*: "
+                                         r"lam \* alpha or lam \* \(alpha - 1\) overflows$"):
+        NaturalEquation(alpha, lam)
+
+
+@pytest.mark.parametrize(
+    "alpha, lam", [(0.0, 1e308), (1.0, 1e308), (0.5, 1e308), (10.0, 1e307)]
+)
+def test_natural_equation_keeps_huge_lambdas_that_do_not_overflow(alpha, lam):
+    eq = NaturalEquation(alpha, lam)
+    assert curvature(eq, 0.0) == 1.0
+
+
+@pytest.mark.parametrize(
     "alpha, lam", [(0.0, 5e-324), (1.0, 5e-324), (5e-13, 5e-324), (0.5, 1e-290)]
 )
 def test_natural_equation_keeps_tiny_lambdas_that_do_not_underflow(alpha, lam):

@@ -375,6 +375,74 @@ def test_parse_csv_names_the_line_of_a_faulty_row(text, message):
     assert str(info.value) == message
 
 
+def split_parse_csv(text):
+    """parse_csv as it was before it walked the text a line at a time: the
+    reference. It splits the whole text, and on a faulty row numbers the
+    nonblank lines of a second split."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines:
+        raise EmptyInput("empty CSV")
+    fields = tuple(lines[0].strip().split(","))
+    if fields not in (("s", "x", "y", "theta", "kappa"), ("s", "x", "y", "z", "tx", "ty", "tz")):
+        raise ValueError(f"unrecognized CSV header: {lines[0]!r}")
+    rows = []
+    try:
+        for ln in lines[1:]:
+            values = tuple(map(float, ln.split(",")))
+            if len(values) != len(fields):
+                raise ValueError(f"row width {len(values)} does not match header")
+            rows.append(values)
+    except ValueError as exc:
+        numbers = [n for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
+        raise ValueError(f"line {numbers[len(rows) + 1]}: {exc}") from None
+    return fields, rows
+
+
+def parse_outcome(parse, text):
+    """repr of (fields, rows), or the error's type and text (repr, so that
+    nan rows compare equal)."""
+    try:
+        return repr(parse(text))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_CELL = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: f" {v!r} "),  # spaces around a number are allowed
+    st.sampled_from(["abc", "", " ", "1e", "0x1p3", "1_0"]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(st.sampled_from(
+        ["s,x,y,theta,kappa", "s,x,y,z,tx,ty,tz", " s,x,y,theta,kappa\t", "s,x,y", "x;y"]))
+    width = header.count(",") + 1
+    good_row = st.lists(st.floats().map(repr), min_size=width, max_size=width).map(",".join)
+    any_row = st.lists(_CELL, min_size=max(1, width - 1), max_size=width + 1).map(",".join)
+    blank = st.sampled_from(["", " ", "\t", "  "])
+    line = st.one_of(good_row, good_row, any_row, blank, good_row.map(lambda r: r + "  "))
+    lines = [*draw(st.lists(blank, max_size=2)), header, *draw(st.lists(line, max_size=8))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+@example("")  # an empty file
+@example("\n \n")
+@example("s,x,y,theta,kappa\n0,0,0,0,1\n1,1,1,1,abc\n2,2,2,2,2\n")  # last column, mid-file
+@example("s,x,y,theta,kappa\r\n0,0,0,0,1\r\n\r\n1,1,1,1,abc\r\n")
+@example("s,x,y,theta,kappa\n0,0,0,0,1\n\n1,2,3\n4,5,6,7,8")  # a short row
+@example("s,x,y,theta,kappa\n0,0,0,0,1\n1,1,1,1,1")  # no final newline
+@example("s,x\n0,0\n")  # the header's line is named without its newline
+def test_parse_csv_walks_lines_as_the_split_text_read(text):
+    # the same fields and rows, or the same error: its line number and the
+    # offending token, with no line's newline in it
+    assert parse_outcome(parse_csv, text) == parse_outcome(split_parse_csv, text)
+
+
 _EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308]
 
 
