@@ -448,8 +448,8 @@ def drawable_region(
     return DrawableRegion(alpha, delta_theta, min(values), max(values), samples)
 
 
-def _solve_log(g, a, g_a, b, g_b, tol, k):
-    """Root of g between a < b, where g(a) = g_a and g(b) = g_b differ in sign.
+def _solve_log(g, a, g_a, b, far, tol, k):
+    """Root of g between a < b, where g(a) = g_a and far() returns g(b).
 
     Chandrupatla's method (Adv. Eng. Software 28(3):145-149, 1997): an inverse
     quadratic step through the last three points when its xi/phi test finds
@@ -459,26 +459,40 @@ def _solve_log(g, a, g_a, b, g_b, tol, k):
     making x plain log lambda. For alpha < 1 psi varies smoothly in
     log(1 - lambda/lambda*), so x spreads out the bracket end at the reach,
     where in log lambda psi is steepest and the steps crawl toward a root
-    there. Returns the best (lam, |g(lam)|) seen when |g| <= tol, the
-    bracket stops shrinking or the iteration cap is hit."""
+    there. The first step bisects [a, b] in x, and the method restarts on
+    the half that holds the root. far() is called once, and only when g at
+    that step has g_a's sign: the root then lies beyond it, and a root in
+    the lower half never costs g(b). Returns the best (lam, |g(lam)|) seen
+    when |g| <= tol, the bracket stops shrinking or the iteration cap is
+    hit; the first step is always taken."""
     lo, hi = a, b
     xa, xb = (math.log(lam) - math.log1p(-k * lam) for lam in (a, b))
-    best_lam, best_g = (a, g_a) if abs(g_a) <= abs(g_b) else (b, g_b)
+    best_lam, best_g = a, g_a
+    g_b = None  # until the first step shows that the root lies beyond it
     t = 0.5
     for _ in range(_MAX_ITER):
-        if abs(best_g) <= tol:
-            break
         x = xa + t * (xb - xa)
         # the inverse map can round outside the bracket
         lam = min(max(1.0 / (exp(-x) + k), lo), hi)
-        if lam == a or lam == b:
+        if g_b is not None and (abs(best_g) <= tol or lam == a or lam == b):
             break
         g_t = g(lam)
         if abs(g_t) < abs(best_g):
             best_lam, best_g = lam, g_t
+        same_side = (g_t < 0.0) == (g_a < 0.0)
+        if g_b is None:
+            # the half that holds the root, started again with t = 0.5
+            if same_side:
+                g_b = far()
+                if abs(g_b) < abs(best_g):
+                    best_lam, best_g = b, g_b
+            else:
+                xb, g_b, b = xa, g_a, a
+            xa, g_a, a = x, g_t, lam
+            continue
         # a is the new point and b the other bracket end; c is the point
         # just dropped from the bracket
-        if (g_t < 0.0) == (g_a < 0.0):
+        if same_side:
             xc, g_c = xa, g_a
         else:
             xc, g_c = xb, g_b
@@ -508,7 +522,10 @@ def fit_g1(
     lambda* = 1/(delta_theta (1 - alpha)). The root-find (see _solve_log)
     stops at the first step within tol, so the residual, the remaining
     chord-angle mismatch in radians, is often just under tol; it exceeds
-    tol only when the root-find stalls."""
+    tol only when the root-find stalls. The far end's chord angle is
+    integrated only when the root lies beyond the root-find's first step,
+    and only then is the target checked against the drawable region: a
+    target outside it raises NoSolution with the chord angles at both ends."""
     _check_tol(tol)
     # below tol = 2.5e-322 the hundredth underflows to 0.0; the least
     # subnormal is as good there, since the integrals' error floor binds
@@ -550,18 +567,25 @@ def fit_g1(
         return math.atan2(y, x) - psi_target
 
     psi_lo = chord_angle(problem.alpha, lo, delta_theta, quad_tol)
-    psi_hi = chord_angle(problem.alpha, hi, delta_theta, quad_tol)
-    psi_min, psi_max = sorted((psi_lo, psi_hi))
-    if not psi_min <= psi_target <= psi_max:
-        raise NoSolution(
-            f"target chord angle {psi_target!r} lies outside the drawable region "
-            f"[{psi_min!r}, {psi_max!r}] for alpha = {problem.alpha!r}, turning {delta_theta!r}",
-            psi_target=psi_target,
-            psi_min=psi_min,
-            psi_max=psi_max,
-        )
+
+    def far():
+        # g at the far end, once the root lies beyond the first step: the
+        # target is inside the region or no lambda meets it
+        psi_hi = chord_angle(problem.alpha, hi, delta_theta, quad_tol)
+        psi_min, psi_max = sorted((psi_lo, psi_hi))
+        if not psi_min <= psi_target <= psi_max:
+            raise NoSolution(
+                f"target chord angle {psi_target!r} lies outside the drawable region "
+                f"[{psi_min!r}, {psi_max!r}] for alpha = {problem.alpha!r}, "
+                f"turning {delta_theta!r}",
+                psi_target=psi_target,
+                psi_min=psi_min,
+                psi_max=psi_max,
+            )
+        return psi_hi - psi_target
+
     k = max(0.0, delta_theta * (1.0 - problem.alpha))  # 1/lambda* for alpha < 1
-    lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, psi_hi - psi_target, tol, k)
+    lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, far, tol, k)
     s_total = arc_length_for_turning(problem.alpha, lam, delta_theta)
     # the returned lambda is a root-finding step, or else a bracket end
     ex, ey, log_ref = chords.get(lam) or _chord_components(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import curvekit.hermite as he
 from curvekit.hermite import (
     DegenerateInput,
     DrawableRegion,
@@ -20,6 +21,7 @@ from curvekit.hermite import (
     TurningUnreachable,
     _chord_components,
     _chord_integrand,
+    _reach,
     arc_length_for_turning,
     chord_angle,
     drawable_region,
@@ -704,6 +706,76 @@ def test_fit_recovers_member_geometry(alpha, dth, u, rotation, mirror):
     assert abs(math.remainder(psi_err, math.tau)) <= 1e-10 + 2e-12 * max(1.0, r) / r
     end_angle = math.atan2(problem.t_end[1], problem.t_end[0])
     assert abs(math.remainder(seg.transform.apply_angle(dth) - end_angle, math.tau)) <= 1e-8
+
+
+FIRST_STEP_ALPHAS = [-3.0, -1.0, -0.5, 0.0, 0.5, 1.5, 3.0, 10.0]
+
+
+def bracket_x(alpha, dth):
+    """fit_g1's default bracket in its root-finder's variable x = log(lambda /
+    (1 - k lambda)), with k = 1/lambda* below alpha = 1 and 0 otherwise: (x at
+    the small end, x at the far end, k). The first step is the midpoint."""
+    k = max(0.0, dth * (1.0 - alpha))
+    lo, hi = 1e-6, _reach(alpha, dth, (1e-6, 1e6))
+    return math.log(lo) - math.log1p(-k * lo), math.log(hi) - math.log1p(-k * hi), k
+
+
+@pytest.mark.parametrize("alpha", FIRST_STEP_ALPHAS)
+@pytest.mark.parametrize("dth", [0.4, 1.2, 2.6])
+def test_fit_integrates_the_far_end_only_for_a_root_beyond_the_first_step(
+        monkeypatch, alpha, dth):
+    lams = []  # where fit_g1 calls chord_angle: its bracket ends
+
+    def counted(a, lam, *args):
+        lams.append(lam)
+        return chord_angle(a, lam, *args)
+
+    monkeypatch.setattr(he, "chord_angle", counted)
+    xa, xb, k = bracket_x(alpha, dth)
+    for u, ends in ((0.3, 1), (0.7, 2)):
+        # a member whose root lies below, then above, the first step
+        lam = 1.0 / (math.exp(-(xa + u * (xb - xa))) + k)
+        problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth))
+        lams.clear()
+        assert fit_g1(problem).residual <= 1e-10
+        assert lams == [1e-6, _reach(alpha, problem.delta_theta(), (1e-6, 1e6))][:ends]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(FIRST_STEP_ALPHAS),
+    st.floats(0.05, 3.0),
+    st.floats(0.0, 1.0),
+    st.floats(1e-9, 0.3),
+    st.booleans(),
+)
+@example(0.0, 1.1, 0.999, 1e-9, True)  # within 1e-6 of lambda*, and a target just past psi_max
+@example(-3.0, 2.5, 0.5, 0.3, False)  # the root on the first step
+def test_fit_over_the_whole_bracket(alpha, dth, u, push, above):
+    # lambda spread in the root-finder's x over the bracket, for alpha < 1 up
+    # to (1 - 1e-7) lambda*: closer in, psi_max lies within the chord
+    # integral's error of the target (ROADMAP items 4 and 15)
+    xa, xb, k = bracket_x(alpha, dth)
+    if k:  # x at (1 - 1e-7) lambda*
+        xb = min(xb, math.log((1.0 - 1e-7) / 1e-7 / k))
+    # inside the bracket ends, whose psi the end point rounds past by an ulp
+    lam = min(max(1.0 / (math.exp(-(xa + u * (xb - xa))) + k), 1.0001e-6), 0.9999e6)
+    # past a normalized chord of e^700 no double scale places the member
+    assume(_chord_components(alpha, lam, dth, 1e-12)[2] < 650.0)
+    problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth), chord=2.0)
+    seg = fit_g1(problem, tol=1e-10)
+    assert seg.residual <= 1e-10
+    x, y, log_scale = _chord_components(alpha, seg.equation.lam, dth, 1e-13)
+    ex, ey = seg.transform.apply_point(x * math.exp(log_scale), y * math.exp(log_scale))
+    assert math.hypot(ex - problem.p_end[0], ey - problem.p_end[1]) <= 1e-8 * 2.0
+    # a target pushed outside the region reports the bracket ends' own bits,
+    # at the turning the problem's tangents give
+    d = problem.delta_theta()
+    ends = sorted(chord_angle(alpha, end, d) for end in (1e-6, _reach(alpha, d, (1e-6, 1e6))))
+    psi = ends[1] + push if above else ends[0] - push
+    with pytest.raises(NoSolution) as info:
+        fit_g1(problem_from_psi(alpha, dth, psi, chord=2.0), tol=1e-10)
+    assert (info.value.psi_min, info.value.psi_max) == tuple(ends)
 
 
 def test_fit_and_region_reach_past_the_last_grid_point():
