@@ -155,10 +155,22 @@ def arc_length_for_turning(alpha: float, lam: float, theta: float) -> float:
         return math.inf
 
 
+def _chord_turn(alpha: float, lam: float, delta_theta: float):
+    """alpha - 1, lam (alpha - 1) and delta_theta lam (alpha - 1); ValueError on +inf."""
+    am1 = alpha - 1.0
+    lam_am1, turn = lam * am1, delta_theta * lam * am1
+    if not (lam_am1 < math.inf and turn < math.inf):
+        raise ValueError(
+            f"lam = {lam!r} is too large for alpha = {alpha!r} and turning "
+            f"{delta_theta!r}: lam * (alpha - 1) or delta_theta * lam * (alpha - 1) overflows"
+        )
+    return am1, lam_am1, turn
+
+
 def _chord_integrand(alpha: float, lam: float, delta_theta: float):
     """Normalized chord integrand in log-radius measured back from the end,
-    for alpha != 1 (_chord_components takes alpha = 1 and 2 in closed form;
-    at alpha = 2 this stays the tests' reference).
+    for alpha != 1 (_chord_components integrates it below alpha = 1; above,
+    it stays the tests' reference).
 
     Substituting ds = rho dtheta turns the endpoint integral into
     int_0^dtheta e^(i theta) rho(theta) dtheta, dominated by the large-rho
@@ -172,14 +184,7 @@ def _chord_integrand(alpha: float, lam: float, delta_theta: float):
     cos(inf). Below alpha = 1 a reachable turning keeps the second product
     above -1, and where the first is -inf, theta is within a subnormal of 0.
     """
-    am1 = alpha - 1.0
-    lam_am1 = lam * am1
-    turn = delta_theta * lam * am1
-    if not (lam_am1 < math.inf and turn < math.inf):
-        raise ValueError(
-            f"lam = {lam!r} is too large for alpha = {alpha!r} and turning "
-            f"{delta_theta!r}: lam * (alpha - 1) or delta_theta * lam * (alpha - 1) overflows"
-        )
+    am1, lam_am1, turn = _chord_turn(alpha, lam, delta_theta)
     u_end = math.log1p(turn) / am1
 
     # the scaled weight is exp(-alpha u) up to a constant: clip the interval
@@ -204,7 +209,49 @@ def _chord_integrand(alpha: float, lam: float, delta_theta: float):
     return f, a, b, u_end
 
 
-def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float, warm=None):
+def _chord_series(alpha: float, lam: float, delta_theta: float):
+    """(x, y, log_scale) of the chord for alpha > 1, by a moment recurrence.
+
+    With c = lam (alpha-1), p = 1/(alpha-1), T = 1 + c dth and kappa = c/T,
+    the normalized chord about the peak end t = dth - theta = 0 is e^(i dth)
+    sum_n (-i)^n K_n, K_n = int_0^dth t^n/n! (1 - kappa t)^p dt; by parts,
+    kappa (n+p+1) K_n = K_(n-1) - dth^n/n! T^-(p+1). It runs forward from K_0
+    while the running products of 1/(kappa (j+p+1)), an error's growth, stay
+    within 4 min(1, dth) (the odd terms are of order dth), to the first
+    dth^N/N! below tiny = 2^-56 min(1, dth); else backward from K_N = 0, N
+    grown until dth^N/N! times the product of max(1, kappa (j+p+1)), a bound
+    on the start's error carried back down, is below tiny."""
+    am1, lam_am1, turn = _chord_turn(alpha, lam, delta_theta)
+    log_t = math.log1p(turn)
+    log_scale = log_t / am1
+    q = log_scale + log_t  # (p + 1) log T
+    p1, kappa = 1.0 / am1 + 1.0, lam_am1 / (1.0 + turn)
+    limit, tiny = 4.0 * min(1.0, delta_theta), 2.0**-56 * min(1.0, delta_theta)
+    terms, bound, prod, forward = [1.0], 1.0, 1.0, True  # terms: dth^n/n!
+    while bound > tiny:
+        n = len(terms)
+        f = kappa * (n + p1)
+        prod /= f
+        forward = forward and prod <= limit
+        terms.append(terms[-1] * delta_theta / n)
+        bound *= delta_theta / n * (1.0 if forward else max(1.0, f))
+    tail = exp(-q)  # T^-(p+1)
+    if forward:
+        ks = [-expm1(-q) / (kappa * p1)]
+        for n in range(1, len(terms)):
+            ks.append((ks[-1] - terms[n] * tail) / (kappa * (n + p1)))
+    else:
+        ks = [0.0]
+        for n in range(len(terms) - 1, 0, -1):
+            ks.append(kappa * (n + p1) * ks[-1] + terms[n] * tail)
+        ks.reverse()
+    sr = math.fsum([*ks[0::4], *(-k for k in ks[2::4])])
+    si = math.fsum([*ks[3::4], *(-k for k in ks[1::4])])
+    c, s = cos(delta_theta), sin(delta_theta)
+    return c * sr - s * si, s * sr + c * si, log_scale
+
+
+def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
     """(x, y, log_scale) of the chord: the true endpoint is
     e^(log_scale) * (x, y), for a member that turns by delta_theta.
 
@@ -227,15 +274,10 @@ def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float, 
     denominator divided by lam for lam >= 1, so no finite lam overflows.
     Below dth = 1, cx and cy are summed as their series in dth^2: computed
     directly, cy takes its dth^3/3 from terms of order dth. psi was within
-    4.05 ulps of 40-digit values on 20,000 sampled pairs. Any other alpha
-    integrates _chord_integrand to tol.
-
-    warm, for a sweep over ascending lambda, is a list that carries
-    [interior leaf edges, a, b] of the previous integral from one call to
-    the next (start the sweep with []): each integral starts from those
-    edges rescaled onto its own [a, b], instead of from one panel."""
+    4.05 ulps of 40-digit values on 20,000 sampled pairs. Any other alpha > 1
+    sums _chord_series, and alpha < 1 integrates _chord_integrand to tol."""
+    _check_tol(tol)  # at every alpha, whether or not an integral runs
     if alpha == 1.0:
-        _check_tol(tol)
         log_scale = lam * delta_theta
         a, t = 0.5 * log_scale, 0.5 * delta_theta
         if a * a + t * t < 1.0:
@@ -255,7 +297,6 @@ def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float, 
         d = lam * lam + 1.0
         return (nx * lam + ny) / d, (ny * lam - nx) / d, log_scale
     if alpha == 2.0:
-        _check_tol(tol)
         t = delta_theta
         log_scale = math.log1p(lam * t)
         s, h = sin(t), sin(0.5 * t)
@@ -274,17 +315,10 @@ def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float, 
             return (s * r + cx) / d, (v * r + cy) / d, log_scale
         d = 1.0 + lam * t
         return (s + lam * cx) / d, (v + lam * cy) / d, log_scale
+    if alpha > 1.0:
+        return _chord_series(alpha, lam, delta_theta)
     f, a, b, log_scale = _chord_integrand(alpha, lam, delta_theta)
-    if warm is None:
-        rx, ry = _integrate_components(f, a, b, tol)
-    else:
-        breaks = ()
-        if warm and warm[0]:  # one leaf carries nothing: skip the list work
-            edges, pa, pb = warm
-            k = (b - a) / (pb - pa)
-            breaks = [a + (e - pa) * k for e in edges]
-        warm[:] = [], a, b
-        rx, ry = _integrate_components(f, a, b, tol, breaks, leaf_edges=warm[0])
+    rx, ry = _integrate_components(f, a, b, tol)
     return rx.value, ry.value, log_scale
 
 
@@ -292,10 +326,9 @@ def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12
     """Angle of the chord to the segment end, measured from the start tangent.
 
     The segment starts at the origin with tangent +x and turns by exactly
-    delta_theta. The chord is integrated to tol, except for the log spiral
-    (alpha = 1) and the circle involute (alpha = 2), whose chords are closed
-    forms (see _chord_components); tol must be positive and finite either
-    way. Raises TurningUnreachable when that much turning is beyond the
+    delta_theta. The chord is integrated to tol for alpha < 1; at alpha >= 1
+    it is a closed form or a series that integrates nothing (see
+    _chord_components); tol must be positive and finite either way. Raises TurningUnreachable when that much turning is beyond the
     member's limit, and ValueError on a member turning_limit rejects.
     """
     if not (0.0 < delta_theta < math.pi):
@@ -406,15 +439,8 @@ def drawable_region(
     """Tabulate psi over a log grid of lam_bounds and report its range.
 
     Grid points at or beyond the largest usable lambda (see _reach) give way
-    to that lambda, so the region covers the range fit_g1 searches.
-
-    The grid is swept as one continuation: each chord integral starts from
-    the previous grid point's final panels, rescaled onto its own interval,
-    instead of from one panel. The adaptive loop and its tolerance are those
-    of chord_angle, so every psi meets the same bound; a row may differ from
-    chord_angle's, and from releases before the sweep, in the last digit.
-    The reach row, when there is one, starts cold, exactly as chord_angle.
-    At alpha = 1 and 2 every row is chord_angle's closed form, and no
+    to that lambda, so the region covers the range fit_g1 searches. Every
+    row is chord_angle's psi at its lambda, to the bit; at alpha >= 1 no
     integral runs."""
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
@@ -432,18 +458,10 @@ def drawable_region(
             f"turning {delta_theta!r} for alpha = {alpha!r}"
         )
     if hi < lam_bounds[1]:
-        lams = [lam for lam in lams if lam < hi]
-    # every grid lambda is below the reach, so each member turns by delta_theta
-    values = []
-    warm = []
-    for lam in lams:
-        x, y, _ = _chord_components(alpha, lam, delta_theta, tol, warm)
-        values.append(math.atan2(y, x))
-    if hi < lam_bounds[1]:
-        # the reach is fit_g1's bracket end: a cold start, as fit_g1 takes it,
-        # so the region's end psi is the bit-same bracket end fit_g1 checks
-        lams.append(hi)
-        values.append(chord_angle(alpha, hi, delta_theta, tol))
+        lams = [lam for lam in lams if lam < hi] + [hi]
+    # no lambda is past the reach, so each member turns by delta_theta
+    chords = (_chord_components(alpha, lam, delta_theta, tol) for lam in lams)
+    values = [math.atan2(y, x) for x, y, _ in chords]
     samples = tuple(zip(lams, values))
     return DrawableRegion(alpha, delta_theta, min(values), max(values), samples)
 

@@ -149,9 +149,7 @@ def _eval_panel(f, a: float, b: float):
     return values, errors
 
 
-def _integrate_components(
-    f, a: float, b: float, tol: float, breaks=(), *, scale: float = 1.0, leaf_edges=None
-):
+def _integrate_components(f, a: float, b: float, tol: float, breaks=(), *, scale: float = 1.0):
     """Shared-subdivision adaptive integration of an integrand f that maps
     a node list to one column of values per component.
 
@@ -163,19 +161,15 @@ def _integrate_components(
     interior points, increasing within (a, b): the loop starts from the
     panels they cut [a, b] into, under the one global error budget, so a
     feature narrower than the first panel's node spacing is not missed.
-    When leaf_edges is a list, the interior edges of the final panels are
-    appended to it in increasing order (none for a single panel), for a
-    caller that starts a similar integral from them. Without breaks, the one
-    starting panel is evaluated first, and when it meets the target the
-    integral returns straight from it: its values and errors are the final
-    sums to the bit, and no leaf or heap is built. A panel that fails seeds
-    the heap as its one leaf and is bisected from there, never evaluated
-    twice. With breaks, convergence is tested on the starting panels first:
-    when they meet the target, as a warm start from a neighbour's leaf edges
-    often does, they are the leaves, already in spatial order, so nothing is
-    sorted. Only the first bisection heapifies them. Deterministic: the heap
-    is ordered by (error, insertion sequence) and the final sums run in
-    spatial order.
+    Without breaks, the one starting panel is evaluated first, and when it
+    meets the target the integral returns straight from it: its values and
+    errors are the final sums to the bit, and no leaf or heap is built. A
+    panel that fails seeds the heap as its one leaf and is bisected from
+    there, never evaluated twice. With breaks, convergence is tested on the
+    starting panels first: when they meet the target, they are the leaves,
+    already in spatial order, so nothing is sorted. Only the first bisection
+    heapifies them. Deterministic: the heap is ordered by (error, insertion
+    sequence) and the final sums run in spatial order.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -228,8 +222,6 @@ def _integrate_components(
     n = len(heap)
     if seq > n:  # a bisection made the leaves a heap: put them back in spatial order
         heap.sort(key=_LEFT_EDGE)
-    if leaf_edges is not None:
-        leaf_edges += map(_LEFT_EDGE, heap[1:])
     values = map(math.fsum, zip(*(leaf[5] for leaf in heap)))
     errors = map(math.fsum, zip(*(leaf[6] for leaf in heap)))
     return [row(IntegrationResult, (v, e, n)) for v, e in zip(values, errors)]

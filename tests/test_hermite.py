@@ -426,6 +426,85 @@ def test_involute_chord_is_finite_at_the_largest_lambdas(dth):
     assert chord_angle(2.0, 1e308, dth) == math.atan2(y, x)
 
 
+# (alpha, lambda, delta_theta) -> (psi, x, y) of the normalized chord of an
+# alpha > 1 member, int_0^dth e^(i theta) ((1 + c theta)/T)^p dtheta with
+# c = lambda (alpha - 1), p = 1/(alpha - 1) and T = 1 + c dth, computed once
+# with mpmath at 40 digits and rounded to the nearest double: extreme
+# lambda, a small turning and a turning near pi, at alpha near 1 and far
+# from it. The series was within 3 ulps of psi and 1 ulp of the chord's
+# length in x and y on these; G7/K15 at tol 1e-12 within 16 ulps of psi.
+SERIES_CHORDS = {
+    (1.01, 1e-06, 1.2): (0.600000122982431, 0.9320384483252537, 0.6376419775624971),
+    (1.01, 0.05, 0.01): (0.005000416666317677, 0.00999733377994305, 4.9991251115856905e-05),
+    (1.01, 1.0, 3.1): (2.306767072806692, -0.5043216017942819, 0.5568135246980789),
+    (1.01, 20.0, 0.3): (0.2488994013035688, 0.05065594360346608, 0.012875215762679285),
+    (1.01, 1e6, 1.2): (1.18823482558401, 0.004435292645710161, 0.011022485008497758),
+    (1.25, 1e-06, 1.2): (0.6000001229824132, 0.9320384483253731, 0.6376419775625545),
+    (1.25, 0.05, 0.01): (0.005000416641318752, 0.009997333979859071, 4.99912518655998e-05),
+    (1.25, 1.0, 3.1): (2.1385150795722563, -0.5267832533155414, 0.8259965725905435),
+    (1.25, 20.0, 0.3): (0.21930040071251325, 0.09639564575992919, 0.02148513898428956),
+    (1.25, 1e6, 1.2): (1.000952350439827, 0.1276492597812865, 0.1992189913805799),
+    (1.5, 1e-06, 1.2): (0.6000001229823948, 0.9320384483254974, 0.6376419775626143),
+    (1.5, 0.05, 0.01): (0.005000416615282033, 0.009997334188066675, 4.9991252646428954e-05),
+    (1.5, 1.0, 3.1): (2.0340243015968094, -0.5072213313250344, 1.0155077937286046),
+    (1.5, 20.0, 0.3): (0.20361780562976808, 0.12820006902262499, 0.0264706582511671),
+    (1.5, 1e6, 1.2): (0.9018134209642971, 0.24147047692046766, 0.305426855291546),
+    (3.0, 1e-06, 1.2): (0.6000001229822841, 0.9320384483262432, 0.6376419775629731),
+    (3.0, 0.05, 0.01): (0.005000416459143682, 0.009997335436493253, 4.999125732812747e-05),
+    (3.0, 1.0, 3.1): (1.7966415483008118, -0.3431430931857846, 1.4934521504867304),
+    (3.0, 20.0, 0.3): (0.17395146773866538, 0.20814754310964798, 0.03657724872010977),
+    (3.0, 1e6, 1.2): (0.7217997684130666, 0.5713438218337925, 0.5029294982733425),
+    (10.0, 1e-06, 1.2): (0.6000001229817676, 0.9320384483297236, 0.6376419775646475),
+    (10.0, 0.05, 0.01): (0.0050004157323504704, 0.009997341243983602, 4.999127910205842e-05),
+    (10.0, 1.0, 3.1): (1.6308518836328652, -0.11071972991557708, 1.8414047572326737),
+    (10.0, 20.0, 0.3): (0.15713296597413903, 0.26747310344624997, 0.04237820098866663),
+    (10.0, 1e6, 1.2): (0.6321892113229413, 0.8218850368177504, 0.6020086884983846),
+}
+
+
+@pytest.mark.parametrize("alpha, lam, dth", sorted(SERIES_CHORDS))
+def test_series_chord_is_within_four_ulps_of_its_exact_value(alpha, lam, dth):
+    psi, x, y = SERIES_CHORDS[alpha, lam, dth]
+    got_x, got_y, log_scale = _chord_components(alpha, lam, dth, 1e-12)
+    assert log_scale == math.log1p(dth * lam * (alpha - 1.0)) / (alpha - 1.0)
+    assert abs(chord_angle(alpha, lam, dth) - psi) <= 4 * math.ulp(psi)
+    for got, want in ((got_x, x), (got_y, y)):
+        assert abs(got - want) <= 4 * math.ulp(math.hypot(x, y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.0, 100.0, exclude_min=True), st.floats(-6.0, 6.0),
+       st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+@example(1.0 + 1e-13, 0.5, 1.2)
+@example(1.0 + 1e-6, 3.0, 3.0)
+@example(1.01, 1.3, 2.0)  # lambda 20: a series about the midpoint was 4.3e5 ulps off
+@example(1.5, 0.0, 2.5)  # a draft that stopped early was 7.5e-15 off
+@example(3.0, -0.9445232857944336, 1.0)  # the running product just above 4: backward
+@example(3.0, -0.9445232857944335, 1.0)  # and just below: forward
+@example(1.5, 0.34, 0.00365)  # forward while the product stayed below 16: 132 ulps
+def test_series_chord_agrees_with_its_integral(alpha, log_lam, dth):
+    # lambda log-uniform over [1e-6, 1e6]; _chord_integrand is the general
+    # reference, integrated past the tolerance fit_g1 asks of a chord. Its
+    # rounding grows with its panels: against 40-digit values, x at (34,
+    # 10^5.9375, 3) was 40 ulps of the chord's length off on 15 panels, with
+    # an error estimate of 12 ulps, while the series was within 2.
+    lam = 10.0**log_lam
+    # where dth * lam * (alpha - 1) is subnormal, the integral's [0, u_end]
+    # has lost its bits (at 0 it is empty), and below dth = 1e-150 both
+    # chords' y, about dth^2/2, do
+    assume(alpha != 2.0 and dth * lam * (alpha - 1.0) >= sys.float_info.min and dth >= 1e-150)
+    f, a, b, u_end = _chord_integrand(alpha, lam, dth)
+    want = _integrate_components(f, a, b, 1e-14)
+    got_x, got_y, log_scale = _chord_components(alpha, lam, dth, 1e-12)
+    assert log_scale == u_end
+    panels = want[0].subdivisions
+    psi = math.atan2(want[1].value, want[0].value)
+    assert abs(chord_angle(alpha, lam, dth) - psi) <= 4e-15 * panels * psi
+    size = math.hypot(want[0].value, want[1].value)
+    for got, ref in zip((got_x, got_y), want):
+        assert abs(got - ref.value) <= ref.error_estimate + 4 * panels * math.ulp(size)
+
+
 # The pinned bits live in tests/ledger.json; these check its entries for
 # the README problem (delta_theta = 1.2) one input at a time.
 
@@ -879,15 +958,15 @@ def _cold_grid(alpha, dth, lo, hi, count):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-3.0, 10.0)),
+    alpha=st.one_of(st.sampled_from([0.0, 1.0, 1.01, 2.0]), st.floats(-3.0, 10.0)),
     dth=st.floats(0.05, 3.0),
     count=st.integers(2, 200),
     ends=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2, unique=True),
 )
 @example(alpha=2.0, dth=1.0, count=97, ends=[0.0, 1e-16])  # lambdas 1 and 1.0000000000000002
 def test_region_sweep_matches_independent_chord_angles(alpha, dth, count, ends):
-    # the sweep carries each grid point's panels to the next; every row must
-    # still be the chord angle of its own lambda, on the cold grid
+    # every row is the chord angle of its own lambda, to the bit, on the grid
+    # built without curvekit
     lo, hi = (10.0**e for e in sorted(ends))
     assume(lo < hi)  # distinct exponents can still round to one power of 10
     grid = _log_grid(lo, hi, count)
@@ -905,6 +984,6 @@ def test_region_sweep_matches_independent_chord_angles(alpha, dth, count, ends):
     lams = [lam for lam, _ in reg.boundary_samples]
     assert lams == _cold_grid(alpha, dth, lo, hi, count)
     for lam, psi in reg.boundary_samples:
-        assert abs(psi - chord_angle(alpha, lam, dth)) <= 1e-13
+        assert psi == chord_angle(alpha, lam, dth)
     psis = [psi for _, psi in reg.boundary_samples]
     assert (reg.psi_min, reg.psi_max) == (min(psis), max(psis))

@@ -233,21 +233,20 @@ def _fit(alpha, end=(0.7, 0.72), t_end=_README_END, start=(0.0, 0.0), t_start=(1
 
 def _recorded_integral(columns, a, b, breaks=()):
     """The panel loop on fixed columns: each result's float.hex (value, error
-    estimate, panels), or the exception's sha256; the interior edges of the
-    final panels; the sha256 of every node list it evaluated."""
+    estimate, panels), or the exception's sha256; the sha256 of every node
+    list it evaluated."""
     seen = []
 
     def f(xs):
         seen.append(_hex(*xs))
         return [list(map(g, xs)) for g in columns]
 
-    edges = []
     try:
-        results = _integrate_components(f, a, b, 1e-12, breaks, leaf_edges=edges)
+        results = _integrate_components(f, a, b, 1e-12, breaks)
         got = [v for r in results for v in _hex(r.value, r.error_estimate, r.subdivisions)]
     except ArithmeticError as exc:
         got = [_sha(f"{type(exc).__name__}: {exc}")]
-    return [*got, *_hex(*edges), _sha(json.dumps(seen))]
+    return [*got, _sha(json.dumps(seen))]
 
 
 def _stress(pairs):

@@ -338,59 +338,55 @@ def test_panel_budget_stops_a_noisy_integrand():
 )
 @example(-1.0, 3.0, [(30.0, 1.0), (0.0, -0.0)], -12.0)
 @example(0.0, 1.0, [(0.0, -0.0)], -12.0)  # one panel of -0.0 sums to +0.0
+@example(0.0, 15.366099762328513, [(20.96875, 0.0), (21.730844566871625, 0.0)], -13.0)
 def test_results_are_the_correctly_rounded_sums_of_the_final_panels(a, width, waves, log_tol):
     # value and error estimate of each component: the exact sum over the
-    # final panels, which leaf_edges names, rounded once (as Fraction does)
-    calls = 0
-
-    def f(xs):
-        nonlocal calls
-        calls += 1
+    # final panels, rounded once (as Fraction does)
+    def g(xs):
         return [[math.sin(p * x + q) * math.exp(-abs(x) / (1.0 + abs(p))) for x in xs]
                 for p, q in waves]
 
-    def bits(results):
-        assert all(type(r) is IntegrationResult for r in results)
-        return [(r.value.hex(), r.error_estimate.hex(), r.subdivisions) for r in results]
+    centres = []  # the first node of each evaluated panel is its centre
+
+    def f(xs):
+        centres.append(xs[0])
+        return g(xs)
 
     b = a + width
-    tol = 10.0**log_tol
-    edges = []
-    results = _integrate_components(f, a, b, tol, leaf_edges=edges)
-    # one starting panel, then two per bisection, each adding one leaf:
-    # 2 * len(panels) - 1 calls, so no panel was evaluated twice
-    assert calls == 2 * (len(edges) + 1) - 1
-    assert edges == sorted(edges) and all(a < e < b for e in edges)
-    panels = [_eval_panel(f, pa, pb) for pa, pb in zip([a, *edges], [*edges, b])]
+    results = _integrate_components(f, a, b, 10.0**log_tol)
+    # the final panels, by replaying the bisections: the first call is
+    # [a, b], and each later pair of calls is the two halves of one leaf
+    leaves = [(a, b)]
+    for left, right in zip(centres[1::2], centres[2::2]):
+        (i,) = [i for i, (pa, pb) in enumerate(leaves)
+                if (0.5 * (pa + 0.5 * (pa + pb)), 0.5 * (0.5 * (pa + pb) + pb)) == (left, right)]
+        pa, pb = leaves[i]
+        leaves[i:i + 1] = [(pa, 0.5 * (pa + pb)), (0.5 * (pa + pb), pb)]
+    # one starting panel, then two per bisection: no panel evaluated twice
+    assert len(centres) == 2 * len(leaves) - 1
+    panels = [_eval_panel(g, pa, pb) for pa, pb in leaves]
     for c, r in enumerate(results):
+        assert type(r) is IntegrationResult
         assert r.subdivisions == len(panels)
         assert r.value.hex() == float(sum(Fraction(p[0][c]) for p in panels)).hex()
         assert r.error_estimate.hex() == float(sum(Fraction(p[1][c]) for p in panels)).hex()
-    # started from those panels (as drawable_region's sweep starts a row),
-    # the loop accepts them at once: one call per panel, the same bits and leaves
-    calls = 0
-    again = []
-    warm = _integrate_components(f, a, b, tol, edges, leaf_edges=again)
-    assert calls == len(edges) + 1
-    assert bits(warm) == bits(results)
-    assert again == edges
 
 
 def test_every_return_path_gives_integration_results():
     def f(xs):
         return [[math.exp(-x * x) for x in xs], [math.cos(3.0 * x) for x in xs]]
 
-    def panels(*args, **kwargs):
-        results = _integrate_components(f, *args, **kwargs)
+    def panels(*args):
+        results = _integrate_components(f, *args)
         assert all(type(r) is IntegrationResult for r in results)
         (n,) = {r.subdivisions for r in results}
         return n
 
-    edges = []
     assert panels(0.0, 0.5, 1e-12) == 1  # one panel
-    assert panels(0.0, 8.0, 1e-12, leaf_edges=edges) == len(edges) + 1 > 2  # refines
-    assert panels(0.0, 8.0, 1e-12, edges) == len(edges) + 1  # warm, accepted at once
-    assert panels(0.0, 8.0, 1e-12, edges[:1]) > 2  # warm, refines
+    assert panels(0.0, 8.0, 1e-12) > 2  # refines
+    halves = [0.5 * i for i in range(1, 16)]
+    assert panels(0.0, 8.0, 1e-12, halves) == 16  # from breaks, accepted at once
+    assert panels(0.0, 8.0, 1e-12, (4.0,)) > 2  # from breaks, refines
 
 
 def test_result_type_is_frozen():
