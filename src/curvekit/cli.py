@@ -3,7 +3,9 @@
 Subcommands: curve, lcg, fit, region, qi, ornament, check, plot.
 
 Exit codes: 0 success, 1 bad arguments or degenerate input, 2 domain
-violations, 3 degenerate analysis, 4 no solution in reach. Output files
+violations, 3 degenerate analysis, 4 no solution in reach. A fit whose
+residual exceeds --tol still exits 0 and writes its best segment, with
+"converged": false in its JSON and one warning line on stderr. Output files
 are written to a temporary file and renamed into place, so a failing run
 never leaves a partial file. Identical invocations produce byte-identical
 output.
@@ -294,6 +296,9 @@ def _cmd_fit(args, cfg: Config) -> int:
         alpha=args.alpha,
     )
     segment = fit_g1(problem, tol=cfg.tol, lam_bounds=(cfg.lambda_min, cfg.lambda_max))
+    if not segment.converged:
+        print(f"warning: fit did not converge: residual {fmt(segment.residual)} "
+              f"exceeds tol {fmt(cfg.tol)}", file=sys.stderr)
     if args.svg:
         spec = PlotSpec(curves=(segment.sample(400),))
         _write_text(args.svg, plot_svg(spec), cfg.out_dir)

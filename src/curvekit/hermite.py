@@ -388,13 +388,16 @@ class FittedSegment(Record):
     """A family segment plus the similarity placing it onto the problem.
 
     alternate_lambdas is always (): psi is monotone in lambda, so the
-    solution is unique. The field and its JSON key stay for compatibility."""
+    solution is unique. The field and its JSON key stay for compatibility.
+    converged is whether the residual meets the fit's tol; fit_g1 returns
+    its best lambda either way."""
 
     equation: NaturalEquation
     s_total: float
     transform: Similarity
     residual: float
     alternate_lambdas: tuple = ()
+    converged: bool = True
 
     def sample(self, count: int = 200, tol: float = 1e-12) -> SampledCurve:
         """Discretize the fitted segment in world coordinates."""
@@ -466,7 +469,7 @@ def drawable_region(
     return DrawableRegion(alpha, delta_theta, min(values), max(values), samples)
 
 
-def _solve_log(g, a, g_a, b, far, tol, k):
+def _solve_log(g, a, g_a, b, far, tol, k, guess):
     """Root of g between a < b, where g(a) = g_a and far() returns g(b).
 
     Chandrupatla's method (Adv. Eng. Software 28(3):145-149, 1997): an inverse
@@ -477,40 +480,55 @@ def _solve_log(g, a, g_a, b, far, tol, k):
     making x plain log lambda. For alpha < 1 psi varies smoothly in
     log(1 - lambda/lambda*), so x spreads out the bracket end at the reach,
     where in log lambda psi is steepest and the steps crawl toward a root
-    there. The first step bisects [a, b] in x, and the method restarts on
-    the half that holds the root. far() is called once, and only when g at
-    that step has g_a's sign: the root then lies beyond it, and a root in
-    the lower half never costs g(b). Returns the best (lam, |g(lam)|) seen
-    when |g| <= tol, the bracket stops shrinking or the iteration cap is
-    hit; the first step is always taken."""
+    there.
+
+    The first step is at guess, a lambda inside (a, b), or with no guess at
+    the midpoint of [a, b] in x. far() is called once, and only when g there
+    has g_a's sign: the root then lies beyond it, and a root in the lower
+    half never costs g(b). The method restarts on the half that holds the
+    root with a bisection, or after a guess with the secant step in x through
+    a and the guess where that lands inside the half. Returns the best (lam,
+    |g(lam)|) seen when |g| <= tol, the bracket stops shrinking or the
+    iteration cap is hit; the first step is always taken."""
     lo, hi = a, b
     xa, xb = (math.log(lam) - math.log1p(-k * lam) for lam in (a, b))
+    x_lo, g_lo = xa, g_a
     best_lam, best_g = a, g_a
-    g_b = None  # until the first step shows that the root lies beyond it
-    t = 0.5
-    for _ in range(_MAX_ITER):
-        x = xa + t * (xb - xa)
+    if guess is None:
+        x = xa + 0.5 * (xb - xa)
+        lam = min(max(1.0 / (exp(-x) + k), lo), hi)
+    else:
+        x, lam = math.log(guess) - math.log1p(-k * guess), guess
+    g_t = g(lam)
+    if abs(g_t) < abs(best_g):
+        best_lam, best_g = lam, g_t
+    if (g_t < 0.0) == (g_a < 0.0):
+        g_b = far()
+        if abs(g_b) < abs(best_g):
+            best_lam, best_g = b, g_b
+    else:
+        xb, g_b, b = xa, g_a, a
+    xa, g_a, a = x, g_t, lam
+    x = xa + 0.5 * (xb - xa)
+    if guess is not None and g_a != g_lo:
+        # below the guess this secant spans the half; past it, it runs on
+        # beyond the guess, where a secant to the far end, decades away on
+        # psi's flat tail, would stop short of the root and leave the
+        # method to bisect
+        x_s = xa + g_a / (g_a - g_lo) * (x_lo - xa)
+        if min(xa, xb) < x_s < max(xa, xb):
+            x = x_s
+    for _ in range(_MAX_ITER - 1):
         # the inverse map can round outside the bracket
         lam = min(max(1.0 / (exp(-x) + k), lo), hi)
-        if g_b is not None and (abs(best_g) <= tol or lam == a or lam == b):
+        if abs(best_g) <= tol or lam == a or lam == b:
             break
         g_t = g(lam)
         if abs(g_t) < abs(best_g):
             best_lam, best_g = lam, g_t
-        same_side = (g_t < 0.0) == (g_a < 0.0)
-        if g_b is None:
-            # the half that holds the root, started again with t = 0.5
-            if same_side:
-                g_b = far()
-                if abs(g_b) < abs(best_g):
-                    best_lam, best_g = b, g_b
-            else:
-                xb, g_b, b = xa, g_a, a
-            xa, g_a, a = x, g_t, lam
-            continue
         # a is the new point and b the other bracket end; c is the point
         # just dropped from the bracket
-        if same_side:
+        if (g_t < 0.0) == (g_a < 0.0):
             xc, g_c = xa, g_a
         else:
             xc, g_c = xb, g_b
@@ -524,6 +542,7 @@ def _solve_log(g, a, g_a, b, far, tol, k):
                  + (xc - xa) / (xb - xa) * g_a / (g_c - g_a) * g_b / (g_c - g_b))
         else:
             t = 0.5
+        x = xa + t * (xb - xa)
     return best_lam, abs(best_g)
 
 
@@ -540,7 +559,9 @@ def fit_g1(
     lambda* = 1/(delta_theta (1 - alpha)). The root-find (see _solve_log)
     stops at the first step within tol, so the residual, the remaining
     chord-angle mismatch in radians, is often just under tol; it exceeds
-    tol only when the root-find stalls. The far end's chord angle is
+    tol only when the root-find stalls, and then converged is False. It
+    starts where psi's first-order expansion in lambda meets the target,
+    when that lies inside the bracket. The far end's chord angle is
     integrated only when the root lies beyond the root-find's first step,
     and only then is the target checked against the drawable region: a
     target outside it raises NoSolution with the chord angles at both ends."""
@@ -602,8 +623,27 @@ def fit_g1(
             )
         return psi_hi - psi_target
 
+    # to first order in lambda every member has rho(theta) = 1 + lambda theta,
+    # so psi = h + lambda slope + O(lambda^2), h = delta_theta/2, slope =
+    # 1 - h cot h (summed as its series below delta_theta = 0.1, against
+    # cancellation). The root-find starts at that line's root when the slope
+    # is a normal double and the root lies inside the bracket and below
+    # 1/(2 delta_theta |alpha - 1|) (lambda*/2 below alpha = 1), where the
+    # second-order term, about lambda delta_theta (1 - alpha)/2 times the
+    # first, is at most a quarter of it; else at the bracket's midpoint.
+    h = 0.5 * delta_theta
+    if delta_theta < 0.1:
+        z = delta_theta * delta_theta
+        slope = z * (1.0 / 12.0 + z * (1.0 / 720.0 + z / 30240.0))
+    else:
+        slope = 1.0 - h / math.tan(h)
+    guess = None
+    if slope >= sys.float_info.min:
+        guess = (psi_target - h) / slope
+        if not (lo < guess < hi and guess * delta_theta * abs(problem.alpha - 1.0) < 0.5):
+            guess = None
     k = max(0.0, delta_theta * (1.0 - problem.alpha))  # 1/lambda* for alpha < 1
-    lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, far, tol, k)
+    lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, far, tol, k, guess)
     s_total = arc_length_for_turning(problem.alpha, lam, delta_theta)
     # the returned lambda is a root-finding step, or else a bracket end
     ex, ey, log_ref = chords.get(lam) or _chord_components(
@@ -629,4 +669,5 @@ def fit_g1(
         translation=problem.p_start,
         mirror=mirror,
     )
-    return FittedSegment(NaturalEquation(problem.alpha, lam), s_total, transform, residual)
+    return FittedSegment(NaturalEquation(problem.alpha, lam), s_total, transform, residual,
+                         converged=residual <= tol)

@@ -105,7 +105,11 @@ class NonFiniteIntegrand(ArithmeticError):
 
 
 class IntegrationResult(NamedTuple):
-    """Value of a definite integral with its accumulated error estimate."""
+    """Value of a definite integral with its accumulated error estimate.
+
+    error_estimate sums the panels' |K15 - G7| differences. It leaves out
+    the rounding of the panel sums, which dominates near a tol of 1e-14,
+    so there it is not a bound on the value's error."""
 
     value: float
     error_estimate: float

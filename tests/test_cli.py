@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvekit import cli
+from curvekit._fmt import fmt
 from curvekit.hermite import HermiteProblem, drawable_region, fit_g1
 from curvekit.pseudospiral import CurveSample, Pose, SampledCurve
 from curvekit.quadrature import _MAX_STATIONS, _stations
@@ -732,6 +733,25 @@ def test_fit_accepts_a_subnormal_tol(tmp_path, monkeypatch, capsys):
     code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["residual"] <= 2.0**-52
+
+
+def test_fit_that_does_not_converge_warns_and_exits_0(tmp_path, monkeypatch, capsys):
+    # a --tol below the chord angle's rounding: the best segment is written,
+    # with "converged": false and one warning line, and the exit code stays 0
+    monkeypatch.delenv("CURVEKIT_OUT_DIR", raising=False)
+    seg = fit_g1(readme_problem(-1.0), tol=1e-20)
+    assert not seg.converged
+    args = [*README_FIT, "--alpha", "-1", "--tol", "1e-20", "--json"]
+    code, out, err = run_in_process(args, tmp_path, monkeypatch, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["converged"], payload["residual"]) == (False, seg.residual)
+    assert err == (f"warning: fit did not converge: residual {fmt(seg.residual)} "
+                   "exceeds tol 9.9999999999999995e-21\n")
+    # a converged fit says so and warns of nothing
+    code, out, err = run_in_process([*README_FIT, "--alpha", "-1", "--json"], tmp_path,
+                                    monkeypatch, capsys)
+    assert (code, err, json.loads(out)["converged"]) == (0, "", True)
 
 
 SUBNORMAL_EXTENT = {  # arc lengths of one or two least subnormals

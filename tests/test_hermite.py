@@ -514,7 +514,7 @@ def test_chord_angle_pinned_bits(alpha, ledger):
     assert chord_angle(alpha, 0.3, 1.2).hex() == ledger[f"chord_angle({alpha}, 0.3, 1.2)"]
 
 
-@pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0, 2.0])
 def test_fit_g1_pinned_bits(alpha, ledger):
     t_end = (math.cos(1.2), math.sin(1.2))
     seg = fit_g1(HermiteProblem((0.0, 0.0), (0.7, 0.72), (1.0, 0.0), t_end, alpha))
@@ -522,6 +522,7 @@ def test_fit_g1_pinned_bits(alpha, ledger):
     got = [v.hex() for v in (seg.equation.lam, seg.residual, t.scale, seg.s_total, t.rotation)]
     name = f"fit_g1 README problem alpha {alpha}: lam, residual, scale, s_total, rotation"
     assert got == ledger[name]
+    assert seg.converged
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 2.0])
@@ -657,7 +658,7 @@ def test_fit_aligned_tangent_cases_are_degenerate():
         fit_g1(HermiteProblem((0, 0), (2, 0), (1, 0), (-1, 0), 1.0))
 
 
-@pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.0, 2.0, 10.0])
 def test_fit_with_a_subnormal_turning_is_degenerate(alpha):
     # the chord angle is 0 at every lambda, so a straight chord is "reached"
     # at a bracket end whose chord integral is empty: a ZeroDivisionError
@@ -793,31 +794,50 @@ FIRST_STEP_ALPHAS = [-3.0, -1.0, -0.5, 0.0, 0.5, 1.5, 3.0, 10.0]
 def bracket_x(alpha, dth):
     """fit_g1's default bracket in its root-finder's variable x = log(lambda /
     (1 - k lambda)), with k = 1/lambda* below alpha = 1 and 0 otherwise: (x at
-    the small end, x at the far end, k). The first step is the midpoint."""
+    the small end, x at the far end, k)."""
     k = max(0.0, dth * (1.0 - alpha))
     lo, hi = 1e-6, _reach(alpha, dth, (1e-6, 1e6))
     return math.log(lo) - math.log1p(-k * lo), math.log(hi) - math.log1p(-k * hi), k
+
+
+def chord_count(monkeypatch):
+    """A list that collects the lambda of every chord hermite evaluates."""
+    lams = []
+    chord = he._chord_components
+
+    def counted(alpha, lam, *args):
+        lams.append(lam)
+        return chord(alpha, lam, *args)
+
+    monkeypatch.setattr(he, "_chord_components", counted)
+    return lams
 
 
 @pytest.mark.parametrize("alpha", FIRST_STEP_ALPHAS)
 @pytest.mark.parametrize("dth", [0.4, 1.2, 2.6])
 def test_fit_integrates_the_far_end_only_for_a_root_beyond_the_first_step(
         monkeypatch, alpha, dth):
-    lams = []  # where fit_g1 calls chord_angle: its bracket ends
+    ends = []  # where fit_g1 calls chord_angle: its bracket ends
 
     def counted(a, lam, *args):
-        lams.append(lam)
+        ends.append(lam)
         return chord_angle(a, lam, *args)
 
     monkeypatch.setattr(he, "chord_angle", counted)
+    chords = chord_count(monkeypatch)
     xa, xb, k = bracket_x(alpha, dth)
-    for u, ends in ((0.3, 1), (0.7, 2)):
-        # a member whose root lies below, then above, the first step
+    for u in (0.1, 0.3, 0.5, 0.7, 0.9):
         lam = 1.0 / (math.exp(-(xa + u * (xb - xa))) + k)
         problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth))
-        lams.clear()
+        ends.clear()
+        chords.clear()
         assert fit_g1(problem).residual <= 1e-10
-        assert lams == [1e-6, _reach(alpha, problem.delta_theta(), (1e-6, 1e6))][:ends]
+        # the first step, guessed or the midpoint, follows the small end's chord;
+        # the root lies beyond it where its chord angle is below the target
+        d = problem.delta_theta()
+        first = chords[1]
+        beyond = chord_angle(alpha, first, d) < math.atan2(problem.p_end[1], problem.p_end[0])
+        assert ends == [1e-6, _reach(alpha, d, (1e-6, 1e6))][:1 + beyond]
 
 
 @settings(max_examples=120, deadline=None)
@@ -855,6 +875,106 @@ def test_fit_over_the_whole_bracket(alpha, dth, u, push, above):
     with pytest.raises(NoSolution) as info:
         fit_g1(problem_from_psi(alpha, dth, psi, chord=2.0), tol=1e-10)
     assert (info.value.psi_min, info.value.psi_max) == tuple(ends)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(-3.0, 10.0),
+    st.floats(1e-3, 3.1),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.0, 0.0, 1e-7]),
+)
+# 12 on the parent too: the root at 0.985 lambda*, the first step (the
+# midpoint) at 0.61 lambda*, and psi flat in x toward the reach
+@example(0.8114473178940376, 0.1327025148783635, 0.6450133562431424, 0.0)
+# 13 with a guess allowed up to lambda*: it lands at 0.996 lambda*, below the
+# root at 0.9997 lambda*; 11 from the midpoint
+@example(0.8325923265865909, 0.6875, 0.75, 0.0)
+@example(0.5, 1.2, 1.0, 1e-7)  # the root within 1e-7 of lambda*
+@example(-3.0, 1e-3, 0.0, 0.0)  # the root at the small end, the smallest turning
+def test_fit_member_problems_converge_within_12_chords(alpha, dth, u, reach_gap):
+    # lambda spread in x over the bracket; with a reach_gap, below alpha = 1,
+    # the root lies that far (relatively) below lambda* instead
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        lams = chord_count(monkeypatch)
+        xa, xb, k = bracket_x(alpha, dth)
+        if k:  # x at (1 - 1e-7) lambda*
+            xb = min(xb, math.log((1.0 - 1e-7) / 1e-7 / k))
+        lam = min(max(1.0 / (math.exp(-(xa + u * (xb - xa))) + k), 1.0001e-6), 0.9999e6)
+        if k and reach_gap:
+            lam = (1.0 - reach_gap) / k
+        assume(_chord_components(alpha, lam, dth, 1e-12)[2] < 650.0)
+        problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth))
+        lams.clear()
+        seg = fit_g1(problem)
+    assert seg.residual <= 1e-10 and seg.converged
+    assert len(lams) <= 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FIRST_STEP_ALPHAS + [0.999, 1.0, 2.0]),
+    st.floats(0.05, 3.0),
+    st.floats(0.0, 1.0),
+    st.floats(-20.0, -4.0),
+)
+@example(-1.0, 1.2, 0.5, -20.0)
+def test_fit_converged_iff_its_residual_meets_tol(alpha, dth, u, log_tol):
+    tol = 10.0**log_tol
+    xa, xb, k = bracket_x(alpha, dth)
+    if k:  # x at (1 - 1e-7) lambda*, short of the reach, whose psi the end point rounds past
+        xb = min(xb, math.log((1.0 - 1e-7) / 1e-7 / k))
+    lam = min(max(1.0 / (math.exp(-(xa + u * (xb - xa))) + k), 1.0001e-6), 0.9999e6)
+    assume(_chord_components(alpha, lam, dth, 1e-12)[2] < 650.0)
+    seg = fit_g1(problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth)), tol=tol)
+    assert seg.converged is (seg.residual <= tol)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("dth, psi", [(1e-160, 5e-161), (1e-160, 5.1e-161), (5e-324, 5e-324)])
+def test_fit_without_a_normal_first_order_slope_starts_at_the_midpoint(
+        monkeypatch, alpha, dth, psi):
+    # the slope, dth^2/12, is subnormal or 0.0: the first step is the
+    # bracket's midpoint in x, and the target lies outside the region, whose
+    # ends' chord angles NoSolution reports (chord_angle loses psi below a
+    # turning of about 1e-154, so even psi = dth/2 misses it)
+    lams = chord_count(monkeypatch)
+    xa, xb, k = bracket_x(alpha, dth)
+    with pytest.raises(NoSolution) as info:
+        fit_g1(problem_from_psi(alpha, dth, psi))
+    assert lams[1] == 1.0 / (math.exp(-(xa + 0.5 * (xb - xa))) + k)
+    ends = sorted(chord_angle(alpha, end, dth) for end in (1e-6, _reach(alpha, dth, (1e-6, 1e6))))
+    assert (info.value.psi_min, info.value.psi_max) == tuple(ends)
+
+
+@pytest.mark.parametrize("alpha", [-3.0, -1.0, 0.0, 0.5, 1.5, 2.0, 10.0])
+@pytest.mark.parametrize("dth", [0.3, 1.2, 2.9])
+def test_fit_at_the_region_ends(alpha, dth):
+    # a target equal to psi_lo returns the small end with no residual, and
+    # one an ulp above it fits; one 1e-9 inside psi_max fits to tol (ROADMAP
+    # item 15), and one 1e-9 outside it raises NoSolution with the ends' own
+    # chord angles
+    d = problem_from_psi(alpha, dth, 0.5).delta_theta()
+    hi = _reach(alpha, d, (1e-6, 1e6))
+    psi_lo, psi_hi = (chord_angle(alpha, end, d) for end in (1e-6, hi))
+    for j in range(4):  # the end point rounds: the first target not below psi_lo
+        problem = problem_from_psi(alpha, dth, psi_lo + j * math.ulp(psi_lo))
+        target = math.atan2(problem.p_end[1], problem.p_end[0])
+        if target >= psi_lo:
+            break
+    seg = fit_g1(problem)
+    assert seg.residual <= 1e-10 and seg.converged
+    if target == psi_lo:
+        assert (seg.equation.lam, seg.residual) == (1e-6, 0.0)
+    try:
+        seg = fit_g1(problem_from_psi(alpha, dth, psi_hi - 1e-9))
+    except NoSolution as exc:  # a member too large for any double scale
+        assert "scale underflows" in str(exc)
+    else:
+        assert seg.residual <= 1e-10 and seg.converged
+    with pytest.raises(NoSolution) as info:
+        fit_g1(problem_from_psi(alpha, dth, psi_hi + 1e-9))
+    assert (info.value.psi_min, info.value.psi_max) == (psi_lo, psi_hi)
 
 
 def test_fit_and_region_reach_past_the_last_grid_point():

@@ -127,6 +127,7 @@ CLI_RUNS = {
     "fit alpha -1 --out": [f"{_FIT} --alpha -1 --out f.json"],
     "fit alpha 1 --tol": [f"{_FIT} --alpha 1 --tol 1e-8 --json"],
     "fit --config": [f"--config curvekit.conf {_FIT} --alpha 0 --json"],
+    "fit below its rounding (not converged, exit 0)": [f"{_FIT} --alpha -1 --tol 1e-20 --json"],
     "fit outside the region (exit 4)": ["fit --start 0,0 --end 1,0 --start-angle 0 "
                                         "--end-angle 1.2 --alpha 0.5"],
     "fit parallel tangents (exit 1)": ["fit --start 0,0 --end 1,1 --start-angle 0 "

@@ -71,11 +71,12 @@ GOLDEN = [
         "{'equation': {'alpha': 0.5, 'lambda': 1.5, 's_max_domain': inf}, "
         "'s_total': 2.25, 'transform': {'rotation': 0.5, 'scale': 3.0, "
         "'translation': [0.0, 1.0], 'mirror': False}, 'residual': 1e-13, "
-        "'alternate_lambdas': []}",
+        "'alternate_lambdas': [], 'converged': True}",
         '{\n  "equation": {\n    "alpha": 0.5,\n    "lambda": 1.5,\n'
         '    "s_max_domain": null\n  },\n  "s_total": 2.25,\n  "transform": {\n'
         '    "rotation": 0.5,\n    "scale": 3,\n    "translation": [0, 1],\n'
-        '    "mirror": false\n  },\n  "residual": 1e-13,\n  "alternate_lambdas": []\n}',
+        '    "mirror": false\n  },\n  "residual": 1e-13,\n  "alternate_lambdas": [],\n'
+        '  "converged": true\n}',
     ),
     (
         DrawableRegion(0.5, 1.0, 0.25, 0.75, ((1e-06, 0.25), (1.0, 0.75))),
