@@ -169,7 +169,7 @@ def _chord_turn(alpha: float, lam: float, delta_theta: float):
 
 def _chord_integrand(alpha: float, lam: float, delta_theta: float):
     """Normalized chord integrand in log-radius measured back from the end,
-    for alpha != 1 (_chord_components integrates it below alpha = 1; above,
+    for alpha != 1 (_chord_fn integrates it below alpha = 1; above,
     it stays the tests' reference).
 
     Substituting ds = rho dtheta turns the endpoint integral into
@@ -227,33 +227,35 @@ def _chord_series(alpha: float, lam: float, delta_theta: float):
     q = log_scale + log_t  # (p + 1) log T
     p1, kappa = 1.0 / am1 + 1.0, lam_am1 / (1.0 + turn)
     limit, tiny = 4.0 * min(1.0, delta_theta), 2.0**-56 * min(1.0, delta_theta)
-    terms, bound, prod, forward = [1.0], 1.0, 1.0, True  # terms: dth^n/n!
+    terms, bound, prod, forward, n = [1.0], 1.0, 1.0, True, 0  # terms: dth^n/n!
     while bound > tiny:
-        n = len(terms)
+        n += 1
         f = kappa * (n + p1)
-        prod /= f
-        forward = forward and prod <= limit
         terms.append(terms[-1] * delta_theta / n)
-        bound *= delta_theta / n * (1.0 if forward else max(1.0, f))
+        if forward:
+            prod /= f
+            forward = prod <= limit
+        bound *= delta_theta / n if forward else delta_theta / n * max(1.0, f)
     tail = exp(-q)  # T^-(p+1)
     if forward:
         ks = [-expm1(-q) / (kappa * p1)]
-        for n in range(1, len(terms)):
-            ks.append((ks[-1] - terms[n] * tail) / (kappa * (n + p1)))
+        for j in range(1, n + 1):
+            ks.append((ks[-1] - terms[j] * tail) / (kappa * (j + p1)))
     else:
         ks = [0.0]
-        for n in range(len(terms) - 1, 0, -1):
-            ks.append(kappa * (n + p1) * ks[-1] + terms[n] * tail)
+        for j in range(n, 0, -1):
+            ks.append(kappa * (j + p1) * ks[-1] + terms[j] * tail)
         ks.reverse()
-    sr = math.fsum([*ks[0::4], *(-k for k in ks[2::4])])
-    si = math.fsum([*ks[3::4], *(-k for k in ks[1::4])])
+    sr = math.fsum(ks[0::4] + [-k for k in ks[2::4]])
+    si = math.fsum(ks[3::4] + [-k for k in ks[1::4]])
     c, s = cos(delta_theta), sin(delta_theta)
     return c * sr - s * si, s * sr + c * si, log_scale
 
 
-def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
-    """(x, y, log_scale) of the chord: the true endpoint is
-    e^(log_scale) * (x, y), for a member that turns by delta_theta.
+def _chord_fn(alpha: float, delta_theta: float, tol: float):
+    """The chord of the members of one alpha that turn by delta_theta, as a
+    function lam -> (x, y, log_scale): the true endpoint is e^(log_scale) *
+    (x, y). tol is checked, and every factor free of lam computed, once.
 
     The one place the chord branches on alpha. The log spiral (alpha = 1)
     has the closed form P = (e^((lam+i) dth) - 1)/(lam + i), so no integral
@@ -278,27 +280,33 @@ def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
     sums _chord_series, and alpha < 1 integrates _chord_integrand to tol."""
     _check_tol(tol)  # at every alpha, whether or not an integral runs
     if alpha == 1.0:
-        log_scale = lam * delta_theta
-        a, t = 0.5 * log_scale, 0.5 * delta_theta
-        if a * a + t * t < 1.0:
-            # sinh(v)/v = sr + i si, Horner in z = v^2 = (a + it)^2
-            zr, zi = a * a - t * t, 2.0 * a * t
-            sr, si = _SINHC[0], 0.0
-            for q in _SINHC[1:]:
-                sr, si = sr * zr - si * zi + q, sr * zi + si * zr
-            k, c, s = delta_theta * exp(-a), cos(t), sin(t)
-            return k * (c * sr - s * si), k * (s * sr + c * si), log_scale
-        h = sin(t)
-        nx, ny = -2.0 * h * h - expm1(-log_scale), sin(delta_theta)
-        if lam >= 1.0:
-            r = 1.0 / lam
-            d = lam + r
-            return (nx + ny * r) / d, (ny - nx * r) / d, log_scale
-        d = lam * lam + 1.0
-        return (nx * lam + ny) / d, (ny * lam - nx) / d, log_scale
+        t = 0.5 * delta_theta
+        tt, c, h = t * t, cos(t), sin(t)
+        nx0, ny = -2.0 * h * h, sin(delta_theta)
+        sinhc = _SINHC[1:]
+
+        def log_spiral(lam):
+            log_scale = lam * delta_theta
+            a = 0.5 * log_scale
+            if a * a + tt < 1.0:
+                # sinh(v)/v = sr + i si, Horner in z = v^2 = (a + it)^2
+                zr, zi = a * a - tt, 2.0 * a * t
+                sr, si = _SINHC[0], 0.0
+                for q in sinhc:
+                    sr, si = sr * zr - si * zi + q, sr * zi + si * zr
+                k = delta_theta * exp(-a)
+                return k * (c * sr - h * si), k * (h * sr + c * si), log_scale
+            nx = nx0 - expm1(-log_scale)
+            if lam >= 1.0:
+                r = 1.0 / lam
+                d = lam + r
+                return (nx + ny * r) / d, (ny - nx * r) / d, log_scale
+            d = lam * lam + 1.0
+            return (nx * lam + ny) / d, (ny * lam - nx) / d, log_scale
+
+        return log_spiral
     if alpha == 2.0:
         t = delta_theta
-        log_scale = math.log1p(lam * t)
         s, h = sin(t), sin(0.5 * t)
         v = 2.0 * h * h  # 1 - cos t
         if t < 1.0:
@@ -309,17 +317,32 @@ def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
             cx, cy = z * px, z * t * py
         else:
             cx, cy = t * s - v, s - t * cos(t)
-        if lam >= 1.0:
-            r = 1.0 / lam
-            d = r + t
-            return (s * r + cx) / d, (v * r + cy) / d, log_scale
-        d = 1.0 + lam * t
-        return (s + lam * cx) / d, (v + lam * cy) / d, log_scale
+
+        def involute(lam):
+            log_scale = math.log1p(lam * t)
+            if lam >= 1.0:
+                r = 1.0 / lam
+                d = r + t
+                return (s * r + cx) / d, (v * r + cy) / d, log_scale
+            d = 1.0 + lam * t
+            return (s + lam * cx) / d, (v + lam * cy) / d, log_scale
+
+        return involute
     if alpha > 1.0:
-        return _chord_series(alpha, lam, delta_theta)
-    f, a, b, log_scale = _chord_integrand(alpha, lam, delta_theta)
-    rx, ry = _integrate_components(f, a, b, tol)
-    return rx.value, ry.value, log_scale
+        return lambda lam: _chord_series(alpha, lam, delta_theta)
+
+    def integral(lam):
+        f, a, b, log_scale = _chord_integrand(alpha, lam, delta_theta)
+        rx, ry = _integrate_components(f, a, b, tol)
+        return rx.value, ry.value, log_scale
+
+    return integral
+
+
+def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
+    """(x, y, log_scale) of the chord at one lam: _chord_fn's, for callers
+    that evaluate one lambda per (alpha, delta_theta)."""
+    return _chord_fn(alpha, delta_theta, tol)(lam)
 
 
 def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12) -> float:
@@ -328,8 +351,9 @@ def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12
     The segment starts at the origin with tangent +x and turns by exactly
     delta_theta. The chord is integrated to tol for alpha < 1; at alpha >= 1
     it is a closed form or a series that integrates nothing (see
-    _chord_components); tol must be positive and finite either way. Raises TurningUnreachable when that much turning is beyond the
-    member's limit, and ValueError on a member turning_limit rejects.
+    _chord_fn); tol must be positive and finite either way. Raises
+    TurningUnreachable when that much turning is beyond the member's limit,
+    and ValueError on a member turning_limit rejects.
     """
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
@@ -463,7 +487,7 @@ def drawable_region(
     if hi < lam_bounds[1]:
         lams = [lam for lam in lams if lam < hi] + [hi]
     # no lambda is past the reach, so each member turns by delta_theta
-    chords = (_chord_components(alpha, lam, delta_theta, tol) for lam in lams)
+    chords = map(_chord_fn(alpha, delta_theta, tol), lams)
     values = [math.atan2(y, x) for x, y, _ in chords]
     samples = tuple(zip(lams, values))
     return DrawableRegion(alpha, delta_theta, min(values), max(values), samples)
@@ -486,9 +510,10 @@ def _solve_log(g, a, g_a, b, far, tol, k, guess):
     the midpoint of [a, b] in x. far() is called once, and only when g there
     has g_a's sign: the root then lies beyond it, and a root in the lower
     half never costs g(b). The method restarts on the half that holds the
-    root with a bisection, or after a guess with the secant step in x through
-    a and the guess where that lands inside the half. Returns the best (lam,
-    |g(lam)|) seen when |g| <= tol, the bracket stops shrinking or the
+    root with a bisection, or after a guess with a secant step through a and
+    the guess where that lands inside the half: below the guess in lambda,
+    where psi's first-order term leads, and beyond it in x. Returns the best
+    (lam, |g(lam)|) seen when |g| <= tol, the bracket stops shrinking or the
     iteration cap is hit; the first step is always taken."""
     lo, hi = a, b
     xa, xb = (math.log(lam) - math.log1p(-k * lam) for lam in (a, b))
@@ -502,22 +527,27 @@ def _solve_log(g, a, g_a, b, far, tol, k, guess):
     g_t = g(lam)
     if abs(g_t) < abs(best_g):
         best_lam, best_g = lam, g_t
-    if (g_t < 0.0) == (g_a < 0.0):
+    below = (g_t < 0.0) != (g_a < 0.0)
+    if below:
+        xb, g_b, b = xa, g_a, a
+    else:
         g_b = far()
         if abs(g_b) < abs(best_g):
             best_lam, best_g = b, g_b
-    else:
-        xb, g_b, b = xa, g_a, a
     xa, g_a, a = x, g_t, lam
     x = xa + 0.5 * (xb - xa)
     if guess is not None and g_a != g_lo:
-        # below the guess this secant spans the half; past it, it runs on
-        # beyond the guess, where a secant to the far end, decades away on
-        # psi's flat tail, would stop short of the root and leave the
-        # method to bisect
-        x_s = xa + g_a / (g_a - g_lo) * (x_lo - xa)
-        if min(xa, xb) < x_s < max(xa, xb):
-            x = x_s
+        if below:
+            lam_s = a + g_a / (g_a - g_lo) * (lo - a)
+            if lo < lam_s < a:
+                x = math.log(lam_s) - math.log1p(-k * lam_s)
+        else:
+            # past the guess the secant runs on beyond it, where one to the
+            # far end, decades away on psi's flat tail, would stop short of
+            # the root and leave the method to bisect
+            x_s = xa + g_a / (g_a - g_lo) * (x_lo - xa)
+            if xa < x_s < xb:
+                x = x_s
     for _ in range(_MAX_ITER - 1):
         # the inverse map can round outside the bracket
         lam = min(max(1.0 / (exp(-x) + k), lo), hi)
@@ -560,7 +590,7 @@ def fit_g1(
     stops at the first step within tol, so the residual, the remaining
     chord-angle mismatch in radians, is often just under tol; it exceeds
     tol only when the root-find stalls, and then converged is False. It
-    starts where psi's first-order expansion in lambda meets the target,
+    starts where psi's second-order expansion in lambda meets the target,
     when that lies inside the bracket. The far end's chord angle is
     integrated only when the root lies beyond the root-find's first step,
     and only then is the target checked against the drawable region: a
@@ -623,26 +653,29 @@ def fit_g1(
             )
         return psi_hi - psi_target
 
-    # to first order in lambda every member has rho(theta) = 1 + lambda theta,
-    # so psi = h + lambda slope + O(lambda^2), h = delta_theta/2, slope =
-    # 1 - h cot h (summed as its series below delta_theta = 0.1, against
-    # cancellation). The root-find starts at that line's root when the slope
-    # is a normal double and the root lies inside the bracket and below
-    # 1/(2 delta_theta |alpha - 1|) (lambda*/2 below alpha = 1), where the
-    # second-order term, about lambda delta_theta (1 - alpha)/2 times the
-    # first, is at most a quarter of it; else at the bracket's midpoint.
+    # for every alpha, psi = h + lambda slope (1 + lambda d/2) + O(lambda^3),
+    # with h = delta_theta/2, slope = 1 - h cot h (summed as its series below
+    # delta_theta = 0.1, against cancellation) and d = delta_theta (1 - alpha).
+    # The root-find starts at that parabola's root, 2 lambda0/(1 + sqrt(1 +
+    # 2 d lambda0)) with lambda0 the line's, or at lambda0 where the target
+    # lies past the parabola's apex (alpha > 1), when the slope is a normal
+    # double and the start lies inside the bracket and below 1/|d| (lambda*
+    # below alpha = 1); else at the bracket's midpoint.
     h = 0.5 * delta_theta
     if delta_theta < 0.1:
         z = delta_theta * delta_theta
         slope = z * (1.0 / 12.0 + z * (1.0 / 720.0 + z / 30240.0))
     else:
         slope = 1.0 - h / math.tan(h)
+    d = delta_theta * (1.0 - problem.alpha)
     guess = None
     if slope >= sys.float_info.min:
-        guess = (psi_target - h) / slope
-        if not (lo < guess < hi and guess * delta_theta * abs(problem.alpha - 1.0) < 0.5):
+        lam0 = (psi_target - h) / slope
+        disc = 1.0 + 2.0 * d * lam0
+        guess = 2.0 * lam0 / (1.0 + math.sqrt(disc)) if disc >= 0.0 else lam0
+        if not (lo < guess < hi and guess * abs(d) < 1.0):
             guess = None
-    k = max(0.0, delta_theta * (1.0 - problem.alpha))  # 1/lambda* for alpha < 1
+    k = max(0.0, d)  # 1/lambda* for alpha < 1
     lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, far, tol, k, guess)
     s_total = arc_length_for_turning(problem.alpha, lam, delta_theta)
     # the returned lambda is a root-finding step, or else a bracket end

@@ -505,6 +505,32 @@ def test_series_chord_agrees_with_its_integral(alpha, log_lam, dth):
         assert abs(got - ref.value) <= ref.error_estimate + 4 * panels * math.ulp(size)
 
 
+# (alpha, lambda, delta_theta) -> the recurrence's direction and the
+# float.hex of _chord_series' (x, y, log_scale), pinned when its loop was
+# tightened
+SERIES_BITS = {
+    (1.5, 1000.0, 1.2): ("forward", "0x1.ef9e187dd86d3p-3", "0x1.3920d183aa330p-2",
+                         "0x1.998294540b84cp+3"),
+    (10.0, 1.0, 1.2): ("forward", "0x1.b081e27ad8500p-1", "0x1.36b183763f76ap-1",
+                       "0x1.18d09bfa3276bp-2"),
+    (1.5, 0.3, 1.2): ("backward", "0x1.8ea2ea33ddf76p-1", "0x1.24f48c3f6ef78p-1",
+                      "0x1.52f93be237423p-2"),
+    (10.0, 0.05, 2.9): ("backward", "0x1.73cf72fc9dc22p-3", "0x1.e6ebf7bd04f65p+0",
+                        "0x1.7c0df35a6ebfcp-4"),
+}
+
+
+@pytest.mark.parametrize("alpha, lam, dth", list(SERIES_BITS))
+def test_series_chord_pinned_bits_in_both_directions(monkeypatch, alpha, lam, dth):
+    # only the forward recurrence calls expm1, for K_0 = -expm1(-q)/(kappa (p + 1))
+    calls = []
+    expm1 = he.expm1
+    monkeypatch.setattr(he, "expm1", lambda v: calls.append(v) or expm1(v))
+    got = [v.hex() for v in he._chord_series(alpha, lam, dth)]
+    direction = "forward" if calls else "backward"
+    assert [direction, *got] == list(SERIES_BITS[alpha, lam, dth])
+
+
 # The pinned bits live in tests/ledger.json; these check its entries for
 # the README problem (delta_theta = 1.2) one input at a time.
 
@@ -786,6 +812,20 @@ def test_fit_recovers_member_geometry(alpha, dth, u, rotation, mirror):
     assert abs(math.remainder(psi_err, math.tau)) <= 1e-10 + 2e-12 * max(1.0, r) / r
     end_angle = math.atan2(problem.t_end[1], problem.t_end[0])
     assert abs(math.remainder(seg.transform.apply_angle(dth) - end_angle, math.tau)) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("dth", [0.4, 1.2, 2.6])
+def test_chord_angle_second_order_term(alpha, dth):
+    # fit_g1 starts at the root of psi = h + lam B (1 + lam dth (1 - alpha)/2),
+    # h = dth/2, B = 1 - h cot h: read the lam^2 coefficient off chord_angle as
+    # (psi - h - lam B)/lam^2 at lam and 2 lam, extrapolated to lam = 0, with
+    # lam dth |alpha - 1| <= 1e-4 so that the dropped terms stay small
+    h = 0.5 * dth
+    b = 1.0 - h / math.tan(h)
+    lam = 1e-4 / max(1.0, dth * abs(alpha - 1.0))
+    c1, c2 = ((chord_angle(alpha, t, dth, 1e-15) - h - t * b) / (t * t) for t in (lam, 2 * lam))
+    assert abs(2.0 * c1 - c2 - b * dth * (1.0 - alpha) / 2.0) <= 1e-4 * b
 
 
 FIRST_STEP_ALPHAS = [-3.0, -1.0, -0.5, 0.0, 0.5, 1.5, 3.0, 10.0]
@@ -1078,15 +1118,28 @@ def _cold_grid(alpha, dth, lo, hi, count):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    alpha=st.one_of(st.sampled_from([0.0, 1.0, 1.01, 2.0]), st.floats(-3.0, 10.0)),
+    alpha=st.one_of(st.sampled_from([0.0, 1.0, 1.01, 2.0]), st.floats(-3.0, 50.0)),
     dth=st.floats(0.05, 3.0),
     count=st.integers(2, 200),
     ends=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2, unique=True),
 )
 @example(alpha=2.0, dth=1.0, count=97, ends=[0.0, 1e-16])  # lambdas 1 and 1.0000000000000002
+# the default grid, across lambda = 1: at alpha = 1, across the switch to the
+# sinh series at lambda = sqrt(4/dth^2 - 1) too; at alpha = 2 below dth = 1,
+# with cx and cy summed as series
+@example(alpha=1.0, dth=0.5, count=97, ends=[-6.0, 6.0])
+@example(alpha=1.0, dth=1.5, count=97, ends=[-6.0, 6.0])
+@example(alpha=2.0, dth=0.5, count=97, ends=[-6.0, 6.0])
+@example(alpha=2.0, dth=1.5, count=97, ends=[-6.0, 6.0])
+@example(alpha=10.0, dth=0.3, count=97, ends=[-6.0, 6.0])
+@example(alpha=50.0, dth=2.9, count=97, ends=[-6.0, 6.0])
+@example(alpha=0.5, dth=0.5, count=97, ends=[-6.0, 6.0])  # lambda* = 4
+@example(alpha=-3.0, dth=1.5, count=97, ends=[-6.0, 6.0])
 def test_region_sweep_matches_independent_chord_angles(alpha, dth, count, ends):
     # every row is the chord angle of its own lambda, to the bit, on the grid
-    # built without curvekit
+    # built without curvekit: the region maps one chord function, its factors
+    # free of lambda computed once, over the grid, and chord_angle computes
+    # them for each lambda
     lo, hi = (10.0**e for e in sorted(ends))
     assume(lo < hi)  # distinct exponents can still round to one power of 10
     grid = _log_grid(lo, hi, count)
@@ -1107,3 +1160,4 @@ def test_region_sweep_matches_independent_chord_angles(alpha, dth, count, ends):
         assert psi == chord_angle(alpha, lam, dth)
     psis = [psi for _, psi in reg.boundary_samples]
     assert (reg.psi_min, reg.psi_max) == (min(psis), max(psis))
+
