@@ -209,49 +209,6 @@ def _chord_integrand(alpha: float, lam: float, delta_theta: float):
     return f, a, b, u_end
 
 
-def _chord_series(alpha: float, lam: float, delta_theta: float):
-    """(x, y, log_scale) of the chord for alpha > 1, by a moment recurrence.
-
-    With c = lam (alpha-1), p = 1/(alpha-1), T = 1 + c dth and kappa = c/T,
-    the normalized chord about the peak end t = dth - theta = 0 is e^(i dth)
-    sum_n (-i)^n K_n, K_n = int_0^dth t^n/n! (1 - kappa t)^p dt; by parts,
-    kappa (n+p+1) K_n = K_(n-1) - dth^n/n! T^-(p+1). It runs forward from K_0
-    while the running products of 1/(kappa (j+p+1)), an error's growth, stay
-    within 4 min(1, dth) (the odd terms are of order dth), to the first
-    dth^N/N! below tiny = 2^-56 min(1, dth); else backward from K_N = 0, N
-    grown until dth^N/N! times the product of max(1, kappa (j+p+1)), a bound
-    on the start's error carried back down, is below tiny."""
-    am1, lam_am1, turn = _chord_turn(alpha, lam, delta_theta)
-    log_t = math.log1p(turn)
-    log_scale = log_t / am1
-    q = log_scale + log_t  # (p + 1) log T
-    p1, kappa = 1.0 / am1 + 1.0, lam_am1 / (1.0 + turn)
-    limit, tiny = 4.0 * min(1.0, delta_theta), 2.0**-56 * min(1.0, delta_theta)
-    terms, bound, prod, forward, n = [1.0], 1.0, 1.0, True, 0  # terms: dth^n/n!
-    while bound > tiny:
-        n += 1
-        f = kappa * (n + p1)
-        terms.append(terms[-1] * delta_theta / n)
-        if forward:
-            prod /= f
-            forward = prod <= limit
-        bound *= delta_theta / n if forward else delta_theta / n * max(1.0, f)
-    tail = exp(-q)  # T^-(p+1)
-    if forward:
-        ks = [-expm1(-q) / (kappa * p1)]
-        for j in range(1, n + 1):
-            ks.append((ks[-1] - terms[j] * tail) / (kappa * (j + p1)))
-    else:
-        ks = [0.0]
-        for j in range(n, 0, -1):
-            ks.append(kappa * (j + p1) * ks[-1] + terms[j] * tail)
-        ks.reverse()
-    sr = math.fsum(ks[0::4] + [-k for k in ks[2::4]])
-    si = math.fsum(ks[3::4] + [-k for k in ks[1::4]])
-    c, s = cos(delta_theta), sin(delta_theta)
-    return c * sr - s * si, s * sr + c * si, log_scale
-
-
 def _chord_fn(alpha: float, delta_theta: float, tol: float):
     """The chord of the members of one alpha that turn by delta_theta, as a
     function lam -> (x, y, log_scale): the true endpoint is e^(log_scale) *
@@ -276,8 +233,25 @@ def _chord_fn(alpha: float, delta_theta: float, tol: float):
     denominator divided by lam for lam >= 1, so no finite lam overflows.
     Below dth = 1, cx and cy are summed as their series in dth^2: computed
     directly, cy takes its dth^3/3 from terms of order dth. psi was within
-    4.05 ulps of 40-digit values on 20,000 sampled pairs. Any other alpha > 1
-    sums _chord_series, and alpha < 1 integrates _chord_integrand to tol."""
+    4.05 ulps of 40-digit values on 20,000 sampled pairs.
+
+    Any other alpha > 1 sums a moment recurrence. With c = lam (alpha-1),
+    p = 1/(alpha-1), T = 1 + c dth and kappa = c/T, the normalized chord
+    about the peak end t = dth - theta = 0 is e^(i dth) sum_n (-i)^n K_n,
+    K_n = int_0^dth t^n/n! (1 - kappa t)^p dt; by parts, kappa (n+p+1) K_n =
+    K_(n-1) - dth^n/n! T^-(p+1). It runs forward from K_0 while the running
+    products of 1/(kappa (j+p+1)), an error's growth, stay within
+    4 min(1, dth) (the odd terms are of order dth), to the first dth^N/N!
+    below tiny = 2^-56 min(1, dth); else backward from K_N = 0, N grown until
+    dth^N/N! times the product of max(1, kappa (j+p+1)), a bound on the
+    start's error carried back down, is below tiny. The function holds the
+    terms dth^n/n!, the steps dth/n and the forward N, all free of lam,
+    grown on demand and shared by every lam it is called with, so each lam
+    pays only for kappa: its running product up to the forward N, and past
+    the first product beyond the limit, the backward bound.
+
+    Below alpha = 1 it integrates _chord_integrand to tol with
+    _integrate_components, both looked up by name at each call."""
     _check_tol(tol)  # at every alpha, whether or not an integral runs
     if alpha == 1.0:
         t = 0.5 * delta_theta
@@ -329,7 +303,60 @@ def _chord_fn(alpha: float, delta_theta: float, tol: float):
 
         return involute
     if alpha > 1.0:
-        return lambda lam: _chord_series(alpha, lam, delta_theta)
+        am1 = alpha - 1.0
+        p1 = 1.0 / am1 + 1.0
+        limit, tiny = 4.0 * min(1.0, delta_theta), 2.0**-56 * min(1.0, delta_theta)
+        c, s = cos(delta_theta), sin(delta_theta)
+        # terms[n] = dth^n/n!, steps[n] = dth/n and bounds[n] the product of
+        # steps[1..n]: the forward recurrence stops at the first bound below
+        # tiny, whatever lam
+        terms, steps, bounds = [1.0], [0.0], [1.0]
+        while bounds[-1] > tiny:
+            n = len(terms)
+            terms.append(terms[-1] * delta_theta / n)
+            steps.append(delta_theta / n)
+            bounds.append(bounds[-1] * steps[-1])
+        fwd = range(1, len(terms))
+
+        def series(lam):
+            _, lam_am1, turn = _chord_turn(alpha, lam, delta_theta)
+            log_t = math.log1p(turn)
+            log_scale = log_t / am1
+            q = log_scale + log_t  # (p + 1) log T
+            kappa = lam_am1 / (1.0 + turn)
+            tail = exp(-q)  # T^-(p+1)
+            prod = 1.0
+            for n in fwd:
+                f = kappa * (n + p1)
+                prod /= f
+                if not prod <= limit:
+                    break
+            if prod <= limit:
+                k = -expm1(-q) / (kappa * p1)
+                ks = [k]
+                for j in fwd:
+                    k = (k - terms[j] * tail) / (kappa * (j + p1))
+                    ks.append(k)
+            else:
+                # backward from K_N = 0, the start's error carried down in bound
+                bound = bounds[n - 1] * (steps[n] * max(1.0, f))
+                while bound > tiny:
+                    n += 1
+                    if n == len(terms):
+                        terms.append(terms[-1] * delta_theta / n)
+                        steps.append(delta_theta / n)
+                    bound *= steps[n] * max(1.0, kappa * (n + p1))
+                k = 0.0
+                ks = [k]
+                for j in range(n, 0, -1):
+                    k = kappa * (j + p1) * k + terms[j] * tail
+                    ks.append(k)
+                ks.reverse()
+            sr = math.fsum(ks[0::4] + [-k for k in ks[2::4]])
+            si = math.fsum(ks[3::4] + [-k for k in ks[1::4]])
+            return c * sr - s * si, s * sr + c * si, log_scale
+
+        return series
 
     def integral(lam):
         f, a, b, log_scale = _chord_integrand(alpha, lam, delta_theta)
@@ -337,12 +364,6 @@ def _chord_fn(alpha: float, delta_theta: float, tol: float):
         return rx.value, ry.value, log_scale
 
     return integral
-
-
-def _chord_components(alpha: float, lam: float, delta_theta: float, tol: float):
-    """(x, y, log_scale) of the chord at one lam: _chord_fn's, for callers
-    that evaluate one lambda per (alpha, delta_theta)."""
-    return _chord_fn(alpha, delta_theta, tol)(lam)
 
 
 def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12) -> float:
@@ -358,7 +379,7 @@ def chord_angle(alpha: float, lam: float, delta_theta: float, tol: float = 1e-12
     if not (0.0 < delta_theta < math.pi):
         raise ValueError("delta_theta must lie in (0, pi)")
     _check_reachable(alpha, lam, delta_theta)
-    x, y, _ = _chord_components(alpha, lam, delta_theta, tol)
+    x, y, _ = _chord_fn(alpha, delta_theta, tol)(lam)
     return math.atan2(y, x)
 
 
@@ -594,7 +615,11 @@ def fit_g1(
     when that lies inside the bracket. The far end's chord angle is
     integrated only when the root lies beyond the root-find's first step,
     and only then is the target checked against the drawable region: a
-    target outside it raises NoSolution with the chord angles at both ends."""
+    target outside it raises NoSolution with the chord angles at both ends.
+    The bracket ends' chord angles are chord_angle's; every root-finding
+    step, and the returned lambda's chord, comes from one _chord_fn built
+    once per fit, so its lambda-free work (an alpha > 1 series' terms) is
+    done once."""
     _check_tol(tol)
     # below tol = 2.5e-322 the hundredth underflows to 0.0; the least
     # subnormal is as good there, since the integrals' error floor binds
@@ -628,11 +653,12 @@ def fit_g1(
             psi_target=psi_target,
         )
 
+    chord_at = _chord_fn(problem.alpha, delta_theta, quad_tol)
     chords = {}  # lambda -> (x, y, log_scale) at each root-finding step
 
     def g(lam):
         # chord_angle without its reach check: lam lies inside [lo, hi]
-        x, y, _ = chords[lam] = _chord_components(problem.alpha, lam, delta_theta, quad_tol)
+        x, y, _ = chords[lam] = chord_at(lam)
         return math.atan2(y, x) - psi_target
 
     psi_lo = chord_angle(problem.alpha, lo, delta_theta, quad_tol)
@@ -679,8 +705,7 @@ def fit_g1(
     lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, far, tol, k, guess)
     s_total = arc_length_for_turning(problem.alpha, lam, delta_theta)
     # the returned lambda is a root-finding step, or else a bracket end
-    ex, ey, log_ref = chords.get(lam) or _chord_components(
-        problem.alpha, lam, delta_theta, quad_tol)
+    ex, ey, log_ref = chords.get(lam) or chord_at(lam)
     norm = math.hypot(ex, ey)
     # a turning of a few subnormals: an empty chord integral, or a subnormal
     # closed-form chord whose reciprocal overflows the scale

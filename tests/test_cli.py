@@ -1054,26 +1054,32 @@ def test_a_negative_value_may_follow_its_flag(tmp_path, monkeypatch, capsys, arg
 
 EDGE_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e308, -1e308, math.inf,
                 -math.inf, math.nan, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 1e-12)
+# the integer flags' edges: each is rejected before a list is built, except
+# 1, which --n and --points reject and --count accepts; the ceiling itself,
+# 1,000,000, would start a run that long
+EDGE_COUNTS = (0, -1, 1, 1_000_001, 10**10)
+INTEGER_FLAGS = ("--n", "--points", "--count")
 _FAMILY = {"--alpha": "0.5", "--lambda": "1", "--s-end": "1"}
 # subcommand -> (fixed flags, {numeric flag: its usual value}); an argv sets
 # one to three of them to an edge number, as the value or one entry of its list
 NUMERIC_FLAGS = {
-    "curve": (["--n=9", "--out=o.csv", "--svg=o.svg", "--axes"], _FAMILY),
-    "lcg": (["--n=9", "--out=o.json"], _FAMILY),
+    "curve": (["--out=o.csv", "--svg=o.svg", "--axes"], {"--n": "9", **_FAMILY}),
+    "lcg": (["--out=o.json"], {"--n": "9", **_FAMILY}),
     "fit": (["--out=o.json", "--svg=o.svg"],
             {"--start": "0,0", "--end": "0.7,0.72", "--start-angle": "0", "--end-angle": "1.2",
              "--alpha": "2", "--tol": "1e-10"}),
-    "region": (["--points=5", "--out=o.csv"],
-               {"--alpha": "2", "--delta-theta": "1", "--lambda-min": "1e-6",
+    "region": (["--out=o.csv"],
+               {"--points": "5", "--alpha": "2", "--delta-theta": "1", "--lambda-min": "1e-6",
                 "--lambda-max": "1e6"}),
-    "qi": (["--n=9", "--out=o.csv"],
-           {"--controls": "1,0,0,0;0.8,0.6,0,0", "--p0": "0,0,0", "--v0": "1,0,0",
-            "--s-total": "1"}),
-    "ornament": (["--count=3", "--n=9", "--out=o.svg"],
-                 {**_FAMILY, "--size-base": "0.05", "--rhythm": "1,2"}),
-    "check": (["--n=9"], _FAMILY),
-    "plot": (["--n=9", "--annotate", "--axes", "--out=o.svg"],
-             {**_FAMILY, "--widths": "1,2", "--size": "800x600"}),
+    "qi": (["--out=o.csv"],
+           {"--n": "9", "--controls": "1,0,0,0;0.8,0.6,0,0", "--p0": "0,0,0",
+            "--v0": "1,0,0", "--s-total": "1"}),
+    "ornament": (["--out=o.svg"],
+                 {"--count": "3", "--n": "9", **_FAMILY, "--size-base": "0.05",
+                  "--rhythm": "1,2"}),
+    "check": ([], {"--n": "9", **_FAMILY}),
+    "plot": (["--annotate", "--axes", "--out=o.svg"],
+             {"--n": "9", **_FAMILY, "--widths": "1,2", "--size": "800x600"}),
 }
 
 
@@ -1089,9 +1095,9 @@ def numeric_argvs(draw):
     values = dict(NUMERIC_FLAGS[command][1])
     slots = [(flag, k) for flag, value in values.items()
              for k in range(len(re.split("[,;x]", value)))]
-    for (flag, k), number in draw(st.lists(
-            st.tuples(st.sampled_from(slots), st.sampled_from(EDGE_NUMBERS)),
-            min_size=1, max_size=3)):
+    edges = st.sampled_from(slots).flatmap(lambda slot: st.tuples(
+        st.just(slot), st.sampled_from(EDGE_COUNTS if slot[0] in INTEGER_FLAGS else EDGE_NUMBERS)))
+    for (flag, k), number in draw(st.lists(edges, min_size=1, max_size=3)):
         entries = re.split("([,;x])", values[flag])  # the numbers at even indices
         entries[2 * k] = repr(number)
         values[flag] = "".join(entries)
@@ -1124,6 +1130,9 @@ def run_in_fresh_directory(argv):
 @example(numeric_argv("plot", {"--size": "infx600"}))
 @example(numeric_argv("plot", {"--widths": "1,inf"}))
 @example(numeric_argv("region", {"--alpha": "nan"}))
+@example(numeric_argv("ornament", {"--count": "1", "--n": "1"}))
+@example(numeric_argv("ornament", {"--count": "1"}))
+@example(numeric_argv("region", {"--points": "10000000000"}))
 def test_extreme_numbers_keep_the_cli_contract(argv):
     with mock.patch.dict(os.environ):
         os.environ.pop("CURVEKIT_OUT_DIR", None)

@@ -19,7 +19,7 @@ from curvekit.hermite import (
     HermiteProblem,
     NoSolution,
     TurningUnreachable,
-    _chord_components,
+    _chord_fn,
     _chord_integrand,
     _reach,
     arc_length_for_turning,
@@ -360,7 +360,7 @@ LOG_SPIRAL_CHORDS = {
 @pytest.mark.parametrize("lam, dth", sorted(LOG_SPIRAL_CHORDS))
 def test_log_spiral_chord_is_within_two_ulps_of_its_closed_form(lam, dth):
     psi, x, y = LOG_SPIRAL_CHORDS[lam, dth]
-    got_x, got_y, log_scale = _chord_components(1.0, lam, dth, 1e-12)
+    got_x, got_y, log_scale = _chord_fn(1.0, dth, 1e-12)(lam)
     assert log_scale == lam * dth
     for got, want in ((chord_angle(1.0, lam, dth), psi), (got_x, x), (got_y, y)):
         assert abs(got - want) <= 2 * math.ulp(want)
@@ -394,7 +394,7 @@ INVOLUTE_CHORDS = {
 @pytest.mark.parametrize("lam, dth", sorted(INVOLUTE_CHORDS))
 def test_involute_chord_is_within_four_ulps_of_its_closed_form(lam, dth):
     psi, x, y = INVOLUTE_CHORDS[lam, dth]
-    got_x, got_y, log_scale = _chord_components(2.0, lam, dth, 1e-12)
+    got_x, got_y, log_scale = _chord_fn(2.0, dth, 1e-12)(lam)
     assert log_scale == math.log1p(lam * dth)
     for got, want in ((chord_angle(2.0, lam, dth), psi), (got_x, x), (got_y, y)):
         assert abs(got - want) <= 4 * math.ulp(want)
@@ -411,7 +411,7 @@ def test_involute_chord_agrees_with_its_integral(frac, dth):
     lam = math.exp(math.log(1e-6) + frac * (math.log(1e6) - math.log(1e-6)))
     f, a, b, u_end = _chord_integrand(2.0, lam, dth)
     want = _integrate_components(f, a, b, 1e-12)
-    got_x, got_y, log_scale = _chord_components(2.0, lam, dth, 1e-12)
+    got_x, got_y, log_scale = _chord_fn(2.0, dth, 1e-12)(lam)
     assert log_scale == u_end
     for got, ref in zip((got_x, got_y), want):
         assert abs(got - ref.value) <= max(1e-12 * abs(ref.value), 1e-14)
@@ -421,7 +421,7 @@ def test_involute_chord_agrees_with_its_integral(frac, dth):
 def test_involute_chord_is_finite_at_the_largest_lambdas(dth):
     # at dth = 3, lambda dth overflows: the integral's nodes reached cos(inf),
     # a "math domain error"
-    x, y, _ = _chord_components(2.0, 1e308, dth, 1e-12)
+    x, y, _ = _chord_fn(2.0, dth, 1e-12)(1e308)
     assert math.isfinite(x) and math.isfinite(y) and math.hypot(x, y) > 0.0
     assert chord_angle(2.0, 1e308, dth) == math.atan2(y, x)
 
@@ -465,7 +465,7 @@ SERIES_CHORDS = {
 @pytest.mark.parametrize("alpha, lam, dth", sorted(SERIES_CHORDS))
 def test_series_chord_is_within_four_ulps_of_its_exact_value(alpha, lam, dth):
     psi, x, y = SERIES_CHORDS[alpha, lam, dth]
-    got_x, got_y, log_scale = _chord_components(alpha, lam, dth, 1e-12)
+    got_x, got_y, log_scale = _chord_fn(alpha, dth, 1e-12)(lam)
     assert log_scale == math.log1p(dth * lam * (alpha - 1.0)) / (alpha - 1.0)
     assert abs(chord_angle(alpha, lam, dth) - psi) <= 4 * math.ulp(psi)
     for got, want in ((got_x, x), (got_y, y)):
@@ -495,7 +495,7 @@ def test_series_chord_agrees_with_its_integral(alpha, log_lam, dth):
     assume(alpha != 2.0 and dth * lam * (alpha - 1.0) >= sys.float_info.min and dth >= 1e-150)
     f, a, b, u_end = _chord_integrand(alpha, lam, dth)
     want = _integrate_components(f, a, b, 1e-14)
-    got_x, got_y, log_scale = _chord_components(alpha, lam, dth, 1e-12)
+    got_x, got_y, log_scale = _chord_fn(alpha, dth, 1e-12)(lam)
     assert log_scale == u_end
     panels = want[0].subdivisions
     psi = math.atan2(want[1].value, want[0].value)
@@ -506,7 +506,7 @@ def test_series_chord_agrees_with_its_integral(alpha, log_lam, dth):
 
 
 # (alpha, lambda, delta_theta) -> the recurrence's direction and the
-# float.hex of _chord_series' (x, y, log_scale), pinned when its loop was
+# float.hex of the series chord's (x, y, log_scale), pinned when its loop was
 # tightened
 SERIES_BITS = {
     (1.5, 1000.0, 1.2): ("forward", "0x1.ef9e187dd86d3p-3", "0x1.3920d183aa330p-2",
@@ -526,9 +526,32 @@ def test_series_chord_pinned_bits_in_both_directions(monkeypatch, alpha, lam, dt
     calls = []
     expm1 = he.expm1
     monkeypatch.setattr(he, "expm1", lambda v: calls.append(v) or expm1(v))
-    got = [v.hex() for v in he._chord_series(alpha, lam, dth)]
+    got = [v.hex() for v in _chord_fn(alpha, dth, 1e-12)(lam)]
     direction = "forward" if calls else "backward"
     assert [direction, *got] == list(SERIES_BITS[alpha, lam, dth])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1.0, 100.0, exclude_min=True).filter(lambda a: a != 2.0),
+    st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    st.lists(st.floats(-6.0, 6.0).map(lambda v: 10.0**v), min_size=1, max_size=10),
+    st.randoms(use_true_random=False),
+)
+# a 66-term backward row grows the terms past the forward rows' stop
+@example(10.0, 2.641998907210658, [0.04216965034285825, 1.0, 1e-6, 1e6], random.Random(0))
+@example(1.5, 0.00365, [2.19, 1e-3, 40.0], random.Random(1))  # once 132 ulps off
+@example(1.5, 1.2, [1000.0, 0.3, 1000.0], random.Random(2))  # forward, backward, forward
+@example(10.0, 1.2, [1.0, 0.05], random.Random(3))  # forward, then backward
+def test_series_table_rows_match_fresh_tables(alpha, dth, lams, rng):
+    # one chord function shared by every lambda, in shuffled order with
+    # repeats, gives each row the bits of one built for that lambda alone
+    order = lams + lams[: len(lams) // 2 + 1]
+    rng.shuffle(order)
+    chord = _chord_fn(alpha, dth, 1e-12)
+    for lam in order:
+        got = [v.hex() for v in chord(lam)]
+        assert got == [v.hex() for v in _chord_fn(alpha, dth, 1e-12)(lam)], lam
 
 
 # The pinned bits live in tests/ledger.json; these check its entries for
@@ -798,12 +821,12 @@ def test_fit_recovers_member_geometry(alpha, dth, u, rotation, mirror):
     lam = math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
     # just below alpha = 1, near the reach, the normalized chord can exceed
     # e^700, beyond any double scale (test_fit_scale_underflow_is_no_solution)
-    assume(_chord_components(alpha, lam, dth, 1e-12)[2] < 650.0)
+    assume(_chord_fn(alpha, dth, 1e-12)(lam)[2] < 650.0)
     problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth),
                                rotation=rotation, chord=2.0, mirror=mirror)
     seg = fit_g1(problem, tol=1e-10)
     assert seg.residual <= 1e-10
-    x, y, log_scale = _chord_components(alpha, seg.equation.lam, dth, 1e-13)
+    x, y, log_scale = _chord_fn(alpha, dth, 1e-13)(seg.equation.lam)
     ex, ey = seg.transform.apply_point(x * math.exp(log_scale), y * math.exp(log_scale))
     assert math.hypot(ex - problem.p_end[0], ey - problem.p_end[1]) <= 1e-8 * 2.0
     # tol, plus the quadrature error of the fit's psi and of this one
@@ -840,17 +863,60 @@ def bracket_x(alpha, dth):
     return math.log(lo) - math.log1p(-k * lo), math.log(hi) - math.log1p(-k * hi), k
 
 
+def chord_tables(monkeypatch):
+    """Two lists, filled through a wrapper on each function _chord_fn
+    returns: for each such function, in the order built, the lambdas it
+    evaluates; and every lambda of every chord hermite evaluates."""
+    tables, lams = [], []
+    chord_fn = he._chord_fn
+
+    def recorded(*args):
+        chord, table = chord_fn(*args), []
+        tables.append(table)
+
+        def counted(lam):
+            table.append(lam)
+            lams.append(lam)
+            return chord(lam)
+
+        return counted
+
+    monkeypatch.setattr(he, "_chord_fn", recorded)
+    return tables, lams
+
+
 def chord_count(monkeypatch):
     """A list that collects the lambda of every chord hermite evaluates."""
-    lams = []
-    chord = he._chord_components
+    return chord_tables(monkeypatch)[1]
 
-    def counted(alpha, lam, *args):
-        lams.append(lam)
-        return chord(alpha, lam, *args)
 
-    monkeypatch.setattr(he, "_chord_components", counted)
-    return lams
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.0, 1.5, 2.0, 10.0])
+@pytest.mark.parametrize("lam", [1e-6, 0.03, 0.3])
+def test_fit_steps_share_one_chord_function(monkeypatch, alpha, lam):
+    # the lambdas each function _chord_fn returns is called with: chord_angle
+    # builds one for each bracket end, and the fit one for all of its steps
+    # and the returned lambda's chord, a bracket end's included
+    ends = []
+
+    def counted_angle(a, lam, *args):
+        ends.append(lam)
+        return chord_angle(a, lam, *args)
+
+    d = problem_from_psi(alpha, 1.2, 0.5).delta_theta()
+    psi = chord_angle(alpha, lam, d)
+    for j in range(4):  # the end point rounds: the first target not below psi
+        problem = problem_from_psi(alpha, 1.2, psi + j * math.ulp(psi))
+        if math.atan2(problem.p_end[1], problem.p_end[0]) >= psi:
+            break
+    tables, _ = chord_tables(monkeypatch)
+    monkeypatch.setattr(he, "chord_angle", counted_angle)
+    seg = fit_g1(problem)
+    assert seg.converged
+    steps = [t for t in tables if t not in [[end] for end in ends]]
+    assert len(tables) == len(ends) + 1 and len(steps) == 1
+    assert len(steps[0]) >= 2 and len(set(steps[0])) == len(steps[0])
+    if lam == 1e-6:  # the small end: its chord is evaluated again, by the fit's function
+        assert seg.equation.lam == steps[0][-1] == 1e-6
 
 
 @pytest.mark.parametrize("alpha", FIRST_STEP_ALPHAS)
@@ -900,11 +966,11 @@ def test_fit_over_the_whole_bracket(alpha, dth, u, push, above):
     # inside the bracket ends, whose psi the end point rounds past by an ulp
     lam = min(max(1.0 / (math.exp(-(xa + u * (xb - xa))) + k), 1.0001e-6), 0.9999e6)
     # past a normalized chord of e^700 no double scale places the member
-    assume(_chord_components(alpha, lam, dth, 1e-12)[2] < 650.0)
+    assume(_chord_fn(alpha, dth, 1e-12)(lam)[2] < 650.0)
     problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth), chord=2.0)
     seg = fit_g1(problem, tol=1e-10)
     assert seg.residual <= 1e-10
-    x, y, log_scale = _chord_components(alpha, seg.equation.lam, dth, 1e-13)
+    x, y, log_scale = _chord_fn(alpha, dth, 1e-13)(seg.equation.lam)
     ex, ey = seg.transform.apply_point(x * math.exp(log_scale), y * math.exp(log_scale))
     assert math.hypot(ex - problem.p_end[0], ey - problem.p_end[1]) <= 1e-8 * 2.0
     # a target pushed outside the region reports the bracket ends' own bits,
@@ -943,7 +1009,7 @@ def test_fit_member_problems_converge_within_12_chords(alpha, dth, u, reach_gap)
         lam = min(max(1.0 / (math.exp(-(xa + u * (xb - xa))) + k), 1.0001e-6), 0.9999e6)
         if k and reach_gap:
             lam = (1.0 - reach_gap) / k
-        assume(_chord_components(alpha, lam, dth, 1e-12)[2] < 650.0)
+        assume(_chord_fn(alpha, dth, 1e-12)(lam)[2] < 650.0)
         problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth))
         lams.clear()
         seg = fit_g1(problem)
@@ -965,7 +1031,7 @@ def test_fit_converged_iff_its_residual_meets_tol(alpha, dth, u, log_tol):
     if k:  # x at (1 - 1e-7) lambda*, short of the reach, whose psi the end point rounds past
         xb = min(xb, math.log((1.0 - 1e-7) / 1e-7 / k))
     lam = min(max(1.0 / (math.exp(-(xa + u * (xb - xa))) + k), 1.0001e-6), 0.9999e6)
-    assume(_chord_components(alpha, lam, dth, 1e-12)[2] < 650.0)
+    assume(_chord_fn(alpha, dth, 1e-12)(lam)[2] < 650.0)
     seg = fit_g1(problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth)), tol=tol)
     assert seg.converged is (seg.residual <= tol)
 
