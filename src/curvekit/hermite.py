@@ -244,11 +244,12 @@ def _chord_fn(alpha: float, delta_theta: float, tol: float):
     4 min(1, dth) (the odd terms are of order dth), to the first dth^N/N!
     below tiny = 2^-56 min(1, dth); else backward from K_N = 0, N grown until
     dth^N/N! times the product of max(1, kappa (j+p+1)), a bound on the
-    start's error carried back down, is below tiny. The function holds the
-    terms dth^n/n!, the steps dth/n and the forward N, all free of lam,
-    grown on demand and shared by every lam it is called with, so each lam
-    pays only for kappa: its running product up to the forward N, and past
-    the first product beyond the limit, the backward bound.
+    start's error carried back down, is below tiny. The function holds one
+    list, the terms dth^n/n!, free of lam, built to the forward N and grown
+    on demand past it, and shared by every lam it is called with. Each lam
+    pays only for kappa: one forward pass computes K_0 and then each K_n
+    with its running product, and at the first product beyond the limit
+    turns to the backward bound and recurrence.
 
     Below alpha = 1 it integrates _chord_integrand to tol with
     _integrate_components, both looked up by name at each call."""
@@ -307,15 +308,11 @@ def _chord_fn(alpha: float, delta_theta: float, tol: float):
         p1 = 1.0 / am1 + 1.0
         limit, tiny = 4.0 * min(1.0, delta_theta), 2.0**-56 * min(1.0, delta_theta)
         c, s = cos(delta_theta), sin(delta_theta)
-        # terms[n] = dth^n/n!, steps[n] = dth/n and bounds[n] the product of
-        # steps[1..n]: the forward recurrence stops at the first bound below
-        # tiny, whatever lam
-        terms, steps, bounds = [1.0], [0.0], [1.0]
-        while bounds[-1] > tiny:
-            n = len(terms)
-            terms.append(terms[-1] * delta_theta / n)
-            steps.append(delta_theta / n)
-            bounds.append(bounds[-1] * steps[-1])
+        # terms[n] = dth^n/n!: the forward recurrence stops at the first term
+        # below tiny, whatever lam
+        terms = [1.0]
+        while terms[-1] > tiny:
+            terms.append(terms[-1] * delta_theta / len(terms))
         fwd = range(1, len(terms))
 
         def series(lam):
@@ -325,33 +322,29 @@ def _chord_fn(alpha: float, delta_theta: float, tol: float):
             q = log_scale + log_t  # (p + 1) log T
             kappa = lam_am1 / (1.0 + turn)
             tail = exp(-q)  # T^-(p+1)
+            k = -expm1(-q) / (kappa * p1)
+            ks = [k]
             prod = 1.0
             for n in fwd:
                 f = kappa * (n + p1)
                 prod /= f
                 if not prod <= limit:
+                    # backward from K_N = 0, the start's error carried down in bound
+                    bound = terms[n - 1] * (delta_theta / n * max(1.0, f))
+                    while bound > tiny:
+                        n += 1
+                        if n == len(terms):
+                            terms.append(terms[-1] * delta_theta / n)
+                        bound *= delta_theta / n * max(1.0, kappa * (n + p1))
+                    k = 0.0
+                    ks = [k]
+                    for j in range(n, 0, -1):
+                        k = kappa * (j + p1) * k + terms[j] * tail
+                        ks.append(k)
+                    ks.reverse()
                     break
-            if prod <= limit:
-                k = -expm1(-q) / (kappa * p1)
-                ks = [k]
-                for j in fwd:
-                    k = (k - terms[j] * tail) / (kappa * (j + p1))
-                    ks.append(k)
-            else:
-                # backward from K_N = 0, the start's error carried down in bound
-                bound = bounds[n - 1] * (steps[n] * max(1.0, f))
-                while bound > tiny:
-                    n += 1
-                    if n == len(terms):
-                        terms.append(terms[-1] * delta_theta / n)
-                        steps.append(delta_theta / n)
-                    bound *= steps[n] * max(1.0, kappa * (n + p1))
-                k = 0.0
-                ks = [k]
-                for j in range(n, 0, -1):
-                    k = kappa * (j + p1) * k + terms[j] * tail
-                    ks.append(k)
-                ks.reverse()
+                k = (k - terms[n] * tail) / f
+                ks.append(k)
             sr = math.fsum(ks[0::4] + [-k for k in ks[2::4]])
             si = math.fsum(ks[3::4] + [-k for k in ks[1::4]])
             return c * sr - s * si, s * sr + c * si, log_scale
@@ -616,10 +609,10 @@ def fit_g1(
     integrated only when the root lies beyond the root-find's first step,
     and only then is the target checked against the drawable region: a
     target outside it raises NoSolution with the chord angles at both ends.
-    The bracket ends' chord angles are chord_angle's; every root-finding
-    step, and the returned lambda's chord, comes from one _chord_fn built
-    once per fit, so its lambda-free work (an alpha > 1 series' terms) is
-    done once."""
+    Only the small end's chord angle is a chord_angle call; every
+    root-finding step, the far end and the returned lambda's chord come from
+    one _chord_fn built once per fit, so its lambda-free work (an alpha > 1
+    series' terms) is done once."""
     _check_tol(tol)
     # below tol = 2.5e-322 the hundredth underflows to 0.0; the least
     # subnormal is as good there, since the integrals' error floor binds
@@ -654,7 +647,7 @@ def fit_g1(
         )
 
     chord_at = _chord_fn(problem.alpha, delta_theta, quad_tol)
-    chords = {}  # lambda -> (x, y, log_scale) at each root-finding step
+    chords = {}  # lambda -> (x, y, log_scale) at each root-finding step and the far end
 
     def g(lam):
         # chord_angle without its reach check: lam lies inside [lo, hi]
@@ -666,7 +659,8 @@ def fit_g1(
     def far():
         # g at the far end, once the root lies beyond the first step: the
         # target is inside the region or no lambda meets it
-        psi_hi = chord_angle(problem.alpha, hi, delta_theta, quad_tol)
+        x, y, _ = chords[hi] = chord_at(hi)
+        psi_hi = math.atan2(y, x)
         psi_min, psi_max = sorted((psi_lo, psi_hi))
         if not psi_min <= psi_target <= psi_max:
             raise NoSolution(
@@ -704,7 +698,7 @@ def fit_g1(
     k = max(0.0, d)  # 1/lambda* for alpha < 1
     lam, residual = _solve_log(g, lo, psi_lo - psi_target, hi, far, tol, k, guess)
     s_total = arc_length_for_turning(problem.alpha, lam, delta_theta)
-    # the returned lambda is a root-finding step, or else a bracket end
+    # the returned lambda is a root-finding step or the far end, else the small end
     ex, ey, log_ref = chords.get(lam) or chord_at(lam)
     norm = math.hypot(ex, ey)
     # a turning of a few subnormals: an empty chord integral, or a subnormal

@@ -130,6 +130,8 @@ class _CanvasMap:
         avail_y = h - 2.0 * margin
         if avail_x <= 0.0 or avail_y <= 0.0:
             raise ValueError("margin leaves no drawable area")
+        if not (span_x < math.inf and span_y < math.inf):  # else the scale would be 0.0
+            raise ValueError(f"path extent {span_x!r} x {span_y!r} overflows double precision")
         candidates = []
         if span_x > 0.0:
             candidates.append(avail_x / span_x)
@@ -140,8 +142,9 @@ class _CanvasMap:
             raise ValueError(
                 f"path extent {span_x!r} x {span_y!r} is too small to scale onto the canvas"
             )
-        self.cx = 0.5 * (x_lo + x_hi)
-        self.cy = 0.5 * (y_lo + y_hi)
+        # halved before the sum only where the sum overflows: no finite centre moves
+        self.cx, self.cy = (0.5 * (lo + hi) if abs(lo + hi) < math.inf else 0.5 * lo + 0.5 * hi
+                            for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)))
         self.ox = 0.5 * w
         self.oy = 0.5 * h
 

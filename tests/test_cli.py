@@ -1104,11 +1104,14 @@ def numeric_argvs(draw):
     return numeric_argv(command, values)
 
 
-def run_in_fresh_directory(argv):
+def run_in_fresh_directory(argv, inputs=()):
     """(exit code, stdout, stderr, {file name: bytes}) of cli.main(argv),
-    run in a new empty working directory."""
+    run in a new working directory that holds only inputs, pairs of (file
+    name, text), which the file map leaves out."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in inputs:
+            (Path(tmp) / name).write_text(text)
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
@@ -1116,8 +1119,30 @@ def run_in_fresh_directory(argv):
                 code = cli.main(argv)
         finally:
             os.chdir(cwd)
-        files = {name: (Path(tmp) / name).read_bytes() for name in sorted(os.listdir(tmp))}
+        files = {name: (Path(tmp) / name).read_bytes() for name in sorted(os.listdir(tmp))
+                 if name not in dict(inputs)}
     return code, out.getvalue(), err.getvalue(), files
+
+
+def keeps_the_cli_contract(argv, inputs=()):
+    """Run argv twice, each in a fresh directory with inputs, and check the
+    contract: the same result both times; exit 0-4 and no traceback; on
+    failure one stderr line (fit's exit 4 adds the drawable region when the
+    turning is reachable) and no file; no nan or inf in a written file.
+    Returns the first run's result."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CURVEKIT_OUT_DIR", None)
+        first = run_in_fresh_directory(argv, inputs)
+        assert run_in_fresh_directory(argv, inputs) == first, argv
+    code, _, err, files = first
+    assert 0 <= code <= 4 and "Traceback" not in err, (argv, err)
+    if code:
+        assert not files, (argv, sorted(files))
+        lines = 2 if argv[0] == "fit" and code == 4 and "\ndrawable region: " in err else 1
+        assert err.endswith("\n") and err.count("\n") == lines, (argv, err)
+    for name, data in files.items():
+        assert not re.search(rb"nan|inf", data, re.IGNORECASE), (argv, name)
+    return first
 
 
 @settings(max_examples=200, deadline=None)
@@ -1134,16 +1159,42 @@ def run_in_fresh_directory(argv):
 @example(numeric_argv("ornament", {"--count": "1"}))
 @example(numeric_argv("region", {"--points": "10000000000"}))
 def test_extreme_numbers_keep_the_cli_contract(argv):
-    with mock.patch.dict(os.environ):
-        os.environ.pop("CURVEKIT_OUT_DIR", None)
-        first = run_in_fresh_directory(argv)
-        assert run_in_fresh_directory(argv) == first, argv
-    code, _, err, files = first
-    assert 0 <= code <= 4 and "Traceback" not in err, (argv, err)
-    if code:
-        assert not files, (argv, sorted(files))
-        # fit's exit 4 adds the drawable region when the turning is reachable
-        lines = 2 if argv[0] == "fit" and code == 4 and "\ndrawable region: " in err else 1
-        assert err.endswith("\n") and err.count("\n") == lines, (argv, err)
-    for name, data in files.items():
-        assert not re.search(rb"nan|inf", data, re.IGNORECASE), (argv, name)
+    keeps_the_cli_contract(argv)
+
+
+# the cells of an --in CSV: signed zeros, subnormals, the edges of the double
+# range, and ordinary values
+EDGE_CELLS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-308, 1e300, -1e300, 1e308, -1e308,
+                     1.7976931348623157e308)),
+    st.floats(-10.0, 10.0),
+)
+# the commands that read in.csv; lcg also writes its report
+IN_COMMANDS = (
+    ("lcg", "--in=in.csv", "--json", "--out=o.json"),
+    ("check", "--in=in.csv", "--json"),
+    ("plot", "--in=in.csv", "--out=o.svg"),
+    ("plot", "--in=in.csv", "--annotate", "--out=o.svg"),
+    ("plot", "--in=in.csv", "--axes", "--out=o.svg"),
+    ("ornament", "--in=in.csv", "--out=o.svg"),
+    ("ornament", "--in=in.csv", "--size-rule=proportional_to_radius_of_curvature",
+     "--out=o.svg"),
+)
+
+
+def in_csv(*rows):
+    return "s,x,y,theta,kappa\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(IN_COMMANDS),
+    st.lists(st.tuples(*[EDGE_CELLS] * 5), min_size=2, max_size=6).map(lambda rows: in_csv(*rows)),
+)
+# each wrote inf into the SVG and exited 0: a centre whose sum overflows, and
+# an extent past the largest double, which scaled the path by 0.0
+@example(IN_COMMANDS[2], in_csv((0.0, 0.0, 1e308, 0.0, 1.0), (1.0, 0.0, 1.5e308, 0.0, 0.5)))
+@example(IN_COMMANDS[5], in_csv((0.0, -1e308, 0.0, 0.0, 1.0), (1.0, 1e308, 0.0, 0.0, 0.5)))
+def test_extreme_in_csvs_keep_the_cli_contract(argv, text):
+    _, out, _, _ = keeps_the_cli_contract(list(argv), [("in.csv", text)])
+    assert not re.search(r"nan|inf", out, re.IGNORECASE), (argv, text, out)

@@ -522,12 +522,11 @@ SERIES_BITS = {
 
 @pytest.mark.parametrize("alpha, lam, dth", list(SERIES_BITS))
 def test_series_chord_pinned_bits_in_both_directions(monkeypatch, alpha, lam, dth):
-    # only the forward recurrence calls expm1, for K_0 = -expm1(-q)/(kappa (p + 1))
+    # only the backward recurrence calls max, for its bound on the start's error
     calls = []
-    expm1 = he.expm1
-    monkeypatch.setattr(he, "expm1", lambda v: calls.append(v) or expm1(v))
+    monkeypatch.setattr(he, "max", lambda *v: calls.append(v) or max(*v), raising=False)
     got = [v.hex() for v in _chord_fn(alpha, dth, 1e-12)(lam)]
-    direction = "forward" if calls else "backward"
+    direction = "backward" if calls else "forward"
     assert [direction, *got] == list(SERIES_BITS[alpha, lam, dth])
 
 
@@ -894,8 +893,8 @@ def chord_count(monkeypatch):
 @pytest.mark.parametrize("lam", [1e-6, 0.03, 0.3])
 def test_fit_steps_share_one_chord_function(monkeypatch, alpha, lam):
     # the lambdas each function _chord_fn returns is called with: chord_angle
-    # builds one for each bracket end, and the fit one for all of its steps
-    # and the returned lambda's chord, a bracket end's included
+    # builds one for the small end, and the fit one for all of its steps, the
+    # far end and the returned lambda's chord, the small end's included
     ends = []
 
     def counted_angle(a, lam, *args):
@@ -923,27 +922,30 @@ def test_fit_steps_share_one_chord_function(monkeypatch, alpha, lam):
 @pytest.mark.parametrize("dth", [0.4, 1.2, 2.6])
 def test_fit_integrates_the_far_end_only_for_a_root_beyond_the_first_step(
         monkeypatch, alpha, dth):
-    ends = []  # where fit_g1 calls chord_angle: its bracket ends
+    ends = []  # where fit_g1 calls chord_angle: its small end
 
     def counted(a, lam, *args):
         ends.append(lam)
         return chord_angle(a, lam, *args)
 
     monkeypatch.setattr(he, "chord_angle", counted)
-    chords = chord_count(monkeypatch)
+    tables, _ = chord_tables(monkeypatch)
     xa, xb, k = bracket_x(alpha, dth)
     for u in (0.1, 0.3, 0.5, 0.7, 0.9):
         lam = 1.0 / (math.exp(-(xa + u * (xb - xa))) + k)
         problem = problem_from_psi(alpha, dth, chord_angle(alpha, lam, dth))
         ends.clear()
-        chords.clear()
+        tables.clear()
         assert fit_g1(problem).residual <= 1e-10
-        # the first step, guessed or the midpoint, follows the small end's chord;
-        # the root lies beyond it where its chord angle is below the target
+        # the fit builds its function before chord_angle builds the small end's
+        fit, small = tables
+        assert ends == small == [1e-6]
+        # the fit's first step, guessed or the midpoint; the root lies beyond
+        # it where its chord angle is below the target, and only then is the
+        # far end evaluated, by the fit's own function
         d = problem.delta_theta()
-        first = chords[1]
-        beyond = chord_angle(alpha, first, d) < math.atan2(problem.p_end[1], problem.p_end[0])
-        assert ends == [1e-6, _reach(alpha, d, (1e-6, 1e6))][:1 + beyond]
+        beyond = chord_angle(alpha, fit[0], d) < math.atan2(problem.p_end[1], problem.p_end[0])
+        assert (_reach(alpha, d, (1e-6, 1e6)) in fit) == beyond
 
 
 @settings(max_examples=120, deadline=None)
